@@ -339,7 +339,9 @@ func BenchmarkE8Normalize(b *testing.B) {
 // ---------------------------------------------------------------------
 // Ablations (DESIGN.md §5).
 
-// Innermost vs outermost strategy on the same ground workload.
+// Innermost vs outermost strategy on the same ground workload. The
+// machine serves innermost only, so both arms are pinned to the
+// interpreter and the ablation measures redex order alone.
 func BenchmarkAblationStrategy(b *testing.B) {
 	env := speclib.BaseEnv()
 	sp := env.MustGet("Queue")
@@ -350,7 +352,7 @@ func BenchmarkAblationStrategy(b *testing.B) {
 	}
 	for _, st := range []rewrite.Strategy{rewrite.Innermost, rewrite.Outermost} {
 		b.Run(st.String(), func(b *testing.B) {
-			sys := rewrite.New(sp, rewrite.WithStrategy(st))
+			sys := rewrite.New(sp, rewrite.WithoutCompiledTier(), rewrite.WithStrategy(st))
 			for i := 0; i < b.N; i++ {
 				sys.MustNormalize(tm)
 			}
@@ -358,7 +360,8 @@ func BenchmarkAblationStrategy(b *testing.B) {
 	}
 }
 
-// Head-symbol rule indexing vs linear scan.
+// Head-symbol rule indexing vs linear scan, both on the interpreter
+// (the machine's match programs are themselves an index).
 func BenchmarkAblationRuleIndex(b *testing.B) {
 	env := speclib.BaseEnv()
 	// Use the biggest rule set: the merged symbol-table universe.
@@ -369,7 +372,7 @@ func BenchmarkAblationRuleIndex(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("indexed", func(b *testing.B) {
-		sys := rewrite.New(sp)
+		sys := rewrite.New(sp, rewrite.WithoutCompiledTier())
 		for i := 0; i < b.N; i++ {
 			sys.MustNormalize(tm)
 		}
@@ -454,25 +457,10 @@ func runQueueSpec(b *testing.B, sys *rewrite.System, ops []bool, items []string)
 	}
 }
 
-// Compiled matching automaton (discrimination tree + RHS templates) vs
-// the per-rule MatchBind loop, on the E1 queue workload.
-func BenchmarkAblationDiscTree(b *testing.B) {
-	env := speclib.BaseEnv()
-	sp := env.MustGet("Queue")
-	ops := queueWorkload(64)
-	items := []string{"a", "b", "c", "d"}
-	b.Run("disctree", func(b *testing.B) {
-		runQueueSpec(b, rewrite.New(sp), ops, items)
-	})
-	b.Run("matchbind", func(b *testing.B) {
-		runQueueSpec(b, rewrite.New(sp, rewrite.WithoutDiscTree()), ops, items)
-	})
-}
-
 // Compiled machine tier (register-addressed match programs, build-tree
-// evaluation over arena scratch terms) vs the discrimination-tree
-// interpreter, on the E1 queue workload. The optionless engine resolves
-// to the compiled tier; WithoutCompiledTier pins the interpreter.
+// evaluation over arena scratch terms) vs the MatchBind interpreter, on
+// the E1 queue workload. The optionless engine resolves to the compiled
+// tier; WithoutCompiledTier pins the interpreter.
 func BenchmarkAblationCompiledTier(b *testing.B) {
 	env := speclib.BaseEnv()
 	sp := env.MustGet("Queue")
@@ -527,6 +515,8 @@ func BenchmarkBatchEval(b *testing.B) {
 }
 
 // Memoized vs plain normalization on a workload with shared subterms.
+// The machine does not memoize, so both arms are pinned to the
+// interpreter and the ablation measures the memo table alone.
 func BenchmarkAblationMemo(b *testing.B) {
 	env := speclib.BaseEnv()
 	sp := env.MustGet("Nat")
@@ -539,13 +529,13 @@ func BenchmarkAblationMemo(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("plain", func(b *testing.B) {
-		sys := rewrite.New(sp)
+		sys := rewrite.New(sp, rewrite.WithoutCompiledTier())
 		for i := 0; i < b.N; i++ {
 			sys.MustNormalize(tm)
 		}
 	})
 	b.Run("memo", func(b *testing.B) {
-		sys := rewrite.New(sp, rewrite.WithMemo())
+		sys := rewrite.New(sp, rewrite.WithoutCompiledTier(), rewrite.WithMemo())
 		for i := 0; i < b.N; i++ {
 			sys.MustNormalize(tm)
 		}

@@ -29,12 +29,9 @@ type benchRow struct {
 func benchExport(out io.Writer, path string, env *core.Env) error {
 	rows := []benchRow{
 		measure("e1_queue_spec_ops64", benchQueueSpec(env, 64)),
-		measure("ablation_memo_nat_addn", benchMemoNat(env)),
-		measure("ablation_nomemo_nat_addn", benchPlainNat(env)),
-		measure("ablation_disctree_on", benchQueueSpecOpts(env, 64)),
-		measure("ablation_disctree_off", benchQueueSpecOpts(env, 64, rewrite.WithoutDiscTree())),
-		measure("ablation_compiled_on", benchQueueSpecOpts(env, 64)),
-		measure("ablation_compiled_off", benchQueueSpecOpts(env, 64, rewrite.WithoutCompiledTier())),
+		measure("ablation_memo_nat_addn", benchNat(env, rewrite.WithMemo())),
+		measure("ablation_nomemo_nat_addn", benchNat(env)),
+		measure("ablation_compiled_off", benchQueueSpec(env, 64, rewrite.WithoutCompiledTier())),
 		measure("batch_eval_w1", benchBatchEval(env, 1)),
 		measure("batch_eval_w4", benchBatchEval(env, 4)),
 	}
@@ -63,15 +60,9 @@ func measure(name string, fn func(b *testing.B)) benchRow {
 
 // benchQueueSpec is the symbolic half of bench_test.go's E1 benchmark:
 // drive a queue of terms through n interleaved add/remove operations and
-// observe the front.
-func benchQueueSpec(env *core.Env, n int) func(b *testing.B) {
-	return benchQueueSpecOpts(env, n)
-}
-
-// benchQueueSpecOpts is benchQueueSpec with engine options, used for the
-// matching-automaton ablation (WithoutDiscTree) and the compiled-tier
-// ablation (WithoutCompiledTier).
-func benchQueueSpecOpts(env *core.Env, n int, opts ...rewrite.Option) func(b *testing.B) {
+// observe the front. Engine options select the compiled-tier ablation
+// (WithoutCompiledTier); without options it is e1_queue_spec_ops64.
+func benchQueueSpec(env *core.Env, n int, opts ...rewrite.Option) func(b *testing.B) {
 	sp := env.MustGet("Queue")
 	items := []string{"a", "b", "c", "d"}
 	ops := make([]bool, 0, n) // true = add, false = remove
@@ -146,23 +137,15 @@ func natAddNTerm(env *core.Env) *term.Term {
 	return tm
 }
 
-func benchMemoNat(env *core.Env) func(b *testing.B) {
+// benchNat normalizes natAddNTerm on the interpreter. The machine does
+// not memoize, so both memo ablation arms are pinned to the interpreter
+// and differ only in the memo table.
+func benchNat(env *core.Env, opts ...rewrite.Option) func(b *testing.B) {
 	sp := env.MustGet("Nat")
 	tm := natAddNTerm(env)
+	opts = append([]rewrite.Option{rewrite.WithoutCompiledTier()}, opts...)
 	return func(b *testing.B) {
-		sys := rewrite.New(sp, rewrite.WithMemo())
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
-		}
-	}
-}
-
-func benchPlainNat(env *core.Env) func(b *testing.B) {
-	sp := env.MustGet("Nat")
-	tm := natAddNTerm(env)
-	return func(b *testing.B) {
-		sys := rewrite.New(sp)
+		sys := rewrite.New(sp, opts...)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sys.MustNormalize(tm)

@@ -36,9 +36,6 @@ func TestBenchExport(t *testing.T) {
 		"e1_queue_spec_ops64":      false,
 		"ablation_memo_nat_addn":   false,
 		"ablation_nomemo_nat_addn": false,
-		"ablation_disctree_on":     false,
-		"ablation_disctree_off":    false,
-		"ablation_compiled_on":     false,
 		"ablation_compiled_off":    false,
 		"batch_eval_w1":            false,
 		"batch_eval_w4":            false,

@@ -13,10 +13,11 @@
 //     counterexample to a locally minimal assignment and a recorded seed
 //     for deterministic replay.
 //   - CheckEngines (diff.go): the differential driver. One ground corpus
-//     normalized under every engine configuration (compiled machine vs
-//     interpreter x memo on/off x discrimination tree on/off x 1/N
-//     workers), requiring identical normal forms and — where the
-//     configuration admits it — identical step counts.
+//     normalized under every engine configuration (compiled machine,
+//     MatchBind interpreter and memoized interpreter x 1/N workers, plus
+//     outermost rows for certified specs), requiring identical normal
+//     forms and — where the configuration admits it — identical step
+//     counts.
 //   - CheckMutations (mutate.go): the mutation smoke mode. Each axiom's
 //     RHS is perturbed in turn and the oracle must notice, proving the
 //     harness has teeth.

@@ -54,18 +54,18 @@ func (c DiffConfig) withDefaults() DiffConfig {
 // Step-count comparability classes. Memoization legitimately changes step
 // counts (a memo hit stands in for the reductions that produced the
 // cached normal form), and parallel memo runs depend on how terms were
-// sharded over the per-worker tables, so only configurations in the same
-// class must agree on Steps. Normal forms must agree across ALL classes.
+// sharded over the per-worker tables, so memo rows are never compared on
+// Steps; the rows of every other class must agree on Steps. Normal forms
+// must agree across ALL classes.
 const (
-	classPlain   = "plain"     // no memo: steps identical for any matcher and worker count
-	classMemoSeq = "memo-w1"   // one shared memo table: steps identical across matchers
-	classMemoPar = "memo-par"  // per-worker memo tables: steps depend on sharding
-	classOuter   = "outermost" // outermost order: different reduction sequence entirely
+	classPlain = "plain"     // no memo: steps identical for either tier and any worker count
+	classMemo  = "memo"      // memo tables: steps depend on hits and sharding
+	classOuter = "outermost" // outermost order: different reduction sequence entirely
 )
 
 // EngineResult is one engine configuration's outcome over the corpus.
 type EngineResult struct {
-	// Name identifies the configuration, e.g. "memo+matchbind/w1".
+	// Name identifies the configuration, e.g. "interp/w1".
 	Name string
 	// Class is the step-comparability class (classPlain, ...).
 	Class string
@@ -113,10 +113,11 @@ func (r *DiffReport) String() string {
 }
 
 // CheckEngines builds one ground corpus for the spec and normalizes it
-// under all ten engine configurations — compiled machine vs interpreter
-// (disc tree and MatchBind) x memo on/off x NormalizeAll workers 1/N —
-// requiring identical normal forms everywhere and identical step counts
-// within each comparability class. The corpus applies every
+// under six engine configurations — compiled machine, MatchBind
+// interpreter and memoized interpreter, each at NormalizeAll workers 1/N
+// (eight with DiffConfig.AllStrategies) — requiring identical normal
+// forms everywhere and identical step counts within each comparability
+// class. The corpus applies every
 // non-constructor operation to exhaustive constructor instantiations up
 // to Depth, plus random deeper ones.
 func CheckEngines(sp *spec.Spec, cfg DiffConfig) *DiffReport {
@@ -136,20 +137,16 @@ func CheckEngines(sp *spec.Spec, cfg DiffConfig) *DiffReport {
 	}
 	engines := []engine{
 		// The optionless baseline resolves to the compiled tier (the
-		// abstract rewrite machine); WithoutCompiledTier pins the same
-		// discrimination-tree matching on the interpreter, so the first
-		// four rows differentiate machine against interpreter directly —
-		// identical normal forms AND identical step counts required.
+		// abstract rewrite machine); WithoutCompiledTier pins the
+		// MatchBind interpreter, so the first four rows differentiate the
+		// machine against the reference semantics directly — identical
+		// normal forms AND identical step counts required.
 		{"compiled/w1", classPlain, nil, 1},
 		{fmt.Sprintf("compiled/w%d", cfg.Workers), classPlain, nil, cfg.Workers},
-		{"disctree/w1", classPlain, []rewrite.Option{rewrite.WithoutCompiledTier()}, 1},
-		{fmt.Sprintf("disctree/w%d", cfg.Workers), classPlain, []rewrite.Option{rewrite.WithoutCompiledTier()}, cfg.Workers},
-		{"matchbind/w1", classPlain, []rewrite.Option{rewrite.WithoutDiscTree()}, 1},
-		{fmt.Sprintf("matchbind/w%d", cfg.Workers), classPlain, []rewrite.Option{rewrite.WithoutDiscTree()}, cfg.Workers},
-		{"memo/w1", classMemoSeq, []rewrite.Option{rewrite.WithMemo()}, 1},
-		{"memo+matchbind/w1", classMemoSeq, []rewrite.Option{rewrite.WithoutDiscTree(), rewrite.WithMemo()}, 1},
-		{fmt.Sprintf("memo/w%d", cfg.Workers), classMemoPar, []rewrite.Option{rewrite.WithMemo()}, cfg.Workers},
-		{fmt.Sprintf("memo+matchbind/w%d", cfg.Workers), classMemoPar, []rewrite.Option{rewrite.WithoutDiscTree(), rewrite.WithMemo()}, cfg.Workers},
+		{"interp/w1", classPlain, []rewrite.Option{rewrite.WithoutCompiledTier()}, 1},
+		{fmt.Sprintf("interp/w%d", cfg.Workers), classPlain, []rewrite.Option{rewrite.WithoutCompiledTier()}, cfg.Workers},
+		{"memo/w1", classMemo, []rewrite.Option{rewrite.WithMemo()}, 1},
+		{fmt.Sprintf("memo/w%d", cfg.Workers), classMemo, []rewrite.Option{rewrite.WithMemo()}, cfg.Workers},
 	}
 	if cfg.AllStrategies {
 		// The strengthened certified mode: outermost rows join the
@@ -206,8 +203,8 @@ func CheckEngines(sp *spec.Spec, cfg DiffConfig) *DiffReport {
 			first[e.class] = i
 			continue
 		}
-		if e.class == classMemoPar {
-			continue // sharding-dependent; normal forms already checked
+		if e.class == classMemo {
+			continue // hit- and sharding-dependent; normal forms already checked
 		}
 		if rep.Engines[i].Steps != rep.Engines[f].Steps {
 			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf(

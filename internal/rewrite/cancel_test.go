@@ -103,6 +103,31 @@ func TestForkDropsStopFlag(t *testing.T) {
 	}
 }
 
+// A divergent rewrite chain nests one machine frame per fired rule, so
+// the register stack must grow geometrically: a fixed growth increment
+// copies the whole live stack every few frames, about two thousand
+// allocations and a second of copying over 2^16 steps, where doubling
+// needs a few dozen allocations.
+func TestDivergentChainAllocsBounded(t *testing.T) {
+	const fuel = 1 << 16
+	sys, work := loopSystem(t)
+	if sys.Tier() != "compiled" {
+		t.Fatalf("tier = %s, want compiled", sys.Tier())
+	}
+	var fuelErr *rewrite.ErrFuel
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := sys.Fork(rewrite.WithMaxSteps(fuel)).Normalize(work); !errors.As(err, &fuelErr) {
+			t.Fatalf("err = %v, want ErrFuel", err)
+		}
+	})
+	if allocs > 128 {
+		t.Errorf("a %d-step diverging chain made %.0f allocations on a fresh fork, want <= 128 (register stack growing linearly?)",
+			fuel, allocs)
+	} else {
+		t.Logf("%d-step diverging chain: %.0f allocations", fuel, allocs)
+	}
+}
+
 // StatsRecorder totals are exact under concurrent recording, and
 // Snapshot may be called while records are in flight (the race detector
 // guards the latter).

@@ -1,6 +1,7 @@
 package rewrite_test
 
 import (
+	"fmt"
 	"testing"
 
 	"algspec/internal/core"
@@ -129,5 +130,82 @@ func TestCompiledTierErrorParity(t *testing.T) {
 		if c, i := compiled.Stats().Steps-cBefore, interp.Stats().Steps-iBefore; c != i {
 			t.Errorf("%s: step counts differ: compiled %d, interp %d", src, c, i)
 		}
+	}
+}
+
+// edgeSrc gathers the matcher edge cases no library or shipped spec
+// exercises: a non-linear left-hand side (the machine's mEq check), an
+// overlap where the earlier, more specific axiom must win, and a
+// duplicate pattern that can never fire.
+const edgeSrc = `
+spec Edge
+  uses Nat
+  ops
+    same : Nat, Nat -> Bool
+    f    : Nat -> Nat
+  vars n, m : Nat
+  axioms
+    [refl] same(n, n) = true
+    [hit]  f(zero) = zero
+    [any]  f(m) = succ(m)
+    [dead] f(n) = zero
+end
+`
+
+// TestMatcherEdgeCases runs each edge case on both tiers: the compiled
+// machine and the MatchBind interpreter must reach the expected normal
+// form in the same number of steps, and the interpreter's trace must
+// name exactly the expected rules (priority made visible).
+func TestMatcherEdgeCases(t *testing.T) {
+	env := core.NewEnv()
+	env.MustLoad(speclib.Bool, speclib.Nat, edgeSrc)
+	sp := env.MustGet("Edge")
+	cases := []struct {
+		name, src, want string
+		fired           []string
+	}{
+		{"non-linear/equal", "same(succ(zero), succ(zero))", "true", []string{"refl"}},
+		{"non-linear/equal-after-args", "same(addN(zero, succ(zero)), succ(zero))", "true", []string{"add1", "refl"}},
+		{"non-linear/unequal", "same(zero, succ(zero))", "same(zero, succ(zero))", nil},
+		{"priority/specific-first", "f(zero)", "zero", []string{"hit"}},
+		{"priority/general", "f(succ(zero))", "succ(succ(zero))", []string{"any"}},
+		{"duplicate-never-fires", "f(f(succ(zero)))", "succ(succ(succ(zero)))", []string{"any", "any"}},
+	}
+	compiled := rewrite.New(sp)
+	interp := compiled.Fork(rewrite.WithoutCompiledTier())
+	var fired []string
+	traced := compiled.Fork(rewrite.WithTrace(func(ts rewrite.TraceStep) {
+		fired = append(fired, ts.Rule.Label)
+	}))
+	if compiled.Tier() != "compiled" || interp.Tier() != "interp" || traced.Tier() != "interp" {
+		t.Fatalf("tiers = %s/%s/%s, want compiled/interp/interp", compiled.Tier(), interp.Tier(), traced.Tier())
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tm, err := env.ParseTerm("Edge", c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compiled.ResetSteps()
+			interp.ResetSteps()
+			fired = fired[:0]
+			cnf := compiled.MustNormalize(tm)
+			inf := interp.MustNormalize(tm)
+			tnf := traced.MustNormalize(tm)
+			for tier, nf := range map[string]*term.Term{"compiled": cnf, "interp": inf, "traced interp": tnf} {
+				if nf.String() != c.want {
+					t.Errorf("%s: %s = %s, want %s", tier, c.src, nf, c.want)
+				}
+			}
+			if cs, is := compiled.Steps(), interp.Steps(); cs != is {
+				t.Errorf("step counts differ: compiled %d, interp %d", cs, is)
+			}
+			if fmt.Sprint(fired) != fmt.Sprint(c.fired) {
+				t.Errorf("interpreter fired %v, want %v", fired, c.fired)
+			}
+			if got := compiled.Stats().RuleFires; got != len(c.fired) {
+				t.Errorf("compiled tier fired %d rule(s), want %d", got, len(c.fired))
+			}
+		})
 	}
 }

@@ -9,10 +9,11 @@ import (
 )
 
 // FuzzNormalize feeds arbitrary term strings to the engine, checked
-// differentially: whatever the input, the compiled discrimination-tree
-// matcher and the MatchBind reference must agree on the outcome — same
-// acceptance, same normal form, same step count — under a small fuel
-// bound so divergent inputs terminate by running out of steps.
+// differentially: whatever the input, the default System (the compiled
+// machine) and the MatchBind interpreter, the reference semantics, must
+// agree on the outcome — same acceptance, same normal form, same step
+// count — under a small fuel bound so divergent inputs terminate by
+// running out of steps.
 func FuzzNormalize(f *testing.F) {
 	env := core.NewEnv()
 	env.MustLoad(speclib.Sources...)
@@ -33,18 +34,18 @@ func FuzzNormalize(f *testing.F) {
 		if err != nil {
 			return // not a well-sorted ground term of this spec
 		}
-		trie := rewrite.New(sp, rewrite.WithMaxSteps(5000))
-		ref := rewrite.New(sp, rewrite.WithoutDiscTree(), rewrite.WithMaxSteps(5000))
-		trieNF, trieErr := trie.Normalize(tm)
+		compiled := rewrite.New(sp, rewrite.WithMaxSteps(5000))
+		ref := compiled.Fork(rewrite.WithoutCompiledTier())
+		gotNF, gotErr := compiled.Normalize(tm)
 		refNF, refErr := ref.Normalize(tm)
-		if (trieErr == nil) != (refErr == nil) {
-			t.Fatalf("engines disagree on acceptance of %s: trie=%v ref=%v", tm, trieErr, refErr)
+		if (gotErr == nil) != (refErr == nil) {
+			t.Fatalf("tiers disagree on acceptance of %s: compiled=%v interp=%v", tm, gotErr, refErr)
 		}
-		if trieErr == nil && !trieNF.Equal(refNF) {
-			t.Fatalf("normal forms differ for %s:\n  trie: %s\n  ref:  %s", tm, trieNF, refNF)
+		if gotErr == nil && !gotNF.Equal(refNF) {
+			t.Fatalf("normal forms differ for %s:\n  compiled: %s\n  interp:   %s", tm, gotNF, refNF)
 		}
-		if trie.Stats().Steps != ref.Stats().Steps {
-			t.Fatalf("step counts differ for %s: trie=%d ref=%d", tm, trie.Stats().Steps, ref.Stats().Steps)
+		if compiled.Stats().Steps != ref.Stats().Steps {
+			t.Fatalf("step counts differ for %s: compiled=%d interp=%d", tm, compiled.Stats().Steps, ref.Stats().Steps)
 		}
 	})
 }

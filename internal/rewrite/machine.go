@@ -3,31 +3,30 @@
 // right-hand side to a slot-indexed build program, then runs both in a
 // small VM loop over arena-allocated scratch terms (term.Arena).
 //
-// Relationship to the other tiers — the engine is layered as
+// Relationship to the other tier — the engine is layered as
 //
 //	program            immutable compiled artifacts (rules, index,
-//	                   tries, templates, machine), shared by Forks
-//	  └─ machine tier  flat match/build programs + arena scratch terms
-//	  └─ interpreter   discrimination-tree walk (trie.go) or per-rule
-//	                   MatchBind — the reference semantics and the
-//	                   fallback for configs the machine does not serve
-//	                   (memo, trace, outermost strategy, ablations)
+//	                   machine), shared by Forks
+//	  └─ machine tier  flat match/build programs + arena scratch terms,
+//	                   the fast path
+//	  └─ interpreter   per-rule subst.MatchBind over the head index —
+//	                   the reference semantics and the tier for configs
+//	                   the machine does not serve (memo, trace,
+//	                   outermost strategy, ablations)
 //
 // and every entry point (Normalize, NormalizeAll, the checkers, axtest,
 // serve) goes through the one Eval seam in rewrite.go, which picks the
 // tier per System configuration.
 //
-// Match programs replace the trie walk: instead of a pointer-chasing
-// automaton with a pending-subterm stack, each rule's pattern compiles
-// to straight-line code over a register file. Register 0 holds the
-// subject; loads move child slots into registers; checks compare a
-// register against the pattern shape and jump to the next rule's entry
-// on failure. First accepting rule wins, and because rules are laid out
-// in ascending index order that is exactly the branch-and-bound trie's
-// lowest-index winner. Check semantics mirror subst.MatchBind and the
-// trie precisely: a variable never matches error and respects sorts; a
-// repeated variable re-checks structural equality against the register
-// that captured the first occurrence.
+// Each rule group's patterns compile to straight-line code over a
+// register file. Register 0 holds the subject; loads move child slots
+// into registers; checks compare a register against the pattern shape
+// and jump to the next rule's entry on failure. First accepting rule
+// wins, and because rules are laid out in ascending index order that is
+// exactly the interpreter's first match in priority order. Check
+// semantics mirror subst.MatchBind precisely: a variable never matches
+// error and respects sorts; a repeated variable re-checks structural
+// equality against the register that captured the first occurrence.
 //
 // Build programs are evaluation trees executed call-by-value: each
 // operation application in a rule's right-hand side evaluates its
@@ -129,7 +128,7 @@ type buildNode struct {
 }
 
 // machine is the compiled tier's immutable artifact set, hanging off
-// program next to the tries and templates.
+// program next to the rule list and head index.
 type machine struct {
 	progs  map[string]*matchProg
 	builds []buildNode
@@ -241,8 +240,10 @@ func compileMatchGroup(rules []Rule, idxs []int, builds []buildNode) *matchProg 
 	return p
 }
 
-// compileNode lowers a right-hand side to its evaluation tree;
-// structure and sharing behaviour match compileRHS. A conditional —
+// compileNode lowers a right-hand side to its evaluation tree. Subtrees
+// containing no bound variable compile to constants holding the rule's
+// own interned nodes, preserving subst.Bindings.Build's sharing
+// behaviour. A conditional —
 // at the root or nested inside an operation argument — becomes a bIf
 // node: evaluation order, step charges and results are exactly the
 // interpreter's reduceIf on the materialized term.
@@ -268,6 +269,20 @@ func compileNode(rhs *term.Term, regs map[string]int) buildNode {
 		kids[i] = compileNode(a, regs)
 	}
 	return buildNode{op: bMk, sym: rhs.Sym, sort: rhs.Sort, kids: kids}
+}
+
+// containsBound reports whether t contains a variable the pattern binds.
+func containsBound(t *term.Term, regs map[string]int) bool {
+	if t.Kind == term.Var {
+		_, ok := regs[t.Sym]
+		return ok
+	}
+	for _, a := range t.Args {
+		if containsBound(a, regs) {
+			return true
+		}
+	}
+	return false
 }
 
 // runMatch executes a match program against subject over the register
@@ -456,12 +471,7 @@ func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
 	base := s.regTop
 	need := base + d.mp.nregs
 	if len(s.regStack) < need {
-		// Frames below base stay live in the old array (they are
-		// read-only once their match completed), so in-flight builds
-		// keep valid captures across the copy.
-		ns := make([]*term.Term, need+64)
-		copy(ns, s.regStack[:base])
-		s.regStack = ns
+		s.growRegs(base, need)
 	}
 	regs := s.regStack[base:need]
 	ri := s.runMatch(d.mp, cur, regs)
@@ -480,6 +490,19 @@ func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
 	red, err := s.evalBuild(&s.prog.mach.builds[ri], regs, cur)
 	s.regTop = base
 	return red, err
+}
+
+// growRegs reallocates the register stack to hold at least need slots,
+// copying the live frames below base. Frames below base stay live in the
+// old array too (they are read-only once their match completed), so
+// in-flight builds keep valid captures across the copy. Growth is
+// geometric: a rewrite chain nests one frame per fired rule, and a
+// fixed increment would copy the whole live stack every few frames,
+// making a chain of depth d cost O(d²).
+func (s *System) growRegs(base, need int) {
+	ns := make([]*term.Term, max(2*need, need+64))
+	copy(ns, s.regStack[:base])
+	s.regStack = ns
 }
 
 // evalBuild evaluates a build tree over its register-stack frame (kept
@@ -597,9 +620,7 @@ func (s *System) applyRules(n *buildNode, mp *matchProg, frame []*term.Term, red
 	base := s.regTop
 	need := base + mp.nregs
 	if len(s.regStack) < need {
-		ns := make([]*term.Term, need+64)
-		copy(ns, s.regStack[:base])
-		s.regStack = ns
+		s.growRegs(base, need)
 	}
 	s.regTop = need
 	for i := range n.kids {

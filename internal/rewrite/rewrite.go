@@ -136,8 +136,9 @@ type Stats struct {
 	// NativeCalls counts native (Go-implemented) operation evaluations.
 	NativeCalls int
 	// CompiledEvals counts outermost Normalize calls served by the
-	// compiled machine tier; InterpEvals counts the ones that fell back
-	// to the interpreter (memo, trace, outermost strategy, or ablation).
+	// compiled machine tier; InterpEvals counts the ones served by the
+	// MatchBind interpreter (memo, trace, outermost strategy, or
+	// ablation).
 	CompiledEvals int
 	InterpEvals   int
 }
@@ -185,24 +186,18 @@ func WithNative(op string, f NativeFunc) Option {
 	return func(sys *System) { sys.native[op] = f }
 }
 
-// WithoutRuleIndex disables head-symbol indexing, forcing a linear scan
-// over all rules at every redex (it implies WithoutDiscTree — a
-// discrimination tree is an index). Exists only for the ablation
-// benchmark.
+// WithoutRuleIndex disables head-symbol indexing, forcing the
+// interpreter to scan all rules at every redex (it implies
+// WithoutCompiledTier — the machine's match programs are an index).
+// Exists only for the ablation benchmark.
 func WithoutRuleIndex() Option { return func(sys *System) { sys.noIndex = true } }
-
-// WithoutDiscTree disables both compiled matchers — the machine tier
-// and the discrimination-tree automaton with its slot-indexed RHS
-// templates — falling back to per-rule subst.MatchBind over the
-// head-symbol index. Exists for the ablation benchmark and as the
-// reference semantics in the differential tests.
-func WithoutDiscTree() Option { return func(sys *System) { sys.noDiscTree = true } }
 
 // WithoutCompiledTier disables the machine tier (flat match/build
 // programs over arena scratch terms), so evaluation runs on the
-// interpreter's discrimination-tree walk. Exists for the ablation
-// benchmark and as one half of the compiled-vs-interpreted differential
-// tests.
+// interpreter: per-rule subst.MatchBind over the head-symbol index, the
+// reference semantics the machine is tested against. Exists for the
+// ablation benchmarks and as one half of the compiled-vs-interpreted
+// differential tests.
 func WithoutCompiledTier() Option { return func(sys *System) { sys.noCompiled = true } }
 
 // WithMemo enables memoization of normal forms for ground subterms. The
@@ -267,12 +262,6 @@ type program struct {
 	// ablation scans; precomputed once so the ablation measures indexing,
 	// not per-redex allocator pressure.
 	allRules []int
-	// tries is the interpreter tier's matching automaton: head symbol ->
-	// discrimination tree over that symbol's rule group.
-	tries map[string]*trie
-	// tmpls holds one compiled RHS build template per rule, indexed like
-	// rules.
-	tmpls []template
 	// mach is the machine tier: flat register-addressed match programs
 	// and arena-targeted build programs (machine.go).
 	mach *machine
@@ -288,7 +277,6 @@ type System struct {
 	strategy   Strategy
 	maxSteps   int
 	noIndex    bool
-	noDiscTree bool
 	noCompiled bool
 	trace      func(TraceStep)
 
@@ -305,9 +293,10 @@ type System struct {
 	// does not inherit it.
 	fault func() error
 
-	// disp folds the native table and the discrimination-tree index into
-	// one map so the hot path pays a single string hash per redex. Built
-	// after options are applied (New and Fork), since WithNative changes it.
+	// disp folds the native table and the machine's match programs into
+	// one map so the machine pays a single string hash per redex. Built
+	// after options are applied (New and Fork), since WithNative changes
+	// it, and only on the machine tier.
 	disp map[string]dispatch
 	// gen is this system's normal-form token: terms the system has proven
 	// to be their own normal form are stamped with it (term.MarkNormalTag).
@@ -322,14 +311,8 @@ type System struct {
 	gen uint32
 
 	stats Stats
-	// bindBuf is the reusable binding buffer for the MatchBind fallback
-	// path (ablations and WithoutDiscTree forks).
+	// bindBuf is the interpreter's reusable MatchBind binding buffer.
 	bindBuf subst.Bindings
-	// tm and buildStack are the reusable matching-automaton state: the
-	// trie walk's stack and capture frame, and the template evaluator's
-	// value stack.
-	tm         trieMatcher
-	buildStack []*term.Term
 	// useCompiled, resolved by buildDispatch, routes the Eval seam: true
 	// selects the machine tier, false the interpreter. regStack is the
 	// machine's register stack — each rule fire carves a frame at regTop
@@ -399,7 +382,6 @@ func New(sp *spec.Spec, opts ...Option) *System {
 	for i := range prog.allRules {
 		prog.allRules[i] = i
 	}
-	prog.tries, prog.tmpls = compileRules(prog.rules)
 	prog.mach = compileMachine(prog.rules)
 	sys.prog = prog
 	sys.buildDispatch()
@@ -409,31 +391,30 @@ func New(sp *spec.Spec, opts ...Option) *System {
 // dispatch is the per-head-symbol entry of the merged hot-path table.
 type dispatch struct {
 	native NativeFunc
-	tr     *trie
 	mp     *matchProg
 }
 
 func (s *System) buildDispatch() {
-	s.disp = make(map[string]dispatch, len(s.prog.tries)+len(s.native))
-	for sym, tr := range s.prog.tries {
-		s.disp[sym] = dispatch{tr: tr, mp: s.prog.mach.progs[sym]}
-	}
-	for sym, nf := range s.native {
-		d := s.disp[sym]
-		d.native = nf
-		s.disp[sym] = d
-	}
 	s.gen = genCounter.Add(1)
 	s.plainSpend = s.stop == nil && s.fault == nil
 	// Tier selection: the machine serves the default configuration —
-	// innermost strategy, no memo, no trace, compiled matching enabled.
+	// innermost strategy, no memo, no trace, indexed compiled matching.
 	// Everything else (memoization wants interned intermediate results,
 	// tracing wants to see each step, outermost is a different strategy,
-	// the ablations exist to measure the interpreter) falls back to the
-	// interpreter tier behind the same Normalize seam.
-	s.useCompiled = !s.noCompiled && !s.noDiscTree && !s.noIndex &&
+	// the ablations exist to measure the interpreter) runs on the
+	// MatchBind interpreter behind the same Normalize seam.
+	s.useCompiled = !s.noCompiled && !s.noIndex &&
 		s.memo == nil && s.trace == nil && s.strategy == Innermost
 	if s.useCompiled {
+		s.disp = make(map[string]dispatch, len(s.prog.mach.progs)+len(s.native))
+		for sym, mp := range s.prog.mach.progs {
+			s.disp[sym] = dispatch{mp: mp}
+		}
+		for sym, nf := range s.native {
+			d := s.disp[sym]
+			d.native = nf
+			s.disp[sym] = d
+		}
 		if s.arena == nil {
 			s.arena = term.NewArena()
 		}
@@ -473,7 +454,6 @@ func (s *System) Fork(opts ...Option) *System {
 		strategy:   s.strategy,
 		maxSteps:   s.maxSteps,
 		noIndex:    s.noIndex,
-		noDiscTree: s.noDiscTree,
 		noCompiled: s.noCompiled,
 		intern:     s.intern,
 		memoLimit:  s.memoLimit,
@@ -754,46 +734,14 @@ func (s *System) rootThenRecurse(cur *term.Term) (*term.Term, error) {
 	return cur, nil
 }
 
-// stepRoot tries native evaluation then rule matching at the root. Rule
-// matching goes through the compiled discrimination tree by default; the
-// WithoutDiscTree and WithoutRuleIndex ablations fall back to per-rule
-// subst.MatchBind.
+// stepRoot tries native evaluation then rule matching at the root.
 func (s *System) stepRoot(cur *term.Term) (*term.Term, bool, error) {
-	if s.noDiscTree || s.noIndex {
-		if nf, ok := s.native[cur.Sym]; ok {
-			if out, applied := nf(cur.Args); applied {
-				return s.fireNative(cur, out)
-			}
-		}
-		return s.stepRootMatchBind(cur)
-	}
-	d := s.disp[cur.Sym]
-	if d.native != nil {
-		if out, applied := d.native(cur.Args); applied {
+	if nf, ok := s.native[cur.Sym]; ok {
+		if out, applied := nf(cur.Args); applied {
 			return s.fireNative(cur, out)
 		}
 	}
-	if d.tr == nil {
-		return nil, false, nil
-	}
-	ri, frame := s.tm.match(d.tr, cur, len(s.prog.rules))
-	if ri < 0 {
-		return nil, false, nil
-	}
-	if err := s.spend(cur); err != nil {
-		return nil, false, err
-	}
-	s.stats.RuleFires++
-	var in *term.Interner
-	if s.memo != nil {
-		in = s.intern
-	}
-	var out *term.Term
-	out, s.buildStack = s.prog.tmpls[ri].build(frame, in, s.buildStack)
-	if s.trace != nil {
-		s.trace(TraceStep{Rule: s.prog.rules[ri], Before: cur, After: out})
-	}
-	return out, true, nil
+	return s.stepRootMatchBind(cur)
 }
 
 // fireNative accounts for one successful native evaluation.
@@ -808,8 +756,10 @@ func (s *System) fireNative(cur, out *term.Term) (*term.Term, bool, error) {
 	return out, true, nil
 }
 
-// stepRootMatchBind is the pre-automaton matching loop: try each
-// candidate rule in priority order with one-way structural matching.
+// stepRootMatchBind is the interpreter's matcher, the axioms read
+// directly as rules: try each candidate rule in priority order with
+// one-way structural matching. The candidates are the head symbol's rule
+// group, or every rule under the WithoutRuleIndex ablation.
 func (s *System) stepRootMatchBind(cur *term.Term) (*term.Term, bool, error) {
 	for _, ri := range s.candidates(cur.Sym) {
 		r := &s.prog.rules[ri]
