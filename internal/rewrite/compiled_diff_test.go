@@ -209,3 +209,72 @@ func TestMatcherEdgeCases(t *testing.T) {
 		})
 	}
 }
+
+// TestDiscTreePriorityOverlap pins the priority rule down on a spec whose
+// axioms overlap: f(zero) is matched by both [hit] and the later
+// catch-all [any]; the earlier axiom must win on both tiers. (The name
+// dates from when a discrimination-tree matcher was a third tier.)
+func TestDiscTreePriorityOverlap(t *testing.T) {
+	env := core.NewEnv()
+	env.MustLoad(speclib.Bool, speclib.Nat)
+	if _, err := env.Load(`
+spec Pri
+  uses Nat
+
+  ops
+    f : Nat -> Nat
+
+  vars
+    n : Nat
+
+  axioms
+    [hit] f(zero) = zero
+    [any] f(n) = succ(n)
+end
+`); err != nil {
+		t.Fatal(err)
+	}
+	sp := env.MustGet("Pri")
+	zero := term.NewOp("zero", "Nat")
+	one := term.NewOp("succ", "Nat", zero)
+	cases := []struct {
+		in, want *term.Term
+		rule     string
+	}{
+		{term.NewOp("f", "Nat", zero), zero, "hit"},
+		{term.NewOp("f", "Nat", one), term.NewOp("succ", "Nat", one), "any"},
+	}
+	// The interpreter's trace names the rule that fired.
+	t.Run("matchbind", func(t *testing.T) {
+		var fired []string
+		sys := rewrite.New(sp, rewrite.WithoutCompiledTier(), rewrite.WithTrace(func(ts rewrite.TraceStep) {
+			fired = append(fired, ts.Rule.Label)
+		}))
+		for _, c := range cases {
+			fired = fired[:0]
+			if nf := sys.MustNormalize(c.in); !nf.Equal(c.want) {
+				t.Fatalf("%s = %s, want %s", c.in, nf, c.want)
+			}
+			if len(fired) != 1 || fired[0] != c.rule {
+				t.Fatalf("%s fired %v, want exactly [%s]", c.in, fired, c.rule)
+			}
+		}
+	})
+	// The machine keeps no trace: the normal form tells [hit] from [any],
+	// and exactly one rule must fire.
+	t.Run("compiled", func(t *testing.T) {
+		sys := rewrite.New(sp)
+		if sys.Tier() != "compiled" {
+			t.Fatalf("tier = %s, want compiled", sys.Tier())
+		}
+		for _, c := range cases {
+			before := sys.Stats().RuleFires
+			if nf := sys.MustNormalize(c.in); !nf.Equal(c.want) {
+				t.Fatalf("%s = %s, want %s", c.in, nf, c.want)
+			}
+			if got := sys.Stats().RuleFires - before; got != 1 {
+				t.Fatalf("%s fired %d rule(s), want 1", c.in, got)
+			}
+		}
+	})
+}
