@@ -513,31 +513,3 @@ func BenchmarkBatchEval(b *testing.B) {
 		})
 	}
 }
-
-// Memoized vs plain normalization on a workload with shared subterms.
-// The machine does not memoize, so both arms are pinned to the
-// interpreter and the ablation measures the memo table alone.
-func BenchmarkAblationMemo(b *testing.B) {
-	env := speclib.BaseEnv()
-	sp := env.MustGet("Nat")
-	n := "zero"
-	for i := 0; i < 24; i++ {
-		n = "succ(" + n + ")"
-	}
-	tm, err := env.ParseTerm("Nat", fmt.Sprintf("addN(%s, addN(%s, %s))", n, n, n))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("plain", func(b *testing.B) {
-		sys := rewrite.New(sp, rewrite.WithoutCompiledTier())
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
-		}
-	})
-	b.Run("memo", func(b *testing.B) {
-		sys := rewrite.New(sp, rewrite.WithoutCompiledTier(), rewrite.WithMemo())
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
-		}
-	})
-}

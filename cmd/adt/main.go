@@ -298,7 +298,7 @@ func cmdEval(args []string, out io.Writer, traced bool) error {
 	fs.SetOutput(out)
 	lib := fs.Bool("lib", true, "preload the embedded specification library")
 	specName := fs.String("spec", "", "specification to evaluate against (required)")
-	stats := fs.Bool("stats", false, "print engine work counters (steps, rule fires, memo hits, native calls) after the normal form")
+	stats := fs.Bool("stats", false, "print engine work counters (steps, rule fires, native calls) after the normal form")
 	engine := fs.String("engine", "compiled", "evaluation tier: compiled (abstract rewrite machine, default) or interp (reference interpreter)")
 	workers := fs.Int("workers", 0, "worker goroutines when several terms are given (0 = GOMAXPROCS)")
 	rest, err := parseInterleaved(fs, args)
@@ -366,9 +366,8 @@ func cmdEval(args []string, out io.Writer, traced bool) error {
 	}
 	if *stats {
 		d := sys.Stats()
-		fmt.Fprintf(out, "stats: tier=%s steps=%d rule-fires=%d memo-hits=%d native-calls=%d interned=%d\n",
-			sys.Tier(), d.Steps, d.RuleFires, d.MemoHits, d.NativeCalls,
-			sys.Interner().Size())
+		fmt.Fprintf(out, "stats: tier=%s steps=%d rule-fires=%d native-calls=%d interned=%d\n",
+			sys.Tier(), d.Steps, d.RuleFires, d.NativeCalls, sys.Interner().Size())
 	}
 	return nil
 }

@@ -56,7 +56,6 @@ func TestEvalStats(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "stats: tier=compiled steps=") ||
 		!strings.Contains(lines[1], "rule-fires=") ||
-		!strings.Contains(lines[1], "memo-hits=") ||
 		!strings.Contains(lines[1], "native-calls=") ||
 		!strings.Contains(lines[1], "interned=") {
 		t.Errorf("stats line = %q", lines[1])

@@ -22,15 +22,13 @@ type benchRow struct {
 }
 
 // benchExport runs the rewrite-engine benchmarks the report cares about
-// (the E1 queue workload and the memoized Nat workload, mirroring
+// (the E1 queue workload on both tiers and the batch fan-out, mirroring
 // bench_test.go) through testing.Benchmark and writes the rows as JSON.
 // It gives CI a machine-readable BENCH_rewrite.json without needing the
 // test binary.
 func benchExport(out io.Writer, path string, env *core.Env) error {
 	rows := []benchRow{
 		measure("e1_queue_spec_ops64", benchQueueSpec(env, 64)),
-		measure("ablation_memo_nat_addn", benchNat(env, rewrite.WithMemo())),
-		measure("ablation_nomemo_nat_addn", benchNat(env)),
 		measure("ablation_compiled_off", benchQueueSpec(env, 64, rewrite.WithoutCompiledTier())),
 		measure("batch_eval_w1", benchBatchEval(env, 1)),
 		measure("batch_eval_w4", benchBatchEval(env, 4)),
@@ -121,34 +119,6 @@ func benchBatchEval(env *core.Env, workers int) func(b *testing.B) {
 			if _, errs := f.NormalizeAll(items, workers); errs != nil {
 				b.Fatal(errs)
 			}
-		}
-	}
-}
-
-func natAddNTerm(env *core.Env) *term.Term {
-	n := "zero"
-	for i := 0; i < 24; i++ {
-		n = "succ(" + n + ")"
-	}
-	tm, err := env.ParseTerm("Nat", fmt.Sprintf("addN(%s, addN(%s, %s))", n, n, n))
-	if err != nil {
-		panic(err)
-	}
-	return tm
-}
-
-// benchNat normalizes natAddNTerm on the interpreter. The machine does
-// not memoize, so both memo ablation arms are pinned to the interpreter
-// and differ only in the memo table.
-func benchNat(env *core.Env, opts ...rewrite.Option) func(b *testing.B) {
-	sp := env.MustGet("Nat")
-	tm := natAddNTerm(env)
-	opts = append([]rewrite.Option{rewrite.WithoutCompiledTier()}, opts...)
-	return func(b *testing.B) {
-		sys := rewrite.New(sp, opts...)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
 		}
 	}
 }

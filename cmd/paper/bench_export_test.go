@@ -33,12 +33,10 @@ func TestBenchExport(t *testing.T) {
 		t.Fatalf("invalid JSON: %v\n%s", err, data)
 	}
 	want := map[string]bool{
-		"e1_queue_spec_ops64":      false,
-		"ablation_memo_nat_addn":   false,
-		"ablation_nomemo_nat_addn": false,
-		"ablation_compiled_off":    false,
-		"batch_eval_w1":            false,
-		"batch_eval_w4":            false,
+		"e1_queue_spec_ops64":   false,
+		"ablation_compiled_off": false,
+		"batch_eval_w1":         false,
+		"batch_eval_w4":         false,
 	}
 	for _, r := range rows {
 		if _, ok := want[r.Name]; !ok {

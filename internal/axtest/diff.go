@@ -51,15 +51,10 @@ func (c DiffConfig) withDefaults() DiffConfig {
 	return c
 }
 
-// Step-count comparability classes. Memoization legitimately changes step
-// counts (a memo hit stands in for the reductions that produced the
-// cached normal form), and parallel memo runs depend on how terms were
-// sharded over the per-worker tables, so memo rows are never compared on
-// Steps; the rows of every other class must agree on Steps. Normal forms
-// must agree across ALL classes.
+// Step-count comparability classes. The rows of one class must agree on
+// Steps; normal forms must agree across ALL classes.
 const (
-	classPlain = "plain"     // no memo: steps identical for either tier and any worker count
-	classMemo  = "memo"      // memo tables: steps depend on hits and sharding
+	classPlain = "plain"     // innermost: steps identical for either tier and any worker count
 	classOuter = "outermost" // outermost order: different reduction sequence entirely
 )
 
@@ -103,8 +98,8 @@ func (r *DiffReport) String() string {
 		fmt.Fprintf(&b, "FAIL (%d mismatch(es))", len(r.Mismatches))
 	}
 	for _, e := range r.Engines {
-		fmt.Fprintf(&b, "\n  %-18s steps=%-8d rule-fires=%-8d memo-hits=%d",
-			e.Name, e.Steps, e.Stats.RuleFires, e.Stats.MemoHits)
+		fmt.Fprintf(&b, "\n  %-18s steps=%-8d rule-fires=%d",
+			e.Name, e.Steps, e.Stats.RuleFires)
 	}
 	for _, m := range r.Mismatches {
 		fmt.Fprintf(&b, "\n  mismatch: %s", m)
@@ -113,13 +108,12 @@ func (r *DiffReport) String() string {
 }
 
 // CheckEngines builds one ground corpus for the spec and normalizes it
-// under six engine configurations — compiled machine, MatchBind
-// interpreter and memoized interpreter, each at NormalizeAll workers 1/N
-// (eight with DiffConfig.AllStrategies) — requiring identical normal
-// forms everywhere and identical step counts within each comparability
-// class. The corpus applies every
-// non-constructor operation to exhaustive constructor instantiations up
-// to Depth, plus random deeper ones.
+// under four engine configurations — compiled machine and MatchBind
+// interpreter, each at NormalizeAll workers 1/N (six with
+// DiffConfig.AllStrategies) — requiring identical normal forms
+// everywhere and identical step counts within each comparability class.
+// The corpus applies every non-constructor operation to exhaustive
+// constructor instantiations up to Depth, plus random deeper ones.
 func CheckEngines(sp *spec.Spec, cfg DiffConfig) *DiffReport {
 	cfg = cfg.withDefaults()
 	rep := &DiffReport{Spec: sp.Name, Seed: cfg.Seed}
@@ -138,15 +132,13 @@ func CheckEngines(sp *spec.Spec, cfg DiffConfig) *DiffReport {
 	engines := []engine{
 		// The optionless baseline resolves to the compiled tier (the
 		// abstract rewrite machine); WithoutCompiledTier pins the
-		// MatchBind interpreter, so the first four rows differentiate the
-		// machine against the reference semantics directly — identical
-		// normal forms AND identical step counts required.
+		// MatchBind interpreter, so these rows differentiate the machine
+		// against the reference semantics directly — identical normal
+		// forms AND identical step counts required.
 		{"compiled/w1", classPlain, nil, 1},
 		{fmt.Sprintf("compiled/w%d", cfg.Workers), classPlain, nil, cfg.Workers},
 		{"interp/w1", classPlain, []rewrite.Option{rewrite.WithoutCompiledTier()}, 1},
 		{fmt.Sprintf("interp/w%d", cfg.Workers), classPlain, []rewrite.Option{rewrite.WithoutCompiledTier()}, cfg.Workers},
-		{"memo/w1", classMemo, []rewrite.Option{rewrite.WithMemo()}, 1},
-		{fmt.Sprintf("memo/w%d", cfg.Workers), classMemo, []rewrite.Option{rewrite.WithMemo()}, cfg.Workers},
 	}
 	if cfg.AllStrategies {
 		// The strengthened certified mode: outermost rows join the
@@ -203,9 +195,6 @@ func CheckEngines(sp *spec.Spec, cfg DiffConfig) *DiffReport {
 			first[e.class] = i
 			continue
 		}
-		if e.class == classMemo {
-			continue // hit- and sharding-dependent; normal forms already checked
-		}
 		if rep.Engines[i].Steps != rep.Engines[f].Steps {
 			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf(
 				"step drift in class %s: %s took %d step(s), %s took %d",
@@ -220,15 +209,8 @@ func CheckEngines(sp *spec.Spec, cfg DiffConfig) *DiffReport {
 // at cfg.PerOp per operation) plus cfg.RandomPerOp random deeper ones.
 // The order is deterministic for a fixed seed.
 func buildCorpus(sp *spec.Spec, g *gen.Generator, cfg DiffConfig) []*term.Term {
-	heads := map[string]bool{}
-	for _, a := range sp.All {
-		heads[a.Head()] = true
-	}
 	var corpus []*term.Term
-	for _, op := range sp.Sig.Ops() {
-		if op.Native || !heads[op.Name] {
-			continue
-		}
+	for _, op := range sp.Extensions() {
 		vars := make([]*term.Term, len(op.Domain))
 		for i, ds := range op.Domain {
 			vars[i] = term.NewVar(fmt.Sprintf("x%d", i), ds)

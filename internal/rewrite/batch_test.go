@@ -63,9 +63,11 @@ func TestNormalizeAllMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestNormalizeAllSharedInterner runs a larger batch through a memoized
-// system so the workers hammer the shared interner; correctness is the
-// race detector's job, this test just keeps the workload honest.
+// TestNormalizeAllSharedInterner runs a larger batch through the default
+// system, whose worker forks all intern their normal forms into the one
+// shared interner (CanonBatch at the machine tier's result boundary);
+// race-freedom is the race detector's job, this test keeps the workload
+// honest.
 func TestNormalizeAllSharedInterner(t *testing.T) {
 	env := speclib.BaseEnv()
 	sp := env.MustGet("Nat")
@@ -77,14 +79,14 @@ func TestNormalizeAllSharedInterner(t *testing.T) {
 		}
 		items = append(items, term.NewOp("addN", "Nat", n, n))
 	}
-	sys := rewrite.New(sp, rewrite.WithMemo())
+	sys := rewrite.New(sp)
 	nfs, errs := sys.NormalizeAll(items, 8)
 	if errs != nil {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
 	for i, nf := range nfs {
-		if nf == nil || !nf.IsGround() {
-			t.Fatalf("item %d: bad normal form %v", i, nf)
+		if nf == nil || !nf.IsGround() || !sys.Interner().Interned(nf) {
+			t.Fatalf("item %d: bad or uninterned normal form %v", i, nf)
 		}
 	}
 }

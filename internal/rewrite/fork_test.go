@@ -66,7 +66,7 @@ func TestForkWithStrategy(t *testing.T) {
 // interner must be race-free (run with -race) and agree on results.
 func TestForkConcurrentNormalization(t *testing.T) {
 	env := speclib.BaseEnv()
-	base := rewrite.New(env.MustGet("Nat"), rewrite.WithMemo())
+	base := rewrite.New(env.MustGet("Nat"))
 	mk := func(n int) *term.Term {
 		out := term.NewOp("zero", "Nat")
 		for i := 0; i < n; i++ {
@@ -99,7 +99,7 @@ func TestForkConcurrentNormalization(t *testing.T) {
 // Stats breaks the step counter down and Add merges counters.
 func TestStatsCounters(t *testing.T) {
 	env := speclib.BaseEnv()
-	sys := rewrite.New(env.MustGet("Queue"), rewrite.WithMemo())
+	sys := rewrite.New(env.MustGet("Queue"))
 	work := term.NewOp("front", "Item",
 		term.NewOp("remove", "Queue",
 			term.NewOp("add", "Queue",
@@ -113,17 +113,12 @@ func TestStatsCounters(t *testing.T) {
 	if st.Steps != sys.Steps() {
 		t.Fatalf("Stats().Steps = %d, Steps() = %d", st.Steps, sys.Steps())
 	}
-	// Second normalization of the same ground term is a memo hit.
-	sys.MustNormalize(work)
-	if sys.Stats().MemoHits == 0 {
-		t.Fatal("re-normalizing a memoized term did not count a memo hit")
-	}
-	sum := st.Add(rewrite.Stats{Steps: 1, RuleFires: 2, MemoHits: 3, NativeCalls: 4})
-	if sum.Steps != st.Steps+1 || sum.RuleFires != st.RuleFires+2 ||
-		sum.MemoHits != st.MemoHits+3 || sum.NativeCalls != st.NativeCalls+4 {
+	sum := st.Add(rewrite.Stats{Steps: 1, RuleFires: 2, NativeCalls: 4, CompiledEvals: 5, InterpEvals: 6})
+	if sum.Steps != st.Steps+1 || sum.RuleFires != st.RuleFires+2 || sum.NativeCalls != st.NativeCalls+4 ||
+		sum.CompiledEvals != st.CompiledEvals+5 || sum.InterpEvals != st.InterpEvals+6 {
 		t.Fatalf("Add merged wrongly: %+v", sum)
 	}
-	if s := sum.String(); !strings.Contains(s, "steps=") || !strings.Contains(s, "memo-hits=") {
+	if s := sum.String(); !strings.Contains(s, "steps=") || !strings.Contains(s, "native-calls=") {
 		t.Fatalf("Stats.String() = %q", s)
 	}
 	sys.ResetSteps()

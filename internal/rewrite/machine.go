@@ -11,8 +11,8 @@
 //	                   the fast path
 //	  └─ interpreter   per-rule subst.MatchBind over the head index —
 //	                   the reference semantics and the tier for configs
-//	                   the machine does not serve (memo, trace,
-//	                   outermost strategy, ablations)
+//	                   the machine does not serve (trace, outermost
+//	                   strategy, ablations)
 //
 // and every entry point (Normalize, NormalizeAll, the checkers, axtest,
 // serve) goes through the one Eval seam in rewrite.go, which picks the
@@ -49,9 +49,10 @@ import (
 type mOpcode uint8
 
 const (
-	// mRoot fails unless the subject (regs[0]) has k arguments (its head
-	// symbol is already right — programs are selected by dispatch
-	// table); on success the arguments are loaded into regs[b..b+k-1].
+	// mRoot heads every program at pc 0: the subject must have k
+	// arguments (its head symbol is already right — programs are
+	// selected by dispatch table), loaded into regs[b..b+k-1]. runMatch
+	// performs it before the instruction loop, which starts at pc 1.
 	mRoot mOpcode = iota
 	// mOpL fails unless regs[a] is the operation sym with k arguments;
 	// on success the arguments are loaded into regs[b..b+k-1].
@@ -286,55 +287,28 @@ func containsBound(t *term.Term, regs map[string]int) bool {
 }
 
 // runMatch executes a match program against subject over the register
-// frame the caller carved from the register stack. Captures stay in
-// regs for the rule's build; a guarded build protects its frame by
-// bumping the stack top, so nested evaluations match above it.
+// frame the caller carved from the register stack: the root
+// check-and-load (mRoot at pc 0) runs here, the rest in runMatchLoaded.
+// Captures stay in regs for the rule's build; a guarded build protects
+// its frame by bumping the stack top, so nested evaluations match above
+// it.
 func (s *System) runMatch(p *matchProg, subject *term.Term, regs []*term.Term) int {
-	regs[0] = subject
-	code := p.code
-	for pc := 0; ; {
-		ins := &code[pc]
-		ok := true
-		switch ins.op {
-		case mRoot:
-			t := regs[0]
-			if ok = len(t.Args) == ins.k; ok {
-				loadArgs(regs, ins.b, t.Args)
-			}
-		case mOpL:
-			t := regs[ins.a]
-			if ok = t.Kind == term.Op && len(t.Args) == ins.k && t.Sym == ins.sym; ok {
-				loadArgs(regs, ins.b, t.Args)
-			}
-		case mAtom:
-			t := regs[ins.a]
-			ok = t.Kind == term.Atom && t.Sym == ins.sym && t.Sort == ins.sort
-		case mErr:
-			ok = regs[ins.a].Kind == term.Err
-		case mVar:
-			t := regs[ins.a]
-			ok = t.Kind != term.Err && t.Sort == ins.sort
-		case mEq:
-			ok = regs[ins.b].Equal(regs[ins.a])
-		case mAccept:
-			return ins.k
-		}
-		if ok {
-			pc++
-		} else if pc = ins.fail; pc < 0 {
-			return -1
-		}
+	root := &p.code[0]
+	if len(subject.Args) != root.k {
+		return -1
 	}
+	loadArgs(regs, root.b, subject.Args)
+	return s.runMatchLoaded(p, regs)
 }
 
-// runMatchLoaded is runMatch against a virtual root: the subject node
-// was never materialized, its arity was checked by the caller, and its
-// would-be children already sit in registers 1..k (evalBuild evaluates
-// them there in place). Execution therefore starts past the mRoot
-// instruction. The subject register is left stale: no instruction
-// other than mRoot ever addresses it (patterns are rooted at an
-// operation, so register 0 is never re-inspected after its children
-// are loaded), and build trees only read capture registers.
+// runMatchLoaded runs a match program whose root children already sit
+// in registers 1..k, their count checked by the caller: runMatch loads
+// them from a subject node, applyRules evaluates a virtual root's
+// children there in place. Execution therefore starts past the mRoot
+// instruction. Register 0 is never read: no instruction other than
+// mRoot addresses it (patterns are rooted at an operation, so the
+// subject is never re-inspected after its children are loaded), and
+// build trees only read capture registers.
 func (s *System) runMatchLoaded(p *matchProg, regs []*term.Term) int {
 	code := p.code
 	for pc := 1; ; {

@@ -113,23 +113,3 @@ end`); err != nil {
 		t.Error("outermost fuel not enforced")
 	}
 }
-
-// The memo table is evicted once it grows past its bound; behaviour is
-// unchanged (this exercises the eviction branch with a small workload —
-// correctness, not the threshold, is what's asserted).
-func TestMemoEvictionSafe(t *testing.T) {
-	env := speclib.BaseEnv()
-	sp := env.MustGet("Nat")
-	sys := rewrite.New(sp, rewrite.WithMemo())
-	for i := 0; i < 50; i++ {
-		n := term.NewOp("zero", "Nat")
-		for j := 0; j < i; j++ {
-			n = term.NewOp("succ", "Nat", n)
-		}
-		sum := term.NewOp("addN", "Nat", n, n)
-		nf := sys.MustNormalize(sum)
-		if nf.Depth() != 2*i+1 {
-			t.Fatalf("addN depth %d wrong: %d", i, nf.Depth())
-		}
-	}
-}

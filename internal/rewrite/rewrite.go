@@ -17,10 +17,10 @@
 //
 // A System separates the immutable compiled form of a specification (rule
 // list, head-symbol index, shared term interner) from mutable evaluation
-// state (fuel accounting, memo table, statistics). Fork creates a sibling
-// System over the same compiled form in O(1)ish time; parallel checker
-// drivers fork one System per worker because the mutable state must not
-// be shared between goroutines.
+// state (fuel accounting, statistics). Fork creates a sibling System
+// over the same compiled form in O(1)ish time; parallel checker drivers
+// fork one System per worker because the mutable state must not be
+// shared between goroutines.
 package rewrite
 
 import (
@@ -131,14 +131,11 @@ type Stats struct {
 	Steps int
 	// RuleFires counts axiom applications.
 	RuleFires int
-	// MemoHits counts ground subterms answered from the memo table.
-	MemoHits int
 	// NativeCalls counts native (Go-implemented) operation evaluations.
 	NativeCalls int
 	// CompiledEvals counts outermost Normalize calls served by the
 	// compiled machine tier; InterpEvals counts the ones served by the
-	// MatchBind interpreter (memo, trace, outermost strategy, or
-	// ablation).
+	// MatchBind interpreter (trace, outermost strategy, or ablation).
 	CompiledEvals int
 	InterpEvals   int
 }
@@ -149,7 +146,6 @@ func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		Steps:         s.Steps + o.Steps,
 		RuleFires:     s.RuleFires + o.RuleFires,
-		MemoHits:      s.MemoHits + o.MemoHits,
 		NativeCalls:   s.NativeCalls + o.NativeCalls,
 		CompiledEvals: s.CompiledEvals + o.CompiledEvals,
 		InterpEvals:   s.InterpEvals + o.InterpEvals,
@@ -157,15 +153,9 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("steps=%d rule-fires=%d memo-hits=%d native-calls=%d compiled-evals=%d interp-evals=%d",
-		s.Steps, s.RuleFires, s.MemoHits, s.NativeCalls, s.CompiledEvals, s.InterpEvals)
+	return fmt.Sprintf("steps=%d rule-fires=%d native-calls=%d compiled-evals=%d interp-evals=%d",
+		s.Steps, s.RuleFires, s.NativeCalls, s.CompiledEvals, s.InterpEvals)
 }
-
-// DefaultMemoLimit is the memo table's eviction bound: once the table
-// holds more entries than this, it is discarded and rebuilt from empty
-// (bounding memory on long-lived systems at the cost of re-deriving
-// normal forms).
-const DefaultMemoLimit = 1 << 18
 
 // Option configures a System.
 type Option func(*System)
@@ -200,28 +190,6 @@ func WithoutRuleIndex() Option { return func(sys *System) { sys.noIndex = true }
 // differential tests.
 func WithoutCompiledTier() Option { return func(sys *System) { sys.noCompiled = true } }
 
-// WithMemo enables memoization of normal forms for ground subterms. The
-// memo is keyed by hash-consed (pointer-canonical) terms from the
-// system's interner, so structurally distinct terms can never collide on
-// an entry. Memory is bounded by an eviction policy: when the table
-// exceeds its bound (DefaultMemoLimit entries unless overridden with
-// WithMemoLimit), the whole table is dropped and rebuilt from empty.
-func WithMemo() Option {
-	return func(sys *System) { sys.memo = make(map[*term.Term]*term.Term) }
-}
-
-// WithMemoLimit sets the memo table's eviction bound (entries). It
-// implies WithMemo. A small limit is useful in tests exercising the
-// eviction path and on memory-constrained workloads.
-func WithMemoLimit(n int) Option {
-	return func(sys *System) {
-		sys.memoLimit = n
-		if sys.memo == nil {
-			sys.memo = make(map[*term.Term]*term.Term)
-		}
-	}
-}
-
 // WithStop installs a cancellation flag: when flag becomes true, the
 // next stop-poll (every 1024 steps) abandons the normalization with an
 // error wrapping ErrCanceled. The flag may be raised from any goroutine;
@@ -245,13 +213,6 @@ func WithFault(hook func() error) Option {
 	return func(sys *System) { sys.fault = hook }
 }
 
-// WithInterner makes the system hash-cons into the given interner instead
-// of a private one, so canonical terms (and memo identity) are shared
-// with other systems or a generator.
-func WithInterner(in *term.Interner) Option {
-	return func(sys *System) { sys.intern = in }
-}
-
 // program is the immutable compiled form of a specification, shared by
 // every System forked from the same New call.
 type program struct {
@@ -268,7 +229,7 @@ type program struct {
 }
 
 // System is a compiled rewrite system for one specification. A System is
-// stateful (fuel accounting, memo table, statistics) and therefore NOT
+// stateful (fuel accounting, statistics) and therefore NOT
 // safe for concurrent use; call Fork to get an independent sibling over
 // the same compiled rules for each goroutine.
 type System struct {
@@ -280,9 +241,7 @@ type System struct {
 	noCompiled bool
 	trace      func(TraceStep)
 
-	intern    *term.Interner
-	memo      map[*term.Term]*term.Term
-	memoLimit int
+	intern *term.Interner
 	// stop, when non-nil, is polled every stopCheckMask+1 steps; a true
 	// value abandons the normalization with ErrCanceled. Set per request
 	// via WithStop; Fork deliberately does not inherit it (a fork serves
@@ -345,9 +304,9 @@ type System struct {
 // the paper's practice of listing the general case after the specific).
 func New(sp *spec.Spec, opts ...Option) *System {
 	sys := &System{
-		native:    make(map[string]NativeFunc),
-		maxSteps:  1 << 20,
-		memoLimit: DefaultMemoLimit,
+		native:   make(map[string]NativeFunc),
+		maxSteps: 1 << 20,
+		intern:   term.NewInterner(),
 	}
 	// Default natives: same?/isSame?-style equality and hash on atoms.
 	for _, op := range sp.Sig.Ops() {
@@ -361,13 +320,11 @@ func New(sp *spec.Spec, opts ...Option) *System {
 	for _, o := range opts {
 		o(sys)
 	}
-	if sys.intern == nil {
-		sys.intern = term.NewInterner()
-	}
 	prog := &program{sp: sp, index: make(map[string][]int)}
 	for _, a := range sp.All {
-		// Rules are stored hash-consed so substitution results built from
-		// them stay canonical on the memoized path.
+		// Rules are stored hash-consed: the machine's build constants are
+		// the rules' own RHS nodes, so results that reuse them are already
+		// canonical at the Canon boundary.
 		prog.rules = append(prog.rules, Rule{
 			Label: a.Label,
 			Owner: a.Owner,
@@ -398,13 +355,12 @@ func (s *System) buildDispatch() {
 	s.gen = genCounter.Add(1)
 	s.plainSpend = s.stop == nil && s.fault == nil
 	// Tier selection: the machine serves the default configuration —
-	// innermost strategy, no memo, no trace, indexed compiled matching.
-	// Everything else (memoization wants interned intermediate results,
-	// tracing wants to see each step, outermost is a different strategy,
-	// the ablations exist to measure the interpreter) runs on the
-	// MatchBind interpreter behind the same Normalize seam.
+	// innermost strategy, no trace, indexed compiled matching. Everything
+	// else (tracing wants to see each step, outermost is a different
+	// strategy, the ablations exist to measure the interpreter) runs on
+	// the MatchBind interpreter behind the same Normalize seam.
 	s.useCompiled = !s.noCompiled && !s.noIndex &&
-		s.memo == nil && s.trace == nil && s.strategy == Innermost
+		s.trace == nil && s.strategy == Innermost
 	if s.useCompiled {
 		s.disp = make(map[string]dispatch, len(s.prog.mach.progs)+len(s.native))
 		for sym, mp := range s.prog.mach.progs {
@@ -442,11 +398,11 @@ func (s *System) Tier() string {
 var genCounter atomic.Uint32
 
 // Fork returns an independent System over the same compiled rules, rule
-// index and interner, with fresh mutable state (zero Stats, empty memo if
-// memoization was enabled, no trace listener). Options may adjust the
-// fork, e.g. WithStrategy for a different evaluation order. Fork is how
-// parallel checker drivers give each worker goroutine its own engine
-// without recompiling the specification.
+// index and interner, with fresh mutable state (zero Stats, no trace
+// listener). Options may adjust the fork, e.g. WithStrategy for a
+// different evaluation order. Fork is how parallel checker drivers give
+// each worker goroutine its own engine without recompiling the
+// specification.
 func (s *System) Fork(opts ...Option) *System {
 	ns := &System{
 		prog:       s.prog,
@@ -456,13 +412,9 @@ func (s *System) Fork(opts ...Option) *System {
 		noIndex:    s.noIndex,
 		noCompiled: s.noCompiled,
 		intern:     s.intern,
-		memoLimit:  s.memoLimit,
 	}
 	for k, v := range s.native {
 		ns.native[k] = v
-	}
-	if s.memo != nil {
-		ns.memo = make(map[*term.Term]*term.Term)
 	}
 	for _, o := range opts {
 		o(ns)
@@ -646,30 +598,12 @@ func (s *System) normalizeInnermost(t *term.Term) (*term.Term, error) {
 	case term.Var, term.Atom, term.Err:
 		return t, nil
 	}
-	// The normal-form tag serves the non-memoized path; a memoized system
-	// already answers re-normalizations in O(1) through canonical-pointer
-	// probes, and tagging first would bypass (and under-count) the memo.
-	if s.memo == nil && t.NormalTag() == s.gen {
+	if t.NormalTag() == s.gen {
 		return t, nil
 	}
 
 	if t.IsIf() {
 		return s.reduceIf(t)
-	}
-
-	// The memo is keyed by the canonical (hash-consed) node, so two
-	// structurally distinct terms can never share an entry; the interner
-	// resolves bucket collisions structurally before handing out an
-	// identity. Canon is O(1) once a term is interned, and results are
-	// stored interned, so steady-state probes touch no structure.
-	var memoKey *term.Term
-	if s.memo != nil && t.IsGround() {
-		memoKey = s.intern.Canon(t)
-		if nf, ok := s.memo[memoKey]; ok {
-			s.stats.MemoHits++
-			return nf, nil
-		}
-		t = memoKey // canonical args make child memo probes O(1)
 	}
 
 	// Normalize arguments first, copying the argument vector only when
@@ -697,28 +631,14 @@ func (s *System) normalizeInnermost(t *term.Term) (*term.Term, error) {
 	}
 	cur := t
 	if args != nil {
-		if memoKey != nil {
-			cur = s.intern.OpTerms(t.Sym, t.Sort, args)
-		} else {
-			cur = &term.Term{Kind: term.Op, Sym: t.Sym, Sort: t.Sort, Args: args}
-		}
+		cur = &term.Term{Kind: term.Op, Sym: t.Sym, Sort: t.Sort, Args: args}
 	}
 
 	nf, err := s.rootThenRecurse(cur)
 	if err != nil {
 		return nil, err
 	}
-	if memoKey != nil {
-		nf = s.intern.Canon(nf)
-		if len(s.memo) >= s.memoLimit {
-			// Bound memory: drop the memo table once it reaches the
-			// eviction bound and start over.
-			s.memo = make(map[*term.Term]*term.Term)
-		}
-		s.memo[memoKey] = nf
-	} else {
-		nf.MarkNormalTag(s.gen)
-	}
+	nf.MarkNormalTag(s.gen)
 	return nf, nil
 }
 
@@ -772,12 +692,7 @@ func (s *System) stepRootMatchBind(cur *term.Term) (*term.Term, bool, error) {
 			return nil, false, err
 		}
 		s.stats.RuleFires++
-		var out *term.Term
-		if s.memo != nil {
-			out = b.Build(s.intern, r.RHS)
-		} else {
-			out = b.Build(nil, r.RHS)
-		}
+		out := b.Build(r.RHS)
 		if s.trace != nil {
 			s.trace(TraceStep{Rule: *r, Before: cur, After: out})
 		}

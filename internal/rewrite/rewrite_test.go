@@ -225,34 +225,6 @@ func TestTrace(t *testing.T) {
 	}
 }
 
-func TestMemoOption(t *testing.T) {
-	e := env(t)
-	sp := e.MustGet("Nat")
-	plain := rewrite.New(sp)
-	memo := rewrite.New(sp, rewrite.WithMemo())
-	// Build addN(n5, n5) twice; memoized run answers consistently.
-	n5 := "succ(succ(succ(succ(succ(zero)))))"
-	tm, err := e.ParseTerm("Nat", "addN("+n5+", "+n5+")")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := plain.MustNormalize(tm)
-	b := memo.MustNormalize(tm)
-	c := memo.MustNormalize(tm)
-	if !a.Equal(b) || !b.Equal(c) {
-		t.Error("memoized results differ")
-	}
-	// Second memoized run takes fewer steps.
-	memo2 := rewrite.New(sp, rewrite.WithMemo())
-	memo2.MustNormalize(tm)
-	first := memo2.Steps()
-	memo2.ResetSteps()
-	memo2.MustNormalize(tm)
-	if memo2.Steps() >= first {
-		t.Errorf("memo did not help: %d then %d", first, memo2.Steps())
-	}
-}
-
 func TestWithoutRuleIndex(t *testing.T) {
 	e := env(t)
 	sp := e.MustGet("Queue")

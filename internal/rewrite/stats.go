@@ -14,7 +14,6 @@ import "sync/atomic"
 type StatsRecorder struct {
 	steps         atomic.Int64
 	ruleFires     atomic.Int64
-	memoHits      atomic.Int64
 	nativeCalls   atomic.Int64
 	compiledEvals atomic.Int64
 	interpEvals   atomic.Int64
@@ -25,7 +24,6 @@ type StatsRecorder struct {
 func (r *StatsRecorder) Record(s Stats) {
 	r.steps.Add(int64(s.Steps))
 	r.ruleFires.Add(int64(s.RuleFires))
-	r.memoHits.Add(int64(s.MemoHits))
 	r.nativeCalls.Add(int64(s.NativeCalls))
 	r.compiledEvals.Add(int64(s.CompiledEvals))
 	r.interpEvals.Add(int64(s.InterpEvals))
@@ -40,11 +38,9 @@ func (r *StatsRecorder) Record(s Stats) {
 // assert.)
 func (r *StatsRecorder) Snapshot() Stats {
 	return Stats{
-		Steps:       int(r.steps.Load()),
-		RuleFires:   int(r.ruleFires.Load()),
-		MemoHits:    int(r.memoHits.Load()),
-		NativeCalls: int(r.nativeCalls.Load()),
-
+		Steps:         int(r.steps.Load()),
+		RuleFires:     int(r.ruleFires.Load()),
+		NativeCalls:   int(r.nativeCalls.Load()),
 		CompiledEvals: int(r.compiledEvals.Load()),
 		InterpEvals:   int(r.interpEvals.Load()),
 	}

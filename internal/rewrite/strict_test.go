@@ -51,42 +51,3 @@ func TestOutermostErrorStrictness(t *testing.T) {
 		t.Fatalf("if(error,...) = %s, want error", nf)
 	}
 }
-
-// WithMemoLimit triggers the eviction path at a tiny bound: the table is
-// dropped and rebuilt, and every normal form stays correct across the
-// reset (the regression guard for the `len(memo) >= limit` branch that
-// the default 1<<18 bound makes unreachable in unit tests).
-func TestMemoEvictionBound(t *testing.T) {
-	env := speclib.BaseEnv()
-	sp := env.MustGet("Nat")
-	limited := rewrite.New(sp, rewrite.WithMemoLimit(8))
-	plain := rewrite.New(sp)
-	for i := 0; i < 40; i++ {
-		n := term.NewOp("zero", "Nat")
-		for j := 0; j < i%10; j++ {
-			n = term.NewOp("succ", "Nat", n)
-		}
-		work := term.NewOp("addN", "Nat", n, term.NewOp("succ", "Nat", n))
-		got := limited.MustNormalize(work)
-		want := plain.MustNormalize(work)
-		if !got.Equal(want) {
-			t.Fatalf("round %d: memo-limited engine got %s, want %s", i, got, want)
-		}
-	}
-	if limited.Stats().MemoHits == 0 {
-		t.Fatal("memo never hit despite repeated workloads")
-	}
-}
-
-// WithMemoLimit implies WithMemo.
-func TestMemoLimitImpliesMemo(t *testing.T) {
-	env := speclib.BaseEnv()
-	sys := rewrite.New(env.MustGet("Nat"), rewrite.WithMemoLimit(64))
-	n := term.NewOp("succ", "Nat", term.NewOp("zero", "Nat"))
-	work := term.NewOp("addN", "Nat", n, n)
-	sys.MustNormalize(work)
-	sys.MustNormalize(work)
-	if sys.Stats().MemoHits == 0 {
-		t.Fatal("WithMemoLimit alone did not enable memoization")
-	}
-}

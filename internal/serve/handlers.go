@@ -563,7 +563,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	hits, misses := s.cache.Counters()
 	pHits, pMisses := s.parsed.Counters()
-	st := s.rec.Snapshot()
 	var interned int64
 	for _, name := range s.env.Names() {
 		if sys, err := s.env.System(name); err == nil {
@@ -571,9 +570,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.exposition(w, hits, misses, pHits, pMisses,
-		[6]int64{int64(st.Steps), int64(st.RuleFires), int64(st.MemoHits), int64(st.NativeCalls),
-			int64(st.CompiledEvals), int64(st.InterpEvals)}, interned)
+	s.met.exposition(w, hits, misses, pHits, pMisses, s.rec.Snapshot(), interned)
 
 	fmt.Fprintln(w, "# HELP adt_registry_versions Registry versions held (base library included).")
 	fmt.Fprintln(w, "# TYPE adt_registry_versions gauge")

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"algspec/internal/rewrite"
 )
 
 // metrics is the server's observation surface, exposed at GET /metrics
@@ -67,10 +69,11 @@ func (m *metrics) observe(endpoint string, code int, seconds float64) {
 }
 
 // exposition writes the full metrics page. The caller supplies the
-// gauges and counters owned by other subsystems (cache, engine stats
-// recorder, interner) so this file stays free of their types. Output
-// order is deterministic (sorted label sets) to keep it diffable.
-func (m *metrics) exposition(w io.Writer, cacheHits, cacheMisses, parseHits, parseMisses int64, engine [6]int64, interned int64) {
+// gauges and counters owned by other subsystems: the cache counters,
+// the engine stats recorder's snapshot and the interned-term count.
+// Output order is deterministic (sorted label sets) to keep it
+// diffable.
+func (m *metrics) exposition(w io.Writer, cacheHits, cacheMisses, parseHits, parseMisses int64, engine rewrite.Stats, interned int64) {
 	fmt.Fprintln(w, "# HELP adt_requests_total Requests served, by endpoint and HTTP status code.")
 	fmt.Fprintln(w, "# TYPE adt_requests_total counter")
 	m.mu.Lock()
@@ -105,17 +108,19 @@ func (m *metrics) exposition(w io.Writer, cacheHits, cacheMisses, parseHits, par
 	fmt.Fprintln(w, "# TYPE adt_parse_cache_misses_total counter")
 	fmt.Fprintf(w, "adt_parse_cache_misses_total %d\n", parseMisses)
 
-	for i, name := range [...]string{
-		"adt_engine_steps_total",
-		"adt_engine_rule_fires_total",
-		"adt_engine_memo_hits_total",
-		"adt_engine_native_calls_total",
-		"adt_engine_compiled_evals_total",
-		"adt_engine_interp_evals_total",
+	for _, c := range [...]struct {
+		name string
+		val  int
+	}{
+		{"adt_engine_steps_total", engine.Steps},
+		{"adt_engine_rule_fires_total", engine.RuleFires},
+		{"adt_engine_native_calls_total", engine.NativeCalls},
+		{"adt_engine_compiled_evals_total", engine.CompiledEvals},
+		{"adt_engine_interp_evals_total", engine.InterpEvals},
 	} {
-		fmt.Fprintf(w, "# HELP %s Cumulative engine work across all request forks.\n", name)
-		fmt.Fprintf(w, "# TYPE %s counter\n", name)
-		fmt.Fprintf(w, "%s %d\n", name, engine[i])
+		fmt.Fprintf(w, "# HELP %s Cumulative engine work across all request forks.\n", c.name)
+		fmt.Fprintf(w, "# TYPE %s counter\n", c.name)
+		fmt.Fprintf(w, "%s %d\n", c.name, c.val)
 	}
 
 	fmt.Fprintln(w, "# HELP adt_interned_terms Canonical terms held by the per-spec interners.")

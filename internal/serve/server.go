@@ -14,7 +14,7 @@
 // rewrite.System per spec is shared by reference; every request
 // normalizes on its own Fork carrying per-request fuel, a cancellation
 // flag wired to the request deadline, and (for trace requests) a
-// private trace collector. Forks never share memo tables or counters —
+// private trace collector. Forks never share engine state or counters —
 // the only shared mutable state is the sharded LRU normal-form cache,
 // which exchanges immutable entries under shard locks, and the atomic
 // stats recorder the forks drain into.

@@ -129,13 +129,20 @@ func (s *Spec) Extensions() []*sig.Operation {
 }
 
 // IsConstructor reports whether the named operation is a constructor
-// (heads no axiom and is not native).
+// (heads no axiom and is not native). It scans the axioms rather than
+// building the head set: the dynamic completeness check asks this at
+// every node of every normal form.
 func (s *Spec) IsConstructor(op string) bool {
 	o, ok := s.Sig.Op(op)
 	if !ok || o.Native {
 		return false
 	}
-	return !s.headSet()[op]
+	for _, a := range s.All {
+		if a.Head() == op {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Spec) headSet() map[string]bool {

@@ -45,6 +45,20 @@ func TestConstructorsAndExtensions(t *testing.T) {
 	}
 }
 
+// IsConstructor runs at every node of every normal form the dynamic
+// completeness check classifies, so it must not allocate.
+func TestIsConstructorAllocFree(t *testing.T) {
+	sp := queue(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if !sp.IsConstructor("add") || sp.IsConstructor("front") {
+			t.Fatal("IsConstructor wrong")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("IsConstructor: %.0f allocation(s) per 2 calls, want 0", allocs)
+	}
+}
+
 func TestAxiomsFor(t *testing.T) {
 	sp := queue(t)
 	axs := sp.AxiomsFor("front")

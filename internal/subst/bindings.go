@@ -68,10 +68,8 @@ func MatchBind(pattern, t *term.Term, buf Bindings) (Bindings, bool) {
 }
 
 // Build applies the bindings to t. Unbound variables are left in place
-// and untouched subterms are shared, exactly like Subst.Apply. When in is
-// non-nil every rebuilt node is interned, so a term built from an
-// interned t comes out fully canonical.
-func (b Bindings) Build(in *term.Interner, t *term.Term) *term.Term {
+// and untouched subterms are shared, exactly like Subst.Apply.
+func (b Bindings) Build(t *term.Term) *term.Term {
 	switch t.Kind {
 	case term.Var:
 		if v, ok := b.Lookup(t.Sym); ok {
@@ -84,16 +82,13 @@ func (b Bindings) Build(in *term.Interner, t *term.Term) *term.Term {
 		changed := false
 		args := make([]*term.Term, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = b.Build(in, a)
+			args[i] = b.Build(a)
 			if args[i] != a {
 				changed = true
 			}
 		}
 		if !changed {
 			return t
-		}
-		if in != nil {
-			return in.OpTerms(t.Sym, t.Sort, args)
 		}
 		return &term.Term{Kind: t.Kind, Sym: t.Sym, Sort: t.Sort, Args: args}
 	}

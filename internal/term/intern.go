@@ -2,9 +2,8 @@
 // canonical ("interned") terms in which structural equality coincides
 // with pointer equality: interning the same shape twice returns the same
 // *Term. This gives the rewrite engine an O(1) Equal on its hot path and
-// a collision-proof identity key for its memo table — the memo was
-// previously keyed on a raw structural hash, and a hash collision
-// silently returned the wrong normal form.
+// a collision-proof node identity: a raw structural hash can collide, a
+// canonical pointer cannot.
 //
 // Interned terms are immutable like all terms, so they may be shared
 // freely between goroutines; the Interner itself is safe for concurrent
@@ -26,15 +25,11 @@ type Interner struct {
 	mu      sync.RWMutex
 	buckets map[uint64][]*Term
 	n       int
-	// argChunk/argI bump-allocate argument vectors for CanonBatch
-	// (guarded by mu; the vectors are retained by canonical nodes).
-	argChunk []*Term
-	argI     int
 	// hashNode computes the bucket key of a prospective node whose
 	// arguments are already canonical. Overridable by tests to force
-	// bucket collisions (the regression test for the memo-collision bug);
-	// collisions are always resolved by the structural scan in lookup, so
-	// a colliding hash degrades speed, never correctness.
+	// bucket collisions; collisions are always resolved by the structural
+	// scan in lookup, so a colliding hash degrades speed, never
+	// correctness.
 	hashNode func(k Kind, sym string, sort sig.Sort, args []*Term) uint64
 }
 
@@ -244,27 +239,36 @@ func (in *Interner) Canon(t *Term) *Term {
 	return in.node(t.Kind, t.Sym, t.Sort, args, true)
 }
 
-// CanonBatch is Canon for a whole engine result at once. With a nil
-// cache it takes the interner's lock a single time and interns the
-// entire term under it, instead of paying a reader-lock
-// acquire/release (and, on every miss, a writer upgrade) per node. With
-// a CanonCache — private to one System, hence lock-free — repeat shapes
-// short-circuit before touching the interner at all: the rewrite
+// CanonBatch is Canon for a whole engine result at once, through a
+// CanonCache private to one System (hence lock-free): repeat shapes
+// short-circuit before touching the interner at all. The rewrite
 // engine's compiled tier rebuilds largely the same normal-form spines
 // every call, and a cache hit replaces lock + hash + bucket probe with
-// one indexed load and a structural verify. Argument vectors for new
-// canonical nodes are bump-allocated from a shared chunk the interner
-// retains (it would retain the vectors individually regardless).
+// one indexed load and a structural verify.
 func (in *Interner) CanonBatch(t *Term, cc *CanonCache) *Term {
 	if t == nil || t.owner == in {
 		return t
 	}
-	if cc != nil {
-		return in.canonCached(t, cc)
+	base := len(cc.stack)
+	for _, a := range t.Args {
+		if a.owner == in { // already canonical: skip the call
+			cc.stack = append(cc.stack, a)
+			continue
+		}
+		cc.stack = append(cc.stack, in.CanonBatch(a, cc))
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.canonLocked(t)
+	args := cc.stack[base:]
+	idx := cacheIndex(t.Kind, t.Sym, t.Sort, args)
+	c := cc.tab[idx]
+	if c == nil || !nodeEq(c, t.Kind, t.Sym, t.Sort, args) {
+		// Miss: intern through the interner's own locked path (which
+		// copies args — the stack slice is reused) and remember the
+		// canonical node for next time.
+		c = in.node(t.Kind, t.Sym, t.Sort, args, false)
+		cc.tab[idx] = c
+	}
+	cc.stack = cc.stack[:base]
+	return c
 }
 
 // canonCacheSize is the entry count of a CanonCache (power of two).
@@ -301,82 +305,6 @@ func cacheIndex(k Kind, sym string, sort sig.Sort, args []*Term) int {
 	}
 	_ = sort
 	return int(h>>32) & (canonCacheSize - 1)
-}
-
-// canonCached interns t bottom-up, consulting the cache per node and
-// falling back to the interner's own (locked) single-node path on miss.
-func (in *Interner) canonCached(t *Term, cc *CanonCache) *Term {
-	if t.owner == in {
-		return t
-	}
-	base := len(cc.stack)
-	for _, a := range t.Args {
-		if a.owner == in { // already canonical: skip the call
-			cc.stack = append(cc.stack, a)
-			continue
-		}
-		cc.stack = append(cc.stack, in.canonCached(a, cc))
-	}
-	args := cc.stack[base:]
-	idx := cacheIndex(t.Kind, t.Sym, t.Sort, args)
-	c := cc.tab[idx]
-	if c == nil || !nodeEq(c, t.Kind, t.Sym, t.Sort, args) {
-		// Miss: intern through the interner's own locked path (which
-		// copies args — the stack slice is reused) and remember the
-		// canonical node for next time.
-		c = in.node(t.Kind, t.Sym, t.Sort, args, false)
-		cc.tab[idx] = c
-	}
-	cc.stack = cc.stack[:base]
-	return c
-}
-
-func (in *Interner) canonLocked(t *Term) *Term {
-	if t.owner == in {
-		return t
-	}
-	var args []*Term
-	if n := len(t.Args); n > 0 {
-		args = in.argAlloc(n)
-		for i, a := range t.Args {
-			args[i] = in.canonLocked(a)
-		}
-	}
-	h := in.hashNode(t.Kind, t.Sym, t.Sort, args)
-	for _, c := range in.buckets[h] {
-		if nodeEq(c, t.Kind, t.Sym, t.Sort, args) {
-			return c
-		}
-	}
-	ground := t.Kind != Var
-	for _, a := range args {
-		if !a.ground {
-			ground = false
-			break
-		}
-	}
-	nt := &Term{Kind: t.Kind, Sym: t.Sym, Sort: t.Sort, Args: args, owner: in, ground: ground,
-		shash: stableHashCanon(t.Kind, t.Sym, t.Sort, args)}
-	in.buckets[h] = append(in.buckets[h], nt)
-	in.n++
-	return nt
-}
-
-// argAlloc hands out an interner-owned argument vector from the current
-// chunk (lock held). Vectors are retained forever by the canonical
-// nodes they serve, so chunking just amortizes the allocations.
-func (in *Interner) argAlloc(n int) []*Term {
-	const chunk = 1024
-	if n > chunk {
-		return make([]*Term, n)
-	}
-	if len(in.argChunk)-in.argI < n {
-		in.argChunk = make([]*Term, chunk)
-		in.argI = 0
-	}
-	s := in.argChunk[in.argI : in.argI+n : in.argI+n]
-	in.argI += n
-	return s
 }
 
 // Size returns the number of canonical nodes interned so far.

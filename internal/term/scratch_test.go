@@ -131,12 +131,6 @@ func TestCanonBatchMatchesCanon(t *testing.T) {
 		}
 		a.Reset()
 	}
-
-	// nil cache must fall back to the locked path, same answer.
-	scratch := build(3, "w")
-	if got, want := in.CanonBatch(scratch, nil), in.Canon(cloneTerm(scratch)); got != want {
-		t.Fatalf("nil-cache CanonBatch diverged: %s vs %s", got, want)
-	}
 }
 
 // TestCanonCacheCollision forces two shapes onto the same cache line and
