@@ -31,7 +31,7 @@ func cmdLoad(args []string, out io.Writer) error {
 	sloSpec := fs.String("slo", "", "latency objectives, e.g. p99=50ms,p50=5ms (empty = none)")
 	workers := fs.Int("workers", 4, "client worker goroutines; 1 gives a bit-reproducible run")
 	retries := fs.Int("retries", 3, "retry budget per request for 503/504/transport errors")
-	srvWorkers := fs.Int("server-workers", 0, "server pool size (0 = GOMAXPROCS)")
+	srvWorkers := fs.Int("server-workers", 0, "server's concurrent normalizations (0 = GOMAXPROCS)")
 	srvTimeout := fs.Duration("server-timeout", 2*time.Second, "server per-request deadline")
 	srvCache := fs.Int("server-cache", 0, "per-server normal-form cache entries (0 = default, negative = disabled)")
 	replicas := fs.Int("replicas", 0, "boot a consistent-hash cluster of N replicas behind a router and load against it (0 = single server)")

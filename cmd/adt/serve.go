@@ -31,7 +31,7 @@ func cmdServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(out)
 	addr := fs.String("addr", "localhost:8044", "listen address (host:port; port 0 picks a free one)")
-	workers := fs.Int("workers", 0, "normalization worker goroutines (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "concurrent normalizations (0 = GOMAXPROCS)")
 	fuel := fs.Int("fuel", 0, "per-request reduction budget and cap on client budgets (0 = engine default)")
 	cacheSize := fs.Int("cache", 0, "shared normal-form cache entries (0 = default, negative = disabled)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request wall-clock deadline (0 = none)")
@@ -93,7 +93,7 @@ func cmdServe(args []string, out io.Writer) error {
 		case <-serveStop:
 		}
 		// Stop accepting, let in-flight HTTP exchanges finish, then drain
-		// the worker pool (srv.Close, deferred above).
+		// the admitted normalizations (srv.Close, deferred above).
 		shutdownCtx, c := context.WithTimeout(context.Background(), 10*time.Second)
 		defer c()
 		done <- hs.Shutdown(shutdownCtx)

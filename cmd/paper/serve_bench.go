@@ -19,7 +19,7 @@ import (
 )
 
 // serveBenchExport measures the HTTP normalization path of `adt serve`
-// cold (cache disabled: parse, canon, pool round trip, full rewrite)
+// cold (cache disabled: parse, canon, slot admission, full rewrite)
 // and warm (same request answered from the shared caches), then the
 // cluster scale-out rows: aggregate throughput of the consistent-hash
 // cluster at 1 and 3 replicas over a working set larger than any single

@@ -17,7 +17,7 @@ import (
 )
 
 // ring is a consistent-hash ring over shard indices. Each shard owns
-// vnodes points on the ring, which evens out the keyspace split; a key
+// ringVNodes points on the ring, which evens out the keyspace split; a key
 // is served by the first point at or after its hash, wrapping around.
 // The point positions are pure FNV-1a of "shard-i/vnode-j", so every
 // router instance — across processes and restarts — derives the same
@@ -32,15 +32,13 @@ type ringPoint struct {
 	shard int
 }
 
-const defaultVNodes = 64
+// ringVNodes is the virtual-node count per shard.
+const ringVNodes = 64
 
-func newRing(shards, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func newRing(shards int) *ring {
 	r := &ring{shards: shards}
 	for s := 0; s < shards; s++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < ringVNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:  fnv64(fmt.Sprintf("shard-%d/vnode-%d", s, v)),
 				shard: s,

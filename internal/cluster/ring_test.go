@@ -8,7 +8,7 @@ import (
 // TestRingDeterminism: the ring is a pure function of the shard count,
 // so two routers (or one router restarted) agree on every key.
 func TestRingDeterminism(t *testing.T) {
-	a, b := newRing(3, 0), newRing(3, 0)
+	a, b := newRing(3), newRing(3)
 	for k := uint64(0); k < 10_000; k++ {
 		key := fnv64(fmt.Sprintf("key-%d", k))
 		pa, pb := a.preference(key), b.preference(key)
@@ -26,7 +26,7 @@ func TestRingDeterminism(t *testing.T) {
 // TestRingPreferenceDistinct: a preference list names every shard
 // exactly once — it is a failover order, not a sample.
 func TestRingPreferenceDistinct(t *testing.T) {
-	r := newRing(5, 0)
+	r := newRing(5)
 	for k := uint64(0); k < 1000; k++ {
 		pref := r.preference(fnv64(fmt.Sprintf("key-%d", k)))
 		seen := map[int]bool{}
@@ -48,7 +48,7 @@ func TestRingPreferenceDistinct(t *testing.T) {
 // hash, which would silently overload one replica's cache.
 func TestRingBalance(t *testing.T) {
 	for _, shards := range []int{2, 3, 5} {
-		r := newRing(shards, 0)
+		r := newRing(shards)
 		counts := make([]int, shards)
 		const keys = 20_000
 		for k := uint64(0); k < keys; k++ {

@@ -24,15 +24,6 @@ type Config struct {
 	// ReplicaURLs are the replica base URLs, in shard order. Required,
 	// at least one.
 	ReplicaURLs []string
-	// VNodes is the virtual-node count per shard (0: 64).
-	VNodes int
-	// RetryBudget bounds the extra forwarding attempts a request may
-	// spend walking its preference list after the first shard fails
-	// (0: replicas-1 — every other replica gets one chance; negative:
-	// no retries).
-	RetryBudget int
-	// Timeout bounds one forwarded request (0: 30s).
-	Timeout time.Duration
 	// HealthEvery is the period of the background replica health probe
 	// (0: 1s; negative: probing disabled — health then changes only on
 	// forwarding outcomes).
@@ -85,18 +76,15 @@ type replica struct {
 // shardKeyCacheCap bounds the router's (term text -> shard key) cache.
 const shardKeyCacheCap = 1 << 16
 
+// forwardTimeout bounds one forwarded request.
+const forwardTimeout = 30 * time.Second
+
 // NewRouter builds the routing tier. extraSources mirror the sources
 // the replicas were started with, so router-side shard-key parsing
 // agrees with replica-side evaluation.
 func NewRouter(cfg Config, extraSources ...string) (*Router, error) {
 	if len(cfg.ReplicaURLs) == 0 {
 		return nil, fmt.Errorf("cluster: at least one replica URL is required")
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = len(cfg.ReplicaURLs) - 1
 	}
 	if cfg.HealthEvery == 0 {
 		cfg.HealthEvery = time.Second
@@ -109,14 +97,14 @@ func NewRouter(cfg Config, extraSources ...string) (*Router, error) {
 	rt := &Router{
 		cfg:  cfg,
 		reg:  reg,
-		ring: newRing(len(cfg.ReplicaURLs), cfg.VNodes),
+		ring: newRing(len(cfg.ReplicaURLs)),
 		// The default transport keeps only 2 idle connections per host;
 		// a router funneling every client's traffic into a handful of
 		// replicas would redial constantly under any real concurrency,
 		// and the dial dominates a warm hit. Size the idle pool to the
 		// concurrency the router is meant to carry.
 		client: &http.Client{
-			Timeout: cfg.Timeout,
+			Timeout: forwardTimeout,
 			Transport: &http.Transport{
 				MaxIdleConns:        256,
 				MaxIdleConnsPerHost: 64,
@@ -330,9 +318,10 @@ func (rt *Router) handleAny(endpoint string) http.HandlerFunc {
 }
 
 // forward walks the preference list: the first shard that produces an
-// HTTP response other than 503 wins. Transport errors and 503s spend
-// the retry budget and move to the next shard — any replica can compute
-// any term, the preference order only decides whose cache is warm.
+// HTTP response other than 503 wins. Transport errors and 503s move to
+// the next shard, so every replica gets one chance (a retry budget of
+// replicas−1) — any replica can compute any term, the preference order
+// only decides whose cache is warm.
 // Unhealthy shards are skipped while a healthy one remains.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint, path string, body []byte, pref []int) {
 	ordered := make([]*replica, 0, len(pref))
@@ -348,15 +337,8 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint, path
 	// A fully unhealthy cluster still tries: the probe may be stale.
 	ordered = append(ordered, skipped...)
 
-	budget := rt.cfg.RetryBudget
-	if budget < 0 {
-		budget = 0
-	}
 	var lastErr error
 	for i, rep := range ordered {
-		if i > budget {
-			break
-		}
 		if i > 0 {
 			rt.retries.Add(1)
 		}
@@ -365,7 +347,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint, path
 			lastErr = err
 			continue
 		}
-		if status == http.StatusServiceUnavailable && i < len(ordered)-1 && i < budget {
+		if status == http.StatusServiceUnavailable && i < len(ordered)-1 {
 			// The shard is up but refusing (shutdown, saturation): the
 			// next replica may still compute. 504 is not retried — the
 			// request's own deadline has already been spent once.

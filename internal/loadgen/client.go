@@ -149,7 +149,7 @@ func Run(cfg Config) (*Report, error) {
 	// Open-loop pacing: request i is released at start + i/RPS. Workers
 	// that fall behind degrade to closed-loop (the channel is unbuffered,
 	// so the pacer waits for a free worker) rather than piling up
-	// goroutines — bounded client pressure, like the server's own pool.
+	// goroutines — bounded client pressure, like the server's own slots.
 	ch := make(chan Request)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {

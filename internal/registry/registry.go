@@ -146,11 +146,10 @@ func (r *Registry) Resolve(id string) (*Version, bool) {
 // upload: its content address could not be reproduced without the whole
 // upload history).
 func (r *Registry) Register(source string) (v *Version, created bool, err error) {
-	canon, err := format.Source(source)
+	canon, id, err := r.address(source)
 	if err != nil {
 		return nil, false, err
 	}
-	id := r.uploadID(canon)
 	r.mu.RLock()
 	existing, ok := r.byID[id]
 	r.mu.RUnlock()
@@ -193,13 +192,27 @@ func (r *Registry) Register(source string) (v *Version, created bool, err error)
 	return v, true, nil
 }
 
-// uploadID derives the content address of a canonical upload source.
-func (r *Registry) uploadID(canon string) string {
+// ID returns the version id Register would give source, without
+// compiling it: a caller holding a source under an id it was told (a
+// persisted upload, named by its content address) checks the two agree
+// before registering.
+func (r *Registry) ID(source string) (string, error) {
+	_, id, err := r.address(source)
+	return id, err
+}
+
+// address canonicalizes an upload source and derives its content
+// address from the base id and the canonical text.
+func (r *Registry) address(source string) (canon, id string, err error) {
+	canon, err = format.Source(source)
+	if err != nil {
+		return "", "", err
+	}
 	h := sha256.New()
 	h.Write([]byte(r.base.ID))
 	h.Write([]byte{0})
 	h.Write([]byte(canon))
-	return "sha256:" + hex.EncodeToString(h.Sum(nil))
+	return canon, "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Versions returns the base version followed by every upload in

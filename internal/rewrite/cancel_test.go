@@ -1,9 +1,9 @@
 package rewrite_test
 
 import (
+	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,50 +39,49 @@ func loopSystem(t testing.TB, opts ...rewrite.Option) (*rewrite.System, *term.Te
 	return sys, work
 }
 
-// A pre-raised stop flag cancels a divergent normalization at the first
-// poll, long before the fuel limit, and the error unwraps to ErrCanceled.
+// An already-ended context cancels a divergent normalization at the
+// first poll, long before the fuel limit, and the error unwraps to
+// ErrCanceled.
 func TestStopFlagCancels(t *testing.T) {
-	var stop atomic.Bool
-	stop.Store(true)
-	sys, work := loopSystem(t, rewrite.WithStop(&stop))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sys, work := loopSystem(t, rewrite.WithContext(ctx))
 	_, err := sys.Normalize(work)
 	if !errors.Is(err, rewrite.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	// The poll fires every 1024 steps; a pre-raised flag must be seen at
+	// The poll fires every 1024 steps; an ended context must be seen at
 	// the very first poll, not after the 1<<20 default fuel.
 	if steps := sys.Steps(); steps > 2048 {
 		t.Errorf("cancellation took %d steps, want <= 2048", steps)
 	}
 }
 
-// A flag raised from another goroutine mid-normalization is honoured
-// (this is exactly what the serve subsystem does on deadline expiry).
+// A deadline that passes mid-normalization is honoured (this is exactly
+// what the serve subsystem relies on for a request's timeout).
 func TestStopFlagCancelsConcurrently(t *testing.T) {
-	var stop atomic.Bool
-	sys, work := loopSystem(t, rewrite.WithStop(&stop))
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		stop.Store(true)
-	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	sys, work := loopSystem(t, rewrite.WithContext(ctx))
 	_, err := sys.Normalize(work)
 	if !errors.Is(err, rewrite.ErrCanceled) && !errors.As(err, new(*rewrite.ErrFuel)) {
 		t.Fatalf("err = %v, want ErrCanceled (or ErrFuel on a very fast box)", err)
 	}
 }
 
-// An unraised flag changes nothing: the divergence still ends in ErrFuel
+// A live context changes nothing: the divergence still ends in ErrFuel
 // and a well-behaved term still normalizes.
 func TestStopFlagInertWhenUnset(t *testing.T) {
-	var stop atomic.Bool
-	sys, work := loopSystem(t, rewrite.WithStop(&stop), rewrite.WithMaxSteps(4096))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sys, work := loopSystem(t, rewrite.WithContext(ctx), rewrite.WithMaxSteps(4096))
 	var fuel *rewrite.ErrFuel
 	if _, err := sys.Normalize(work); !errors.As(err, &fuel) {
 		t.Fatalf("err = %v, want ErrFuel", err)
 	}
 
 	env := speclib.BaseEnv()
-	qsys := rewrite.New(env.MustGet("Queue"), rewrite.WithStop(&stop))
+	qsys := rewrite.New(env.MustGet("Queue"), rewrite.WithContext(ctx))
 	nf := qsys.MustNormalize(term.NewOp("front", "Item",
 		term.NewOp("add", "Queue", term.NewOp("new", "Queue"), term.NewAtom("x", "Item"))))
 	if nf.String() != "'x" {
@@ -90,16 +89,16 @@ func TestStopFlagInertWhenUnset(t *testing.T) {
 	}
 }
 
-// Forks do not inherit the parent's stop flag: each request installs its
-// own via Fork(WithStop(...)).
+// Forks do not inherit the parent's context: each request installs its
+// own via Fork(WithContext(...)).
 func TestForkDropsStopFlag(t *testing.T) {
-	var stop atomic.Bool
-	stop.Store(true)
-	sys, work := loopSystem(t, rewrite.WithStop(&stop), rewrite.WithMaxSteps(2048))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sys, work := loopSystem(t, rewrite.WithContext(ctx), rewrite.WithMaxSteps(2048))
 	fork := sys.Fork(rewrite.WithMaxSteps(2048))
 	var fuel *rewrite.ErrFuel
 	if _, err := fork.Normalize(work); !errors.As(err, &fuel) {
-		t.Fatalf("fork err = %v, want ErrFuel (fork must not see the parent's flag)", err)
+		t.Fatalf("fork err = %v, want ErrFuel (fork must not see the parent's context)", err)
 	}
 }
 

@@ -140,3 +140,23 @@ func TestStatsCountsNativeCalls(t *testing.T) {
 		t.Fatal("native call not counted")
 	}
 }
+
+// forkSink keeps the forks TestForkAllocs counts live, so the compiler
+// cannot elide their allocation.
+var forkSink *rewrite.System
+
+// Fork copies nothing the program owns: the natives and both dispatch
+// tables are built once per program, so a fork of a compiled System
+// allocates exactly the System, its Arena and its CanonCache.
+func TestForkAllocs(t *testing.T) {
+	env := speclib.BaseEnv()
+	for _, name := range []string{"Queue", "Symboltable", "Identifier", "SymtabImpl"} {
+		base := rewrite.New(env.MustGet(name))
+		if base.Tier() != "compiled" {
+			t.Fatalf("%s: tier = %s, want compiled", name, base.Tier())
+		}
+		if allocs := testing.AllocsPerRun(100, func() { forkSink = base.Fork() }); allocs != 3 {
+			t.Errorf("%s: Fork made %.0f allocations, want 3 (System, Arena, CanonCache)", name, allocs)
+		}
+	}
+}

@@ -123,7 +123,7 @@ type buildNode struct {
 	lit  *term.Term // bConst: interned RHS subtree
 	// sid is bMk's precomputed dispatch index for the head symbol
 	// (machine.symID): the evaluator dispatches through the dense
-	// System.dispID table instead of the per-symbol map.
+	// program.dispID table instead of the per-symbol map.
 	sid  uint32
 	kids []buildNode
 }
@@ -134,7 +134,7 @@ type machine struct {
 	progs  map[string]*matchProg
 	builds []buildNode
 	// symID numbers (from 1) every head symbol a build tree can apply;
-	// System.dispID is the matching dense dispatch table.
+	// program.dispID is the matching dense dispatch table.
 	symID map[string]uint32
 }
 
@@ -426,9 +426,9 @@ func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
 
 	var d dispatch
 	if h := cur.Hint(); h != 0 {
-		d = s.dispID[h]
+		d = s.prog.dispID[h]
 	} else {
-		d = s.disp[cur.Sym]
+		d = s.prog.disp[cur.Sym]
 	}
 	if d.native != nil {
 		if out, applied := d.native(cur.Args); applied {
@@ -542,7 +542,7 @@ func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (
 	// symbols, the never-in-practice arity mismatch — evaluates into a
 	// fresh arena vector and materializes. Both paths short-circuit on
 	// an error child exactly like the generic argument pass.
-	d := s.dispID[n.sid]
+	d := s.prog.dispID[n.sid]
 	if d.mp != nil && d.native == nil && d.mp.code[0].k == len(n.kids) {
 		return s.applyRules(n, d.mp, frame, redex)
 	}

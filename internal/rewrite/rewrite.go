@@ -11,9 +11,10 @@
 //   - if-then-else is lazy in its branches: the condition is normalized
 //     first, then exactly one branch; an error condition yields error.
 //
-// Operations declared native are evaluated by Go functions registered with
-// the engine (atom equality and atom hashing), covering the paper's
-// independently defined IS_SAME? and HASH operations on type Identifier.
+// Operations declared native are evaluated by Go functions the engine
+// supplies from the signature: a native whose name contains "same" or
+// "eq" is atom equality, covering the paper's independently defined
+// IS_SAME? on type Identifier.
 //
 // A System separates the immutable compiled form of a specification (rule
 // list, head-symbol index, shared term interner) from mutable evaluation
@@ -24,9 +25,9 @@
 package rewrite
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync/atomic"
 	"unicode/utf8"
@@ -102,16 +103,17 @@ func clip(t *term.Term) string {
 }
 
 // ErrCanceled is returned (wrapped) when a normalization is abandoned
-// because the stop flag installed with WithStop was raised — in the
-// server, because the request's deadline expired. Distinguish it from
-// ErrFuel: fuel exhaustion is a property of the term and axioms (422),
-// cancellation a property of the caller's patience (504).
+// because the context installed with WithContext ended — in the server,
+// because the request's deadline expired or its client went away.
+// Distinguish it from ErrFuel: fuel exhaustion is a property of the term
+// and axioms (422), cancellation a property of the caller's patience
+// (504).
 var ErrCanceled = errors.New("rewrite: normalization canceled")
 
-// stopCheckMask bounds how stale a cancellation can be: the stop flag is
-// polled every time the step counter crosses a multiple of mask+1, so a
-// raised flag is noticed within 1024 reductions (well under a
-// millisecond) without putting an atomic load on every step.
+// stopCheckMask bounds how stale a cancellation can be: the context is
+// polled every time the step counter crosses a multiple of mask+1, so an
+// ended context is noticed within 1024 reductions (well under a
+// millisecond) without putting a context check on every step.
 const stopCheckMask = 1<<10 - 1
 
 // TraceStep records one rule application for the CLI's trace subcommand.
@@ -170,12 +172,6 @@ func WithMaxSteps(n int) Option { return func(sys *System) { sys.maxSteps = n } 
 // benchmarks.
 func WithTrace(f func(TraceStep)) Option { return func(sys *System) { sys.trace = f } }
 
-// WithNative registers a native implementation for an operation name,
-// overriding the defaults.
-func WithNative(op string, f NativeFunc) Option {
-	return func(sys *System) { sys.native[op] = f }
-}
-
 // WithoutRuleIndex disables head-symbol indexing, forcing the
 // interpreter to scan all rules at every redex (it implies
 // WithoutCompiledTier — the machine's match programs are an index).
@@ -190,13 +186,13 @@ func WithoutRuleIndex() Option { return func(sys *System) { sys.noIndex = true }
 // differential tests.
 func WithoutCompiledTier() Option { return func(sys *System) { sys.noCompiled = true } }
 
-// WithStop installs a cancellation flag: when flag becomes true, the
-// next stop-poll (every 1024 steps) abandons the normalization with an
-// error wrapping ErrCanceled. The flag may be raised from any goroutine;
-// the serve subsystem raises it when a request's context deadline
-// expires so the worker is freed instead of burning its full fuel.
-func WithStop(flag *atomic.Bool) Option {
-	return func(sys *System) { sys.stop = flag }
+// WithContext makes normalization stop when ctx ends: the next poll
+// (every 1024 steps) abandons the normalization with an error wrapping
+// ErrCanceled. The serve subsystem installs each request's context, so
+// a request whose deadline passes or whose client hangs up frees its
+// slot instead of burning its full fuel.
+func WithContext(ctx context.Context) Option {
+	return func(sys *System) { sys.ctx = ctx }
 }
 
 // WithFault installs a fault hook polled once per reduction, right
@@ -204,10 +200,10 @@ func WithStop(flag *atomic.Bool) Option {
 // with that error. It exists for deterministic fault injection — the
 // serve layer threads internal/faultinject points through it to force
 // ErrFuel (422) and ErrCanceled (504) outcomes on demand — and is the
-// injection twin of WithStop. An *ErrFuel returned with a nil Last is
+// injection twin of WithContext. An *ErrFuel returned with a nil Last is
 // completed by the engine with the actual step count and current term,
 // so an injected fuel error is indistinguishable from a real one.
-// Forks do not inherit the hook (like the stop flag, it belongs to one
+// Forks do not inherit the hook (like the context, it belongs to one
 // caller). The hook runs on the engine goroutine; it must not block.
 func WithFault(hook func() error) Option {
 	return func(sys *System) { sys.fault = hook }
@@ -226,6 +222,14 @@ type program struct {
 	// mach is the machine tier: flat register-addressed match programs
 	// and arena-targeted build programs (machine.go).
 	mach *machine
+	// disp maps a head symbol to its native — the Go function
+	// defaultNative supplies for an operation the signature declares
+	// native — and its machine match program, so the machine pays a
+	// single string hash per redex. dispID is the dense copy indexed by
+	// the machine's symbol ids (scratch-node hints), entry 0 the zero
+	// dispatch. Both are built once, in New; every fork only reads them.
+	disp   map[string]dispatch
+	dispID []dispatch
 }
 
 // System is a compiled rewrite system for one specification. A System is
@@ -234,7 +238,6 @@ type program struct {
 // the same compiled rules for each goroutine.
 type System struct {
 	prog       *program
-	native     map[string]NativeFunc
 	strategy   Strategy
 	maxSteps   int
 	noIndex    bool
@@ -242,21 +245,16 @@ type System struct {
 	trace      func(TraceStep)
 
 	intern *term.Interner
-	// stop, when non-nil, is polled every stopCheckMask+1 steps; a true
-	// value abandons the normalization with ErrCanceled. Set per request
-	// via WithStop; Fork deliberately does not inherit it (a fork serves
-	// a different caller with a different deadline).
-	stop *atomic.Bool
+	// ctx, when non-nil, is polled every stopCheckMask+1 steps; once it
+	// has ended the normalization is abandoned with ErrCanceled. Set per
+	// request via WithContext; Fork deliberately does not inherit it (a
+	// fork serves a different caller with a different deadline).
+	ctx context.Context
 	// fault, when non-nil, is consulted once per spend; a non-nil error
-	// abandons the normalization. Set via WithFault; like stop, Fork
-	// does not inherit it.
+	// abandons the normalization. Set via WithFault; like ctx, Fork does
+	// not inherit it.
 	fault func() error
 
-	// disp folds the native table and the machine's match programs into
-	// one map so the machine pays a single string hash per redex. Built
-	// after options are applied (New and Fork), since WithNative changes
-	// it, and only on the machine tier.
-	disp map[string]dispatch
 	// gen is this system's normal-form token: terms the system has proven
 	// to be their own normal form are stamped with it (term.MarkNormalTag).
 	// The compiled program is immutable and terms are never mutated, so
@@ -265,14 +263,14 @@ type System struct {
 	// the E1 workload do) then skip the quadratic re-traversal of the
 	// shared spine in O(1). Skipping redex-free subterms performs no
 	// reductions, so Stats and traces are unaffected. Tokens are unique
-	// per System (Fork takes a fresh one: strategy or natives may differ),
-	// so a term stamped by another system simply misses.
+	// per System (Fork takes a fresh one: the strategy may differ), so a
+	// term stamped by another system simply misses.
 	gen uint32
 
 	stats Stats
 	// bindBuf is the interpreter's reusable MatchBind binding buffer.
 	bindBuf subst.Bindings
-	// useCompiled, resolved by buildDispatch, routes the Eval seam: true
+	// useCompiled, resolved by resolveTier, routes the Eval seam: true
 	// selects the machine tier, false the interpreter. regStack is the
 	// machine's register stack — each rule fire carves a frame at regTop
 	// and bumps it for the build tree's evaluation, so nested matches run
@@ -285,9 +283,6 @@ type System struct {
 	regTop      int
 	arena       *term.Arena
 	canonCache  *term.CanonCache
-	// dispID is the dense dispatch table indexed by the machine's symbol
-	// ids (scratch-node hints); entry 0 is the zero dispatch.
-	dispID []dispatch
 	// active and budget implement the per-call fuel limit: the budget is
 	// set when an outermost Normalize begins and left alone by the
 	// nested Normalize calls the conditional's lazy semantics makes
@@ -304,18 +299,8 @@ type System struct {
 // the paper's practice of listing the general case after the specific).
 func New(sp *spec.Spec, opts ...Option) *System {
 	sys := &System{
-		native:   make(map[string]NativeFunc),
 		maxSteps: 1 << 20,
 		intern:   term.NewInterner(),
-	}
-	// Default natives: same?/isSame?-style equality and hash on atoms.
-	for _, op := range sp.Sig.Ops() {
-		if !op.Native {
-			continue
-		}
-		if f, ok := defaultNative(op.Name); ok {
-			sys.native[op.Name] = f
-		}
 	}
 	for _, o := range opts {
 		o(sys)
@@ -340,8 +325,26 @@ func New(sp *spec.Spec, opts ...Option) *System {
 		prog.allRules[i] = i
 	}
 	prog.mach = compileMachine(prog.rules)
+	prog.disp = make(map[string]dispatch, len(prog.mach.progs))
+	for sym, mp := range prog.mach.progs {
+		prog.disp[sym] = dispatch{mp: mp}
+	}
+	for _, op := range sp.Sig.Ops() {
+		if !op.Native {
+			continue
+		}
+		if f, ok := defaultNative(op.Name); ok {
+			d := prog.disp[op.Name]
+			d.native = f
+			prog.disp[op.Name] = d
+		}
+	}
+	prog.dispID = make([]dispatch, len(prog.mach.symID)+1)
+	for sym, id := range prog.mach.symID {
+		prog.dispID[id] = prog.disp[sym]
+	}
 	sys.prog = prog
-	sys.buildDispatch()
+	sys.resolveTier()
 	return sys
 }
 
@@ -351,9 +354,13 @@ type dispatch struct {
 	mp     *matchProg
 }
 
-func (s *System) buildDispatch() {
+// resolveTier settles what the options decided, once they are applied
+// (New and Fork): the normal-form token, the spend fast path and the
+// tier. The machine tier's private state is the only thing it
+// allocates.
+func (s *System) resolveTier() {
 	s.gen = genCounter.Add(1)
-	s.plainSpend = s.stop == nil && s.fault == nil
+	s.plainSpend = s.ctx == nil && s.fault == nil
 	// Tier selection: the machine serves the default configuration —
 	// innermost strategy, no trace, indexed compiled matching. Everything
 	// else (tracing wants to see each step, outermost is a different
@@ -362,25 +369,8 @@ func (s *System) buildDispatch() {
 	s.useCompiled = !s.noCompiled && !s.noIndex &&
 		s.trace == nil && s.strategy == Innermost
 	if s.useCompiled {
-		s.disp = make(map[string]dispatch, len(s.prog.mach.progs)+len(s.native))
-		for sym, mp := range s.prog.mach.progs {
-			s.disp[sym] = dispatch{mp: mp}
-		}
-		for sym, nf := range s.native {
-			d := s.disp[sym]
-			d.native = nf
-			s.disp[sym] = d
-		}
-		if s.arena == nil {
-			s.arena = term.NewArena()
-		}
-		if s.canonCache == nil {
-			s.canonCache = term.NewCanonCache()
-		}
-		s.dispID = make([]dispatch, len(s.prog.mach.symID)+1)
-		for sym, id := range s.prog.mach.symID {
-			s.dispID[id] = s.disp[sym]
-		}
+		s.arena = term.NewArena()
+		s.canonCache = term.NewCanonCache()
 	}
 }
 
@@ -398,37 +388,33 @@ func (s *System) Tier() string {
 var genCounter atomic.Uint32
 
 // Fork returns an independent System over the same compiled rules, rule
-// index and interner, with fresh mutable state (zero Stats, no trace
-// listener). Options may adjust the fork, e.g. WithStrategy for a
-// different evaluation order. Fork is how parallel checker drivers give
-// each worker goroutine its own engine without recompiling the
-// specification.
+// index, dispatch tables and interner, with fresh mutable state (zero
+// Stats, no trace listener, context or fault hook). Options may adjust
+// the fork, e.g. WithStrategy for a different evaluation order. Fork is
+// how parallel checker drivers and serve's requests give each goroutine
+// its own engine without recompiling the specification: it copies
+// nothing the program owns, and on the machine tier allocates only the
+// System, its Arena and its CanonCache.
 func (s *System) Fork(opts ...Option) *System {
 	ns := &System{
 		prog:       s.prog,
-		native:     make(map[string]NativeFunc, len(s.native)),
 		strategy:   s.strategy,
 		maxSteps:   s.maxSteps,
 		noIndex:    s.noIndex,
 		noCompiled: s.noCompiled,
 		intern:     s.intern,
 	}
-	for k, v := range s.native {
-		ns.native[k] = v
-	}
 	for _, o := range opts {
 		o(ns)
 	}
-	ns.buildDispatch()
+	ns.resolveTier()
 	return ns
 }
 
 // defaultNative supplies engine-level semantics for the conventional
-// native operation names. Any binary native whose name contains "same" or
-// "eq" compares atoms; any unary native whose name contains "hash" hashes
-// an atom's spelling into a small constructor term is not possible
-// generically, so hashing natives return a Bool-free atom-keyed result via
-// HashAtom.
+// native operation names: a native whose name contains "same" or "eq"
+// compares atoms (SameAtoms). Natives with any other name have no Go
+// implementation and stay unevaluated, as normal forms.
 func defaultNative(name string) (NativeFunc, bool) {
 	lower := strings.ToLower(name)
 	switch {
@@ -450,25 +436,6 @@ func SameAtoms(args []*term.Term) (*term.Term, bool) {
 		return nil, false
 	}
 	return term.Bool(a.Sym == b.Sym && a.Sort == b.Sort), true
-}
-
-// HashAtomMod returns a native that hashes an atom's spelling modulo n,
-// producing the term bucket_k (a constant that must exist in the
-// signature). It reproduces the paper's HASH: Identifier -> [1..n].
-// A bucket count below one is a programming error and panics immediately
-// rather than dividing by zero at the first native call mid-rewrite.
-func HashAtomMod(n int, bucket func(k int) *term.Term) NativeFunc {
-	if n <= 0 {
-		panic(fmt.Sprintf("rewrite: HashAtomMod requires a positive bucket count, got %d", n))
-	}
-	return func(args []*term.Term) (*term.Term, bool) {
-		if len(args) != 1 || args[0].Kind != term.Atom {
-			return nil, false
-		}
-		h := fnv.New32a()
-		h.Write([]byte(args[0].Sym))
-		return bucket(int(h.Sum32() % uint32(n))), true
-	}
 }
 
 // Spec returns the specification the system was compiled from.
@@ -557,7 +524,7 @@ func (s *System) MustNormalize(t *term.Term) *term.Term {
 }
 
 // spend charges one reduction step. The fast path is branch-only and
-// inlineable: no stop flag, no fault injection, budget not exceeded.
+// inlineable: no context, no fault injection, budget not exceeded.
 func (s *System) spend(last *term.Term) error {
 	s.stats.Steps++
 	if s.plainSpend && s.stats.Steps <= s.budget {
@@ -567,7 +534,7 @@ func (s *System) spend(last *term.Term) error {
 }
 
 func (s *System) spendSlow(last *term.Term) error {
-	if s.stop != nil && s.stats.Steps&stopCheckMask == 0 && s.stop.Load() {
+	if s.ctx != nil && s.stats.Steps&stopCheckMask == 0 && s.ctx.Err() != nil {
 		return fmt.Errorf("%w near %s", ErrCanceled, clip(last))
 	}
 	if s.fault != nil {
@@ -656,7 +623,7 @@ func (s *System) rootThenRecurse(cur *term.Term) (*term.Term, error) {
 
 // stepRoot tries native evaluation then rule matching at the root.
 func (s *System) stepRoot(cur *term.Term) (*term.Term, bool, error) {
-	if nf, ok := s.native[cur.Sym]; ok {
+	if nf := s.prog.disp[cur.Sym].native; nf != nil {
 		if out, applied := nf(cur.Args); applied {
 			return s.fireNative(cur, out)
 		}

@@ -25,7 +25,7 @@ import (
 //     canonical pointer.
 //
 // Entries are immutable values, which is what makes one cache safely
-// shared by every pool worker: readers and writers only ever exchange
+// shared by every request goroutine: readers and writers only exchange
 // values under the shard lock. Sharding exists because both caches are
 // on the warm path of every request: a single mutex would serialize
 // exactly the traffic the caches are meant to accelerate.

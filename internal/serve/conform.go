@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -89,15 +90,15 @@ func (cs *conformState) active() int {
 
 // conformNormalizer builds the per-request engine seam the planner and
 // judge evaluate through: a fresh fork carrying this request's fuel,
-// stop flag and (when armed) fault hook — the same discipline as
-// handleNormalize, minus the worker pool (conform rounds normalize many
-// small probes; queueing each would cost more than it bounds).
-func (s *Server) conformNormalizer(ver *registry.Version, spec string, stop *atomic.Bool) (conform.Normalizer, error) {
+// context and (when armed) fault hook — the same discipline as
+// handleNormalize, minus the slots (conform rounds normalize many small
+// probes; admitting each would cost more than it bounds).
+func (s *Server) conformNormalizer(ctx context.Context, ver *registry.Version, spec string) (conform.Normalizer, error) {
 	base, err := ver.Env.System(spec)
 	if err != nil {
 		return nil, err
 	}
-	opts := []rewrite.Option{rewrite.WithMaxSteps(s.cfg.Fuel), rewrite.WithStop(stop)}
+	opts := []rewrite.Option{rewrite.WithMaxSteps(s.cfg.Fuel), rewrite.WithContext(ctx)}
 	if faultinject.Armed() {
 		opts = append(opts, rewrite.WithFault(engineFaultHook))
 	}
@@ -149,12 +150,7 @@ func (s *Server) conformOpen(w http.ResponseWriter, r *http.Request, req *confor
 
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
-	var stop atomic.Bool
-	go func() {
-		<-ctx.Done()
-		stop.Store(true)
-	}()
-	norm, err := s.conformNormalizer(ver, sp.Name, &stop)
+	norm, err := s.conformNormalizer(ctx, ver, sp.Name)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
@@ -221,17 +217,12 @@ func (s *Server) conformObserve(w http.ResponseWriter, r *http.Request, req *con
 
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
-	var stop atomic.Bool
-	go func() {
-		<-ctx.Done()
-		stop.Store(true)
-	}()
 	ver, ok := s.reg.Resolve(c.version)
 	if !ok {
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "session version vanished from the registry"})
 		return
 	}
-	norm, err := s.conformNormalizer(ver, c.spec, &stop)
+	norm, err := s.conformNormalizer(ctx, ver, c.spec)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return

@@ -14,10 +14,11 @@ import (
 //   - serve.handler.delay  adds Rule.Delay of latency inside the
 //     instrumented window of every API request (it shows up in the
 //     latency histogram, exactly like a real stall would);
-//   - serve.pool.delay     stalls a pool worker for Rule.Delay before
-//     it starts a normalization (queue pressure without queue growth);
-//   - serve.pool.saturate  makes submit behave as a queue whose slot
-//     never frees within the deadline (the handler answers 504);
+//   - serve.pool.delay     holds a request's normalization slot for
+//     Rule.Delay before it normalizes (pressure on the requests waiting
+//     for a slot, without any more engine work);
+//   - serve.pool.saturate  makes admission behave as if no slot frees
+//     within the deadline (the handler answers 504);
 //   - serve.cache.nf.evict and serve.cache.parse.evict poison-evict on
 //     Put: the computed entry is dropped — and any entry already cached
 //     under the key evicted — so later requests recompute (correctness
@@ -25,6 +26,10 @@ import (
 //   - rewrite.fuel and rewrite.cancel are threaded into the engine via
 //     rewrite.WithFault and force an ErrFuel (422) or ErrCanceled (504)
 //     mid-normalization, at the exact cadence of the fuel accounting.
+//
+// The two serve.pool.* names predate the slots that replaced the worker
+// pool; they stay because fault plans and recorded runpacks arm points
+// by name.
 var (
 	fpHandlerDelay = faultinject.Register("serve.handler.delay")
 	fpPoolDelay    = faultinject.Register("serve.pool.delay")
@@ -38,7 +43,7 @@ var (
 // engineFaultHook is the rewrite.WithFault hook handlers install on a
 // request's fork while the registry is armed. The engine completes the
 // bare *ErrFuel with real step counts; ErrCanceled is wrapped the same
-// way a deadline-raised stop flag surfaces it.
+// way an ended request context surfaces it.
 func engineFaultHook() error {
 	if _, ok := fpEngineFuel.Fire(); ok {
 		return &rewrite.ErrFuel{}

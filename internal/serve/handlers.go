@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"algspec/internal/complete"
@@ -325,17 +324,27 @@ func (s *Server) handleNormalize(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
-	// The stop flag is the bridge from context-land to the engine: a
-	// watcher raises it when the deadline passes (or the client hangs
-	// up), and the fork notices within ~1024 reductions.
-	var stop atomic.Bool
-	go func() {
-		<-ctx.Done()
-		stop.Store(true)
-	}()
+	if err := s.slots.acquire(ctx); err != nil {
+		// The miss this request charged in Get stands: it asked the
+		// cache and the cache had no answer.
+		if errors.Is(err, errShuttingDown) {
+			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server is shutting down"})
+		} else {
+			// The deadline passed while waiting for a slot.
+			writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "request timed out before a worker was free"})
+		}
+		return
+	}
+	// Holding the slot until the handler returns keeps Close's drain
+	// over the cache and WAL writes below, and frees it on any exit.
+	defer s.slots.release()
 
+	// The request's fork carries its fuel, its context (the engine
+	// polls it every 1024 reductions, so a passed deadline or a hung-up
+	// client ends the work) and, for trace requests, a private trace
+	// collector: forks share no mutable engine state.
 	var trace []TraceStep
-	opts := []rewrite.Option{rewrite.WithMaxSteps(fuel), rewrite.WithStop(&stop)}
+	opts := []rewrite.Option{rewrite.WithMaxSteps(fuel), rewrite.WithContext(ctx)}
 	if strategy != rewrite.Innermost {
 		opts = append(opts, rewrite.WithStrategy(strategy))
 	}
@@ -350,28 +359,12 @@ func (s *Server) handleNormalize(w http.ResponseWriter, r *http.Request) {
 			trace = append(trace, TraceStep{Rule: ts.Rule.Label, Before: ts.Before.String(), After: ts.After.String()})
 		}))
 	}
-	job := &normJob{
-		ctx:   ctx,
-		sys:   base.Fork(opts...),
-		t:     canon,
-		stop:  &stop,
-		reply: make(chan normResult, 1),
-	}
-	if err := s.pool.submit(job); err != nil {
-		// The miss this request charged in Get stands: it asked the
-		// cache and the cache had no answer.
-		if errors.Is(err, errShuttingDown) {
-			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server is shutting down"})
-		} else {
-			// The deadline passed while waiting for a queue slot.
-			writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "request timed out before a worker was free"})
-		}
-		return
-	}
-	res := <-job.reply // workers always reply: cancellation is bounded by the stop poll
-
-	if useCache && res.err == nil {
-		s.cache.Put(nfKey{t: canon, strat: keyStrat}, cacheEntry{nf: res.nf, steps: res.stats.Steps, strat: reqStrat})
+	sys := base.Fork(opts...)
+	nf, err := sys.Normalize(canon)
+	st := sys.Stats()
+	s.rec.Record(st)
+	if useCache && err == nil {
+		s.cache.Put(nfKey{t: canon, strat: keyStrat}, cacheEntry{nf: nf, steps: st.Steps, strat: reqStrat})
 		// Durability rides the cold path: the WAL write hides behind the
 		// normalization this request just paid for. Only shared-keyed
 		// results are persisted — WAL entries reload into the shared
@@ -380,36 +373,36 @@ func (s *Server) handleNormalize(w http.ResponseWriter, r *http.Request) {
 		if keyStrat == stratShared {
 			s.pers.append(walRecord{
 				Version: ver.ID, Spec: sp.Name, Sort: string(canon.Sort),
-				Term: canon.String(), NF: res.nf.String(), Steps: res.stats.Steps,
+				Term: canon.String(), NF: nf.String(), Steps: st.Steps,
 			})
 		}
 	}
 	switch {
-	case res.err == nil:
+	case err == nil:
 		resp := normRespPool.Get().(*NormalizeResponse)
 		*resp = NormalizeResponse{
 			Spec:       sp.Name,
 			Version:    echoVersion,
 			Input:      canon.String(),
-			NormalForm: res.nf.String(),
-			Steps:      res.stats.Steps,
+			NormalForm: nf.String(),
+			Steps:      st.Steps,
 			Cached:     false,
 			Trace:      trace,
 		}
 		writeJSON(w, http.StatusOK, resp)
 		putNormResp(resp)
-	case errors.Is(res.err, rewrite.ErrCanceled):
+	case errors.Is(err, rewrite.ErrCanceled):
 		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "normalization exceeded the request deadline"})
 	default:
 		var fuelErr *rewrite.ErrFuel
-		if errors.As(res.err, &fuelErr) {
+		if errors.As(err, &fuelErr) {
 			writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{
-				Error: res.err.Error(),
+				Error: err.Error(),
 				Steps: fuelErr.Steps,
 			})
 			return
 		}
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: res.err.Error()})
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 	}
 }
 

@@ -306,11 +306,18 @@ func parseWAL(data []byte) ([]walRecord, error) {
 	return recs, nil
 }
 
-// loadSpecSources reads back every persisted upload, verifying each
-// file's content address against its name. Corrupt files are returned
-// as errors alongside the sources that did verify: one bad upload must
-// not take out the rest.
-func loadSpecSources(dir string) (sources []string, errs []error) {
+// persistedSpec is one upload read back from specs/<hex>.spec: the
+// version id its file name claims, and its source.
+type persistedSpec struct {
+	id, source string
+}
+
+// loadSpecSources reads back every persisted upload in file-name order.
+// It returns each source with the id its name claims; the caller checks
+// that claim against the registry's content address before registering
+// it. Unreadable files are returned as errors alongside the rest: one
+// bad upload must not take out the others.
+func loadSpecSources(dir string) (specs []persistedSpec, errs []error) {
 	entries, err := os.ReadDir(filepath.Join(dir, specsDir))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -332,7 +339,7 @@ func loadSpecSources(dir string) (sources []string, errs []error) {
 			errs = append(errs, err)
 			continue
 		}
-		sources = append(sources, string(data))
+		specs = append(specs, persistedSpec{id: "sha256:" + strings.TrimSuffix(name, ".spec"), source: string(data)})
 	}
-	return sources, errs
+	return specs, errs
 }

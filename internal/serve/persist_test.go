@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"algspec/internal/serve"
@@ -214,6 +215,61 @@ func TestCorruptStoreColdStart(t *testing.T) {
 			}
 		})
 	}
+
+	// An uploaded source edited so that it still parses no longer hashes
+	// to its file name: registering it would list a version nobody
+	// uploaded, so boot must count the mismatch and skip the file.
+	t.Run("spec source", func(t *testing.T) {
+		dir := t.TempDir()
+		srv1, err := serve.New(serve.Config{PersistDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts1 := newTestServerFrom(t, srv1)
+		src, _ := json.Marshal(goodCheckSrc)
+		code, body := do(t, ts1, "POST", "/v1/specs", fmt.Sprintf(`{"source":%s}`, src))
+		if code != http.StatusCreated {
+			t.Fatalf("upload: status %d: %s", code, body)
+		}
+		var up serve.SpecUploadResponse
+		if err := json.Unmarshal([]byte(body), &up); err != nil {
+			t.Fatal(err)
+		}
+		ts1.Close()
+		srv1.Close()
+
+		path := filepath.Join(dir, "specs", strings.TrimPrefix(up.Version, "sha256:")+".spec")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := strings.Replace(string(data), "[l1]", "[m1]", 1)
+		if edited == string(data) {
+			t.Fatalf("no [l1] label to edit in %s:\n%s", path, data)
+		}
+		if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		srv2, err := serve.New(serve.Config{PersistDir: dir})
+		if err != nil {
+			t.Fatalf("boot over an edited spec source must fall back cold, got error: %v", err)
+		}
+		ts2 := newTestServerFrom(t, srv2)
+		defer func() { ts2.Close(); srv2.Close() }()
+		_, page := do(t, ts2, "GET", "/metrics", "")
+		if got := metricValue(t, page, "adt_persist_errors_total"); got == 0 {
+			t.Fatalf("edited spec source went uncounted:\n%s", page)
+		}
+		_, body = do(t, ts2, "GET", "/v1/specs", "")
+		var list serve.SpecsResponse
+		if err := json.Unmarshal([]byte(body), &list); err != nil {
+			t.Fatal(err)
+		}
+		if len(list.Versions) != 0 {
+			t.Fatalf("edited spec source registered as %+v", list.Versions)
+		}
+	})
 }
 
 // TestWarmFromCorpus: Config.Warm alone (no persisted store) must make

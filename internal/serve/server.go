@@ -12,12 +12,13 @@
 //
 // Concurrency discipline (DESIGN §10): one immutable compiled
 // rewrite.System per spec is shared by reference; every request
-// normalizes on its own Fork carrying per-request fuel, a cancellation
-// flag wired to the request deadline, and (for trace requests) a
-// private trace collector. Forks never share engine state or counters —
-// the only shared mutable state is the sharded LRU normal-form cache,
-// which exchanges immutable entries under shard locks, and the atomic
-// stats recorder the forks drain into.
+// normalizes on its own handler goroutine, once it holds one of
+// Config.Workers semaphore slots, on its own Fork carrying per-request
+// fuel, the request's context, and (for trace requests) a private
+// trace collector. Forks never share engine state or counters — the
+// only shared mutable state is the sharded LRU normal-form cache, which
+// exchanges immutable entries under shard locks, and the atomic stats
+// recorder the forks drain into.
 //
 // Durability (DESIGN §13): with Config.PersistDir set, uploaded specs
 // and every cold normalization are persisted (snapshot + WAL, integrity
@@ -92,7 +93,7 @@ type Server struct {
 	pers    *persister
 	met     *metrics
 	rec     rewrite.StatsRecorder
-	pool    *pool
+	slots   *slots
 	conf    *conformState
 	mux     *http.ServeMux
 
@@ -173,7 +174,7 @@ func NewWithSources(cfg Config, sources []string) (*Server, error) {
 			s.certifiedBase++
 		}
 	}
-	s.pool = newPool(cfg.Workers, &s.rec)
+	s.slots = newSlots(cfg.Workers)
 	s.conf = newConformState()
 	s.mux = http.NewServeMux()
 	s.mux.Handle("POST /v1/normalize", s.instrument("normalize", s.handleNormalize))
@@ -192,15 +193,22 @@ func NewWithSources(cfg Config, sources []string) (*Server, error) {
 }
 
 // loadPersisted restores the durable state: re-registers every uploaded
-// spec source, then replays the snapshot+WAL into the normal-form
-// cache. Failures never abort boot — a corrupt store means a cold
-// start, counted in adt_persist_errors_total — because the persisted
-// cache is an accelerator, not a source of truth.
+// spec source whose content address still matches its file name, then
+// replays the snapshot+WAL into the normal-form cache. Failures never
+// abort boot — a corrupt store means a cold start, counted in
+// adt_persist_errors_total — because the persisted cache is an
+// accelerator, not a source of truth.
 func (s *Server) loadPersisted() {
-	srcs, errs := loadSpecSources(s.cfg.PersistDir)
+	specs, errs := loadSpecSources(s.cfg.PersistDir)
 	s.pers.persistErrs.Add(int64(len(errs)))
-	for _, src := range srcs {
-		if _, _, err := s.reg.Register(src); err != nil {
+	for _, ps := range specs {
+		// An edited file would otherwise register as a version nobody
+		// uploaded, while the real one silently went missing.
+		if id, err := s.reg.ID(ps.source); err != nil || id != ps.id {
+			s.pers.persistErrs.Add(1)
+			continue
+		}
+		if _, _, err := s.reg.Register(ps.source); err != nil {
 			s.pers.persistErrs.Add(1)
 		}
 	}
@@ -245,7 +253,7 @@ func (s *Server) loadPersisted() {
 
 // warmFromCorpus normalizes the golden-conformance battery into the
 // cache at boot. Entries are computed on plain forks (real step counts,
-// no pool, no stats recorder — request metrics stay exact) and fed to
+// no slot, no stats recorder — request metrics stay exact) and fed to
 // the persister like any cold result, so the warmth is durable too.
 func (s *Server) warmFromCorpus() {
 	base := s.reg.Base()
@@ -305,10 +313,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // router reads version ids through it).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// Close drains the worker pool — queued and running normalizations
-// finish (or hit their fuel/stop bounds) — then stops the snapshotter
-// and writes a final snapshot. Call it after http.Server.Shutdown has
-// stopped new requests. Close is idempotent.
+// Close stops admitting normalizations and drains the admitted ones —
+// waiting and running requests finish (or hit their fuel and deadline
+// bounds) and write their results to the cache and the WAL — then
+// stops the snapshotter and writes a final snapshot. Call it after
+// http.Server.Shutdown has stopped new requests. Close is idempotent.
 func (s *Server) Close() {
 	s.closeMu.Lock()
 	if s.closed {
@@ -317,7 +326,7 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	s.closeMu.Unlock()
-	s.pool.close()
+	s.slots.close()
 	if s.pers != nil {
 		close(s.snapStop)
 		s.snapWG.Wait()
