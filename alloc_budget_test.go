@@ -44,9 +44,9 @@ func TestE1AllocBudget(t *testing.T) {
 		runQueueSpec(b, rewrite.New(sp), ops, items)
 	})
 	if got := res.AllocsPerOp(); got > int64(budget) {
-		t.Errorf("e1_queue_spec_ops64 allocates %d allocs/op, budget is %d (testdata/e1_alloc_budget)",
+		t.Errorf("E1 spec/ops=64 allocates %d allocs/op, budget is %d (testdata/e1_alloc_budget)",
 			got, budget)
 	} else {
-		t.Logf("e1_queue_spec_ops64: %d allocs/op within budget %d", got, budget)
+		t.Logf("E1 spec/ops=64: %d allocs/op within budget %d", got, budget)
 	}
 }

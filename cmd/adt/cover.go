@@ -21,6 +21,9 @@ func cmdCover(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkDepth("cover", *depth); err != nil {
+		return err
+	}
 	env, err := loadEnv(*lib, fs.Args())
 	if err != nil {
 		return err

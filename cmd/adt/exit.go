@@ -41,6 +41,16 @@ func exitf(code int, format string, a ...any) error {
 	return &exitError{code: code, err: fmt.Errorf(format, a...)}
 }
 
+// checkDepth rejects a ground-term depth below 1 as a usage error: such
+// a depth enumerates no terms, so a checker would report success with
+// nothing checked.
+func checkDepth(cmd string, depth int) error {
+	if depth < 1 {
+		return exitf(exitUsage, "%s: -depth must be >= 1 (got %d)", cmd, depth)
+	}
+	return nil
+}
+
 // exitCode maps an error from a subcommand to the process exit code.
 func exitCode(err error) int {
 	if err == nil {

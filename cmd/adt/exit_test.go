@@ -51,7 +51,8 @@ end
 
 // TestExitCodes pins the documented exit-code contract (cmd/adt/exit.go):
 // 0 success, 1 infrastructure, 2 usage, 3 oracle failure, 4 mutation
-// survivor — across adt test, adt conform and adt gen-driver.
+// survivor — across adt test, adt conform and adt gen-driver, plus the
+// checkers' -depth bound.
 func TestExitCodes(t *testing.T) {
 	incons := writeSpec(t, "incons.spec", inconsistentSpec)
 	shade := writeSpec(t, "shade.spec", shadedSpec)
@@ -118,6 +119,30 @@ func TestExitCodes(t *testing.T) {
 			name:     "gen-driver selftest ok",
 			args:     []string{"gen-driver", "-spec", "Queue", "-selftest"},
 			wantCode: exitOK,
+		},
+		{
+			name:     "check -depth below 1 is usage",
+			args:     []string{"check", "-lib", "-depth", "-1"},
+			wantCode: exitUsage,
+			errHas:   "-depth must be >= 1",
+		},
+		{
+			name:     "verify -depth below 1 is usage",
+			args:     []string{"verify", "-rep", "stack", "-depth", "-1"},
+			wantCode: exitUsage,
+			errHas:   "-depth must be >= 1",
+		},
+		{
+			name:     "test -depth below 1 is usage",
+			args:     []string{"test", "-spec", "Queue", "-depth", "0"},
+			wantCode: exitUsage,
+			errHas:   "-depth must be >= 1",
+		},
+		{
+			name:     "cover -depth below 1 is usage",
+			args:     []string{"cover", "-lib", "-depth", "-1"},
+			wantCode: exitUsage,
+			errHas:   "-depth must be >= 1",
 		},
 	}
 	for _, tc := range cases {

@@ -250,6 +250,9 @@ func cmdCheck(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := checkDepth("check", *depth); err != nil {
+		return err
+	}
 	env, err := loadEnv(*lib, files)
 	if err != nil {
 		return err
@@ -400,6 +403,9 @@ func cmdVerify(args []string, out io.Writer) error {
 	}
 	if len(pos) > 0 {
 		return fmt.Errorf("verify takes no positional arguments (got %q)", pos[0])
+	}
+	if err := checkDepth("verify", *depth); err != nil {
+		return err
 	}
 
 	env := speclib.BaseEnv()

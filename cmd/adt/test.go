@@ -57,6 +57,9 @@ func cmdTest(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := checkDepth("test", *depth); err != nil {
+		return err
+	}
 
 	engineOpts, err := engineOptions(*engine)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"algspec/internal/adt/boundedqueue"
@@ -27,7 +28,6 @@ import (
 	"algspec/internal/reps"
 	"algspec/internal/sig"
 	"algspec/internal/speclib"
-	"strings"
 )
 
 func main() {
@@ -57,30 +57,23 @@ func run(args []string, out io.Writer) int {
 	fs.SetOutput(out)
 	depth := fs.Int("depth", 4, "ground-term depth for the bounded checks")
 	verbose := fs.Bool("v", false, "print details for passing rows too")
-	benchOut := fs.String("bench-out", "", "run the rewrite-engine benchmarks and write JSON rows to FILE, then exit")
-	serveBenchOut := fs.String("serve-bench-out", "", "run the adt-serve cold/warm benchmarks and write JSON rows to FILE, then exit")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// A depth below 1 enumerates no ground terms, so the bounded rows
+	// would report ok with nothing verified.
+	if *depth < 1 {
+		fmt.Fprintf(out, "paper: -depth must be >= 1 (got %d)\n", *depth)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(out, "paper: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
 
 	r := &report{out: out, verbose: *verbose}
 	env := speclib.BaseEnv()
 	start := time.Now()
-
-	if *benchOut != "" {
-		if err := benchExport(out, *benchOut, env); err != nil {
-			fmt.Fprintf(out, "bench export: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *serveBenchOut != "" {
-		if err := serveBenchExport(out, *serveBenchOut); err != nil {
-			fmt.Fprintf(out, "serve bench export: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 
 	fmt.Fprintln(out, "Reproduction report — Guttag, “Abstract Data Types and the")
 	fmt.Fprintln(out, "Development of Data Structures”, CACM 20(6), 1977")
@@ -169,8 +162,8 @@ func e3(r *report, env *core.Env) {
 	mut := core.NewEnv()
 	mut.MustLoad(speclib.Bool)
 	src := ""
-	for _, line := range splitLines(speclib.Queue) {
-		if !contains(line, "[5]") {
+	for _, line := range strings.Split(speclib.Queue, "\n") {
+		if !strings.Contains(line, "[5]") {
 			src += line + "\n"
 		}
 	}
@@ -201,7 +194,7 @@ func e4(r *report, env *core.Env) {
 
 	mut := core.NewEnv()
 	mut.MustLoad(speclib.Bool)
-	src := replace(speclib.Queue, "end\n", "    [bad] isEmpty?(add(q, i)) = true\nend\n")
+	src := strings.Replace(speclib.Queue, "end\n", "    [bad] isEmpty?(add(q, i)) = true\nend\n", 1)
 	sps, err := mut.Load(src)
 	ok := err == nil && !consist.Check(sps[0]).OK()
 	r.row("E4b", "an injected contradictory axiom is caught via critical pairs", ok, "")
@@ -303,12 +296,6 @@ func e9(r *report, env *core.Env) {
 	r.row("E9", "the axioms serve as rules of inference: reverse∘reverse = id proved by induction (§5)",
 		ok, "lemma + theorem, generator induction with lemma chaining")
 }
-
-func splitLines(s string) []string { return strings.Split(s, "\n") }
-
-func contains(s, sub string) bool { return strings.Contains(s, sub) }
-
-func replace(s, old, new string) string { return strings.Replace(s, old, new, 1) }
 
 func keys(m map[string]bool) []string {
 	var out []string

@@ -38,9 +38,21 @@ func TestVerboseDetails(t *testing.T) {
 	}
 }
 
+// TestBadFlag: every usage error exits 2 before any experiment runs,
+// including a depth that would verify nothing and a stray argument.
 func TestBadFlag(t *testing.T) {
-	var out strings.Builder
-	if code := run([]string{"-nope"}, &out); code != 2 {
-		t.Errorf("exit = %d", code)
+	for _, args := range [][]string{
+		{"-nope"},
+		{"-depth", "-1"},
+		{"-depth", "0"},
+		{"foo"},
+		{"-bench-out", "x"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var out strings.Builder
+			if code := run(args, &out); code != 2 {
+				t.Errorf("exit = %d, want 2\n%s", code, out.String())
+			}
+		})
 	}
 }

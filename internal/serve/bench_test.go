@@ -61,8 +61,8 @@ func benchNormalize(b *testing.B, cacheSize int, prime bool) {
 }
 
 // BenchmarkServeNormalizeCold measures the full request path with the
-// normal-form cache disabled: JSON decode, parse, canon, pool round
-// trip, full normalization, JSON encode.
+// normal-form cache disabled: JSON decode, parse, canon, slot
+// admission, full normalization, JSON encode.
 func BenchmarkServeNormalizeCold(b *testing.B) {
 	benchNormalize(b, -1, false)
 }
@@ -71,4 +71,30 @@ func BenchmarkServeNormalizeCold(b *testing.B) {
 // the shared cache (one priming request, then all hits).
 func BenchmarkServeNormalizeWarm(b *testing.B) {
 	benchNormalize(b, serve.DefaultCacheSize, true)
+}
+
+// serveWarmFactor is the server's headline claim: a cache hit on the
+// E1 term must answer at least this many times faster than a cold
+// normalization of it.
+const serveWarmFactor = 5
+
+// TestServeWarmBeatsCold is the timing-ratio gate over the two
+// benchmarks above. A ratio, not an absolute time, so it holds on any
+// machine that is not starved mid-run.
+func TestServeWarmBeatsCold(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation distorts the cold/warm ratio")
+	}
+	if testing.Short() {
+		t.Skip("benchmark-backed gate skipped in -short mode")
+	}
+	cold := testing.Benchmark(BenchmarkServeNormalizeCold)
+	warm := testing.Benchmark(BenchmarkServeNormalizeWarm)
+	coldNs := float64(cold.T.Nanoseconds()) / float64(cold.N)
+	warmNs := float64(warm.T.Nanoseconds()) / float64(warm.N)
+	ratio := coldNs / warmNs
+	t.Logf("cold %.0f ns/op, warm %.0f ns/op: %.1fx", coldNs, warmNs, ratio)
+	if ratio < serveWarmFactor {
+		t.Errorf("warm cache is only %.1fx faster than cold, want >= %dx", ratio, serveWarmFactor)
+	}
 }

@@ -3,5 +3,6 @@
 package serve_test
 
 // raceEnabled reports whether the race detector is compiled in; the
-// allocation gate skips under it because instrumentation shifts counts.
+// allocation and warm/cold gates skip under it because instrumentation
+// shifts allocation counts and timing ratios.
 const raceEnabled = true
