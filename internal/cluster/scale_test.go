@@ -20,8 +20,9 @@ import (
 // interleaved rounds.
 const clusterScaleFactor = 2
 
-// Cluster benchmark shape: the working set is clusterTerms heavy E1
-// queue terms (~0.5ms cold, ~50µs warm each on a 2-vCPU VM), each
+// Cluster benchmark shape: the working set is clusterTerms heavy queue
+// terms of the E1 ops-64 shape (internal/serve's
+// BenchmarkServeNormalize{Cold,Warm} time one cold and warm), each
 // replica's cache holds clusterCache entries, and clusterServerWorkers
 // normalization workers are split across the replicas so total compute
 // is constant — the only thing 3 replicas add over 1 is partitioned

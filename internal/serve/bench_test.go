@@ -90,6 +90,12 @@ func TestServeWarmBeatsCold(t *testing.T) {
 	}
 	cold := testing.Benchmark(BenchmarkServeNormalizeCold)
 	warm := testing.Benchmark(BenchmarkServeNormalizeWarm)
+	// testing.Benchmark discards a failed benchmark's output and returns
+	// a zero result, whose 0/0 ns/op would make the comparison below
+	// false and the gate pass.
+	if cold.N == 0 || warm.N == 0 {
+		t.Fatalf("a serve benchmark failed (cold N=%d, warm N=%d); run go test -run NONE -bench ServeNormalize ./internal/serve to see why", cold.N, warm.N)
+	}
 	coldNs := float64(cold.T.Nanoseconds()) / float64(cold.N)
 	warmNs := float64(warm.T.Nanoseconds()) / float64(warm.N)
 	ratio := coldNs / warmNs
