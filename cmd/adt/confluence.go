@@ -35,8 +35,8 @@ func cmdConfluence(args []string, out io.Writer) error {
 	}
 	names := env.Names()
 	if *specName != "" {
-		if _, ok := env.Get(*specName); !ok {
-			return exitf(exitUsage, "unknown specification %q", *specName)
+		if _, err := lookupSpec(env, *specName); err != nil {
+			return err
 		}
 		names = []string{*specName}
 	}

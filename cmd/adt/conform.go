@@ -44,9 +44,9 @@ func cmdConform(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sp, ok := env.Get(*specName)
-	if !ok {
-		return exitf(exitUsage, "unknown specification %q", *specName)
+	sp, err := lookupSpec(env, *specName)
+	if err != nil {
+		return err
 	}
 
 	var sorts []string

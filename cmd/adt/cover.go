@@ -18,7 +18,7 @@ func cmdCover(args []string, out io.Writer) error {
 	specName := fs.String("spec", "", "restrict to one specification (default: all loaded)")
 	depth := fs.Int("depth", 4, "ground-term depth of the generated workload")
 	maxPerOp := fs.Int("max", 4000, "instance cap per operation")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if err := checkDepth("cover", *depth); err != nil {
@@ -30,8 +30,8 @@ func cmdCover(args []string, out io.Writer) error {
 	}
 	names := env.Names()
 	if *specName != "" {
-		if _, ok := env.Get(*specName); !ok {
-			return fmt.Errorf("unknown specification %s", *specName)
+		if _, err := lookupSpec(env, *specName); err != nil {
+			return err
 		}
 		names = []string{*specName}
 	}

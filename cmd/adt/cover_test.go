@@ -50,7 +50,7 @@ end
 }
 
 func TestCoverUnknownSpec(t *testing.T) {
-	if code, _, _ := runWith(t, "cover", "-lib", "-spec", "Ghost"); code != 1 {
+	if code, _, _ := runWith(t, "cover", "-lib", "-spec", "Ghost"); code != exitUsage {
 		t.Errorf("exit = %d", code)
 	}
 }

@@ -2,7 +2,11 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"fmt"
+
+	"algspec/internal/core"
+	"algspec/internal/spec"
 )
 
 // Exit codes. Every subcommand exits 0 on success and 1 on plain
@@ -41,6 +45,27 @@ func exitf(code int, format string, a ...any) error {
 	return &exitError{code: code, err: fmt.Errorf(format, a...)}
 }
 
+// parseFlags parses args into fs; every subcommand's flags go through
+// it. A flag the set rejects is a usage error. -h or -help returns
+// flag.ErrHelp, which exits 0 once the set has printed its usage.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return &exitError{code: exitUsage, err: err}
+}
+
+// lookupSpec finds the named specification; an unknown name is a usage
+// error.
+func lookupSpec(env *core.Env, name string) (*spec.Spec, error) {
+	sp, ok := env.Get(name)
+	if !ok {
+		return nil, exitf(exitUsage, "unknown specification %q", name)
+	}
+	return sp, nil
+}
+
 // checkDepth rejects a ground-term depth below 1 as a usage error: such
 // a depth enumerates no terms, so a checker would report success with
 // nothing checked.
@@ -53,7 +78,7 @@ func checkDepth(cmd string, depth int) error {
 
 // exitCode maps an error from a subcommand to the process exit code.
 func exitCode(err error) int {
-	if err == nil {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
 		return exitOK
 	}
 	var ee *exitError

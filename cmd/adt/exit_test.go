@@ -51,8 +51,9 @@ end
 
 // TestExitCodes pins the documented exit-code contract (cmd/adt/exit.go):
 // 0 success, 1 infrastructure, 2 usage, 3 oracle failure, 4 mutation
-// survivor — across adt test, adt conform and adt gen-driver, plus the
-// checkers' -depth bound.
+// survivor — across adt test, adt conform and adt gen-driver, the
+// checkers' -depth bound, and the usage errors of every subcommand's
+// flags (an unknown flag or spec, a value out of range).
 func TestExitCodes(t *testing.T) {
 	incons := writeSpec(t, "incons.spec", inconsistentSpec)
 	shade := writeSpec(t, "shade.spec", shadedSpec)
@@ -144,6 +145,101 @@ func TestExitCodes(t *testing.T) {
 			wantCode: exitUsage,
 			errHas:   "-depth must be >= 1",
 		},
+		{
+			name:     "unknown flag is usage",
+			args:     []string{"check", "-nope"},
+			wantCode: exitUsage,
+			errHas:   "flag provided but not defined: -nope",
+		},
+		{
+			name:     "-h prints usage and exits 0",
+			args:     []string{"check", "-h"},
+			wantCode: exitOK,
+		},
+		{
+			name:     "serve -workers below 0 is usage",
+			args:     []string{"serve", "-workers", "-1"},
+			wantCode: exitUsage,
+			errHas:   "-workers must be >= 0",
+		},
+		{
+			name:     "serve -fuel below 0 is usage",
+			args:     []string{"serve", "-fuel", "-1"},
+			wantCode: exitUsage,
+			errHas:   "-fuel must be >= 0",
+		},
+		{
+			name:     "eval without -spec is usage",
+			args:     []string{"eval", "-lib"},
+			wantCode: exitUsage,
+			errHas:   "requires -spec",
+		},
+		{
+			name:     "eval unknown -engine is usage",
+			args:     []string{"eval", "-spec", "Queue", "-engine", "nope", "new"},
+			wantCode: exitUsage,
+			errHas:   "unknown -engine",
+		},
+		{
+			name:     "verify unknown -rep is usage",
+			args:     []string{"verify", "-rep", "nope"},
+			wantCode: exitUsage,
+			errHas:   "unknown representation",
+		},
+		{
+			name:     "load -replicas below 0 is usage",
+			args:     []string{"load", "-replicas", "-1"},
+			wantCode: exitUsage,
+			errHas:   "-replicas must be >= 0",
+		},
+		{
+			name:     "load conform mix on a cluster is usage",
+			args:     []string{"load", "-replicas", "2", "-mix", "conform=1"},
+			wantCode: exitUsage,
+			errHas:   "requires a single server",
+		},
+		{
+			name:     "load unknown mix kind is usage",
+			args:     []string{"load", "-mix", "bogus=1"},
+			wantCode: exitUsage,
+			errHas:   "unknown mix kind",
+		},
+		{
+			name:     "load unknown fault point is usage",
+			args:     []string{"load", "-faults", "nope"},
+			wantCode: exitUsage,
+			errHas:   "unknown fault point",
+		},
+		{
+			name:     "load -rps 0 is usage",
+			args:     []string{"load", "-rps", "0"},
+			wantCode: exitUsage,
+			errHas:   "positive -rps",
+		},
+		{
+			name:     "test unknown -spec is usage",
+			args:     []string{"test", "-spec", "Ghost"},
+			wantCode: exitUsage,
+			errHas:   "unknown specification",
+		},
+		{
+			name:     "eval unknown -spec is usage",
+			args:     []string{"eval", "-spec", "Ghost", "x"},
+			wantCode: exitUsage,
+			errHas:   "unknown specification",
+		},
+		{
+			name:     "trace unknown -spec is usage",
+			args:     []string{"trace", "-spec", "Ghost", "x"},
+			wantCode: exitUsage,
+			errHas:   "unknown specification",
+		},
+		{
+			name:     "cover unknown -spec is usage",
+			args:     []string{"cover", "-lib", "-spec", "Ghost"},
+			wantCode: exitUsage,
+			errHas:   "unknown specification",
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -155,6 +251,9 @@ func TestExitCodes(t *testing.T) {
 			}
 			if tc.errHas != "" && !strings.Contains(errOut, tc.errHas) {
 				t.Errorf("stderr %q does not contain %q", errOut, tc.errHas)
+			}
+			if tc.wantCode == exitOK && errOut != "" {
+				t.Errorf("exit 0 with stderr %q", errOut)
 			}
 		})
 	}

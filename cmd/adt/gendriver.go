@@ -42,9 +42,9 @@ func cmdGenDriver(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sp, ok := env.Get(*specName)
-	if !ok {
-		return exitf(exitUsage, "unknown specification %q", *specName)
+	sp, err := lookupSpec(env, *specName)
+	if err != nil {
+		return err
 	}
 	cfg := driverkit.Config{Pkg: *pkg, N: *n, Depth: *depth, Seed: *seed, ObserveSorts: parseSorts(*observe)}
 	p, err := driverkit.Build(env, sp, cfg)

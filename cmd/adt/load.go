@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"time"
@@ -37,14 +36,14 @@ func cmdLoad(args []string, out io.Writer) error {
 	replicas := fs.Int("replicas", 0, "boot a consistent-hash cluster of N replicas behind a router and load against it (0 = single server)")
 	runpackDir := fs.String("runpack", "", "emit a verifiable run artifact into this directory (forces -workers 1; single server only)")
 	stratSpec := fs.String("strategies", "", "rotate normalize requests through these evaluation strategies, e.g. innermost,outermost (single server only)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("load takes no positional arguments (got %q)", fs.Arg(0))
+		return exitf(exitUsage, "load takes no positional arguments (got %q)", fs.Arg(0))
 	}
 	if *rps <= 0 || *duration <= 0 {
-		return fmt.Errorf("load requires positive -rps and -duration")
+		return exitf(exitUsage, "load requires positive -rps and -duration")
 	}
 	strategies, err := loadgen.ParseStrategies(*stratSpec)
 	if err != nil {
@@ -81,25 +80,25 @@ func cmdLoad(args []string, out io.Writer) error {
 
 	mix, err := loadgen.ParseMix(*mixSpec)
 	if err != nil {
-		return err
+		return exitf(exitUsage, "load: %v", err)
 	}
 	slos, err := loadgen.ParseSLOs(*sloSpec)
 	if err != nil {
-		return err
+		return exitf(exitUsage, "load: %v", err)
 	}
 	plan, err := loadgen.FaultPlan(*faults)
 	if err != nil {
-		return err
+		return exitf(exitUsage, "load: %v", err)
 	}
 
 	if *replicas < 0 {
-		return fmt.Errorf("load: -replicas must be >= 0 (got %d)", *replicas)
+		return exitf(exitUsage, "load: -replicas must be >= 0 (got %d)", *replicas)
 	}
 	if *replicas > 0 && mix.Conform > 0 {
 		// The cluster router does not route /v1/conform (sessions are
 		// replica-local state a consistent-hash router cannot follow), so a
 		// conform mix against a cluster would only ever see 404s.
-		return fmt.Errorf("load: conform mix traffic requires a single server (-replicas 0); the cluster router does not route /v1/conform")
+		return exitf(exitUsage, "load: conform mix traffic requires a single server (-replicas 0); the cluster router does not route /v1/conform")
 	}
 	scfg := serve.Config{Workers: *srvWorkers, Timeout: *srvTimeout, CacheSize: *srvCache}
 
@@ -131,7 +130,8 @@ func cmdLoad(args []string, out io.Writer) error {
 
 	if len(plan) > 0 {
 		if err := faultinject.Arm(plan); err != nil {
-			return err
+			// Arm refuses only names that are not registered points.
+			return exitf(exitUsage, "load: %v", err)
 		}
 		defer faultinject.Disarm()
 		fmt.Fprintf(out, "adt load: %d fault point(s) armed\n", len(plan))
@@ -160,10 +160,10 @@ func cmdLoad(args []string, out io.Writer) error {
 		// the report is printed so the printed report and the pack's
 		// report.txt are the same bytes.
 		rep.RunpackPath = *runpackDir
-		metricsText, err := fetchMetrics(baseURL)
-		if err != nil {
-			return err
-		}
+		// The run is over and /metrics is uninstrumented: render the
+		// final page in-process, as adt serve does for its own pack.
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 		m := runpack.Manifest{
 			Kind:        runpack.KindLoad,
 			Tool:        "adt load",
@@ -184,7 +184,7 @@ func cmdLoad(args []string, out io.Writer) error {
 		if *sloSpec != "" {
 			m.SLOs = strings.Split(*sloSpec, ",")
 		}
-		if err := runpack.Write(*runpackDir, m, rep, metricsText); err != nil {
+		if err := runpack.Write(*runpackDir, m, rep, rec.Body.String()); err != nil {
 			return err
 		}
 	}
@@ -213,23 +213,4 @@ func cmdLoad(args []string, out io.Writer) error {
 		return fmt.Errorf("load run failed (see report above)")
 	}
 	return nil
-}
-
-// fetchMetrics scrapes the final /metrics snapshot for the runpack.
-// Safe after the run: /metrics is uninstrumented, so the extra scrape
-// does not skew the counters the pack records.
-func fetchMetrics(baseURL string) (string, error) {
-	resp, err := http.Get(baseURL + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
-	}
-	return string(body), nil
 }

@@ -67,7 +67,8 @@ func TestLoadAllFaults(t *testing.T) {
 	}
 }
 
-// TestLoadFlagValidation covers the argument errors.
+// TestLoadFlagValidation covers the argument errors: each is a usage
+// error (exit 2).
 func TestLoadFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"load", "-rps", "0"},
@@ -78,8 +79,8 @@ func TestLoadFlagValidation(t *testing.T) {
 		{"load", "extra-arg"},
 	}
 	for _, args := range cases {
-		if code, _, _ := runWith(t, args...); code != 1 {
-			t.Errorf("%v: exit = %d, want 1", args, code)
+		if code, _, _ := runWith(t, args...); code != exitUsage {
+			t.Errorf("%v: exit = %d, want %d", args, code, exitUsage)
 		}
 	}
 }
@@ -96,8 +97,8 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		code, _, errOut := runWith(t, c.args...)
-		if code != 1 {
-			t.Errorf("%v: exit = %d, want 1", c.args, code)
+		if code != exitUsage {
+			t.Errorf("%v: exit = %d, want %d", c.args, code, exitUsage)
 		}
 		if !strings.Contains(errOut, c.want) {
 			t.Errorf("%v: stderr = %q, want %q", c.args, errOut, c.want)

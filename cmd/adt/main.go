@@ -101,11 +101,11 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) int {
 		usage(errOut)
 		return 2
 	}
-	if err != nil {
+	code := exitCode(err)
+	if code != exitOK {
 		fmt.Fprintf(errOut, "adt: %v\n", err)
-		return exitCode(err)
 	}
-	return 0
+	return code
 }
 
 func usage(w io.Writer) {
@@ -200,7 +200,7 @@ func cmdInfo(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("info", flag.ContinueOnError)
 	fs.SetOutput(out)
 	lib := fs.Bool("lib", false, "preload the embedded specification library")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	env, err := loadEnv(*lib, fs.Args())
@@ -309,7 +309,7 @@ func cmdEval(args []string, out io.Writer, traced bool) error {
 		return err
 	}
 	if *specName == "" || len(rest) == 0 {
-		return fmt.Errorf("eval requires -spec NAME and at least one TERM argument")
+		return exitf(exitUsage, "eval requires -spec NAME and at least one TERM argument")
 	}
 	engineOpts, err := engineOptions(*engine)
 	if err != nil {
@@ -328,6 +328,9 @@ func cmdEval(args []string, out io.Writer, traced bool) error {
 	files, termSrcs := rest[:nfiles], rest[nfiles:]
 	env, err := loadEnv(*lib, files)
 	if err != nil {
+		return err
+	}
+	if _, err := lookupSpec(env, *specName); err != nil {
 		return err
 	}
 	if traced {
@@ -387,7 +390,7 @@ func engineOptions(engine string) ([]rewrite.Option, error) {
 	case "interp":
 		return []rewrite.Option{rewrite.WithoutCompiledTier()}, nil
 	default:
-		return nil, fmt.Errorf("unknown -engine %q (want compiled or interp)", engine)
+		return nil, exitf(exitUsage, "unknown -engine %q (want compiled or interp)", engine)
 	}
 }
 
@@ -402,7 +405,7 @@ func cmdVerify(args []string, out io.Writer) error {
 		return err
 	}
 	if len(pos) > 0 {
-		return fmt.Errorf("verify takes no positional arguments (got %q)", pos[0])
+		return exitf(exitUsage, "verify takes no positional arguments (got %q)", pos[0])
 	}
 	if err := checkDepth("verify", *depth); err != nil {
 		return err
@@ -416,7 +419,7 @@ func cmdVerify(args []string, out io.Writer) error {
 	case "list":
 		v, err = reps.SymtabAsList(env)
 	default:
-		return fmt.Errorf("unknown representation %q", *repName)
+		return exitf(exitUsage, "unknown representation %q (want stack or list)", *repName)
 	}
 	if err != nil {
 		return err

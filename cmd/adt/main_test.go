@@ -97,11 +97,11 @@ end
 
 func TestEvalErrors(t *testing.T) {
 	// Missing -spec.
-	if code, _, _ := runWith(t, "eval", "front(new)"); code != 1 {
+	if code, _, _ := runWith(t, "eval", "front(new)"); code != exitUsage {
 		t.Errorf("missing -spec: exit = %d", code)
 	}
 	// Unknown spec.
-	if code, _, errOut := runWith(t, "eval", "-spec", "Ghost", "x"); code != 1 ||
+	if code, _, errOut := runWith(t, "eval", "-spec", "Ghost", "x"); code != exitUsage ||
 		!strings.Contains(errOut, "unknown specification") {
 		t.Errorf("unknown spec: exit = %d, stderr = %q", code, errOut)
 	}
@@ -195,7 +195,7 @@ func TestVerify(t *testing.T) {
 		t.Errorf("exit = %d, stderr = %q", code, errOut)
 	}
 	// Unknown representation.
-	if code, _, _ := runWith(t, "verify", "-rep", "wat"); code != 1 {
+	if code, _, _ := runWith(t, "verify", "-rep", "wat"); code != exitUsage {
 		t.Errorf("unknown rep: exit = %d", code)
 	}
 }

@@ -30,19 +30,19 @@ func cmdProve(args []string, out io.Writer) error {
 	varsFlag := fs.String("vars", "", "variable declarations, e.g. \"l:List, e:Elem\"")
 	var lemmas multiFlag
 	fs.Var(&lemmas, "lemma", "lemma to prove first, as \"on VAR : LHS = RHS\" (repeatable)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *specName == "" || fs.NArg() != 1 {
-		return fmt.Errorf("prove requires -spec NAME and one \"on VAR : LHS = RHS\" goal")
+		return exitf(exitUsage, "prove requires -spec NAME and one \"on VAR : LHS = RHS\" goal")
 	}
 	env, err := loadEnv(*lib, nil)
 	if err != nil {
 		return err
 	}
-	sp, ok := env.Get(*specName)
-	if !ok {
-		return fmt.Errorf("unknown specification %s", *specName)
+	sp, err := lookupSpec(env, *specName)
+	if err != nil {
+		return err
 	}
 	vars, err := parseVarDecls(*varsFlag)
 	if err != nil {

@@ -19,11 +19,11 @@ func cmdFmt(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fmt", flag.ContinueOnError)
 	fs.SetOutput(out)
 	write := fs.Bool("w", false, "rewrite files in place instead of printing")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("fmt requires at least one file")
+		return exitf(exitUsage, "fmt requires at least one file")
 	}
 	for _, path := range fs.Args() {
 		src, err := os.ReadFile(path)
@@ -60,15 +60,15 @@ func cmdRepl(args []string, stdin io.Reader, out io.Writer) error {
 	fs.SetOutput(out)
 	lib := fs.Bool("lib", true, "preload the embedded specification library")
 	specName := fs.String("spec", "Queue", "initially active specification")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	env, err := loadEnv(*lib, fs.Args())
 	if err != nil {
 		return err
 	}
-	if _, ok := env.Get(*specName); !ok {
-		return fmt.Errorf("unknown specification %s", *specName)
+	if _, err := lookupSpec(env, *specName); err != nil {
+		return err
 	}
 
 	active := *specName

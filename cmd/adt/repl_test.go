@@ -70,7 +70,7 @@ func TestReplEOF(t *testing.T) {
 }
 
 func TestReplUnknownInitialSpec(t *testing.T) {
-	if code, _, errOut := runWithInput(t, "", "repl", "-spec", "Ghost"); code != 1 ||
+	if code, _, errOut := runWithInput(t, "", "repl", "-spec", "Ghost"); code != exitUsage ||
 		!strings.Contains(errOut, "unknown specification") {
 		t.Errorf("exit = %d, stderr = %q", code, errOut)
 	}
@@ -124,7 +124,7 @@ func TestFmtWrite(t *testing.T) {
 }
 
 func TestFmtErrors(t *testing.T) {
-	if code, _, _ := runWith(t, "fmt"); code != 1 {
+	if code, _, _ := runWith(t, "fmt"); code != exitUsage {
 		t.Errorf("no files: exit = %d", code)
 	}
 	dir := t.TempDir()

@@ -20,7 +20,7 @@ import (
 func cmdVerifyRun(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("verify-run", flag.ContinueOnError)
 	fs.SetOutput(out)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
@@ -58,7 +58,7 @@ func cmdVerifyRun(args []string, out io.Writer) error {
 func cmdRegress(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("regress", flag.ContinueOnError)
 	fs.SetOutput(out)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {

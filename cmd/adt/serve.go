@@ -47,10 +47,10 @@ func cmdServe(args []string, out io.Writer) error {
 	// serve.New; a flag that *looks* like a constraint must not be one
 	// the server ignores.
 	if *workers < 0 {
-		return fmt.Errorf("serve: -workers must be >= 0 (got %d)", *workers)
+		return exitf(exitUsage, "serve: -workers must be >= 0 (got %d)", *workers)
 	}
 	if *fuel < 0 {
-		return fmt.Errorf("serve: -fuel must be >= 0 (got %d)", *fuel)
+		return exitf(exitUsage, "serve: -fuel must be >= 0 (got %d)", *fuel)
 	}
 	extras := make([]string, len(files))
 	for i, f := range files {

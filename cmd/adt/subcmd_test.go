@@ -68,7 +68,7 @@ func TestSubcommandTable(t *testing.T) {
 		{
 			name:     "trace missing spec flag",
 			args:     []string{"trace", "succ(zero)"},
-			wantCode: 1,
+			wantCode: exitUsage,
 			errHas:   "requires -spec",
 		},
 		{
@@ -95,7 +95,7 @@ func TestSubcommandTable(t *testing.T) {
 		{
 			name:     "cover unknown spec",
 			args:     []string{"cover", "-lib", "-spec", "Ghost"},
-			wantCode: 1,
+			wantCode: exitUsage,
 			errHas:   "unknown specification",
 		},
 		{

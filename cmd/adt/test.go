@@ -20,7 +20,7 @@ import (
 func parseInterleaved(fs *flag.FlagSet, args []string) ([]string, error) {
 	var pos []string
 	for {
-		if err := fs.Parse(args); err != nil {
+		if err := parseFlags(fs, args); err != nil {
 			return nil, err
 		}
 		args = fs.Args()
@@ -83,6 +83,9 @@ func cmdTest(args []string, out io.Writer) error {
 	var names []string
 	switch {
 	case *specName != "":
+		if _, err := lookupSpec(env, *specName); err != nil {
+			return err
+		}
 		names = []string{*specName}
 	case len(files) > 0:
 		for _, name := range env.Names() {
@@ -109,10 +112,7 @@ func cmdTest(args []string, out io.Writer) error {
 
 	oracleBad, survivorBad := 0, 0
 	for _, name := range names {
-		sp, ok := env.Get(name)
-		if !ok {
-			return fmt.Errorf("unknown specification %q", name)
-		}
+		sp := env.MustGet(name)
 		sys, err := env.System(name)
 		if err != nil {
 			return err

@@ -128,7 +128,7 @@ func TestTestSubcommandDefaultsToWholeLibrary(t *testing.T) {
 
 // TestTestSubcommandErrors covers the unknown-spec and missing-file paths.
 func TestTestSubcommandErrors(t *testing.T) {
-	if code, _, errOut := runWith(t, "test", "-spec", "Ghost"); code != 1 ||
+	if code, _, errOut := runWith(t, "test", "-spec", "Ghost"); code != exitUsage ||
 		!strings.Contains(errOut, "Ghost") {
 		t.Errorf("unknown spec: exit = %d, stderr = %q", code, errOut)
 	}

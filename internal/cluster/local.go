@@ -2,12 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strconv"
 
+	"algspec/internal/metrics"
 	"algspec/internal/serve"
 )
 
@@ -74,12 +73,6 @@ func (l *Local) Close() {
 	}
 }
 
-var (
-	replicaRequestsRe = regexp.MustCompile(`(?m)^adt_requests_total\{endpoint="[a-z]+",code="\d+"\} (\d+)$`)
-	forwardedRe       = regexp.MustCompile(`(?m)^adt_router_forwarded_total\{shard="(\d+)"\} (\d+)$`)
-	forwardErrsRe     = regexp.MustCompile(`(?m)^adt_router_forward_errors_total\{shard="(\d+)"\} (\d+)$`)
-)
-
 // ShardStat is one replica's side of the reconciliation, with its cache
 // counters for the load report.
 type ShardStat struct {
@@ -98,57 +91,36 @@ type ShardStat struct {
 // reconciliation, run against the router URL.) Transport errors void
 // the guarantee and are reported as discrepancies.
 func (l *Local) Reconcile() (stats []ShardStat, problems []string, err error) {
-	routerPage, err := scrape(l.RouterSrv.URL + "/metrics")
+	routerPage, err := metrics.Scrape(http.DefaultClient, l.RouterSrv.URL+"/metrics")
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: scraping router metrics: %w", err)
 	}
-	forwarded := map[int]int64{}
-	for _, m := range forwardedRe.FindAllStringSubmatch(routerPage, -1) {
-		shard, _ := strconv.Atoi(m[1])
-		forwarded[shard], _ = strconv.ParseInt(m[2], 10, 64)
+	forwarded := map[string]int64{}
+	for _, s := range routerPage.Samples("adt_router_forwarded_total") {
+		forwarded[s.Labels["shard"]] = int64(s.Value)
 	}
-	for _, m := range forwardErrsRe.FindAllStringSubmatch(routerPage, -1) {
-		if n, _ := strconv.ParseInt(m[2], 10, 64); n != 0 {
+	for _, s := range routerPage.Samples("adt_router_forward_errors_total") {
+		if s.Value != 0 {
 			problems = append(problems,
-				fmt.Sprintf("shard %s: %d transport error(s) — replica-side accounting unverifiable", m[1], n))
+				fmt.Sprintf("shard %s: %d transport error(s) — replica-side accounting unverifiable", s.Labels["shard"], int64(s.Value)))
 		}
 	}
 	for i, ts := range l.ReplicaSrvs {
-		page, err := scrape(ts.URL + "/metrics")
+		page, err := metrics.Scrape(http.DefaultClient, ts.URL+"/metrics")
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: scraping replica %d metrics: %w", i, err)
 		}
-		var served int64
-		for _, m := range replicaRequestsRe.FindAllStringSubmatch(page, -1) {
-			n, _ := strconv.ParseInt(m[1], 10, 64)
-			served += n
+		hits, _ := page.Value("adt_cache_hits_total", nil)
+		misses, _ := page.Value("adt_cache_misses_total", nil)
+		st := ShardStat{Shard: i, Forwarded: forwarded[strconv.Itoa(i)], CacheHits: int64(hits), CacheMisses: int64(misses)}
+		for _, s := range page.Samples("adt_requests_total") {
+			st.Served += int64(s.Value)
 		}
-		st := ShardStat{Shard: i, Forwarded: forwarded[i], Served: served}
-		st.CacheHits, st.CacheMisses = scrapeCounter(page, "adt_cache_hits_total"), scrapeCounter(page, "adt_cache_misses_total")
 		stats = append(stats, st)
-		if served != forwarded[i] {
+		if st.Served != st.Forwarded {
 			problems = append(problems,
-				fmt.Sprintf("shard %d: router forwarded %d request(s), replica counted %d", i, forwarded[i], served))
+				fmt.Sprintf("shard %d: router forwarded %d request(s), replica counted %d", i, st.Forwarded, st.Served))
 		}
 	}
 	return stats, problems, nil
-}
-
-func scrape(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
-}
-
-func scrapeCounter(page, name string) int64 {
-	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\d+)$`)
-	if m := re.FindStringSubmatch(page); m != nil {
-		n, _ := strconv.ParseInt(m[1], 10, 64)
-		return n
-	}
-	return 0
 }

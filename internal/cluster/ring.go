@@ -1,6 +1,6 @@
 // Package cluster is the scale-out tier over adt serve (DESIGN §13): a
 // thin HTTP router that consistent-hashes every normalize request's
-// (version, interned term) shard key onto N replica shards, so each
+// (version, parsed term) shard key onto N replica shards, so each
 // normal form lives on exactly one replica's cache and aggregate cache
 // capacity grows linearly with the replica count — no duplicated cache
 // memory. The router health-checks its replicas, retries a bounded

@@ -63,3 +63,26 @@ func TestRingBalance(t *testing.T) {
 		}
 	}
 }
+
+// TestShardKeyInternsNothing: deriving shard keys for fresh terms leaves
+// the router's interners as they were — the key hashes the parsed term,
+// so a router that routes unboundedly many fresh terms does not grow
+// with them.
+func TestShardKeyInternsNothing(t *testing.T) {
+	rt, err := NewRouter(Config{ReplicaURLs: []string{"http://127.0.0.1:1"}, HealthEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	sys, err := rt.reg.Base().Env.System("Queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sys.Interner().Size()
+	for i := 0; i < 500; i++ {
+		rt.shardKey("", "Queue", fmt.Sprintf("front(add(add(new, 'a%d), 'b%d))", i, i))
+	}
+	if after := sys.Interner().Size(); after != before {
+		t.Errorf("routing 500 fresh Queue terms grew the router's Queue interner from %d to %d nodes", before, after)
+	}
+}

@@ -7,12 +7,13 @@ import (
 	"io"
 	"mime"
 	"net/http"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"algspec/internal/metrics"
 	"algspec/internal/registry"
 	"algspec/internal/serve"
 	"algspec/internal/speclib"
@@ -35,10 +36,13 @@ type Config struct {
 //
 // The router holds its own copy of the spec registry — not to evaluate
 // terms, but to derive shard keys: a normalize request's term is parsed
-// and interned here so its stable structural hash (term.StableHash)
-// keys the ring, meaning every spelling of a term routes to the replica
-// whose cache holds its normal form. Uploads are registered locally and
-// broadcast to every replica, which keeps all registries in lockstep.
+// here and its stable structural hash (term.StableHash) keys the ring,
+// meaning every spelling of a term routes to the replica whose cache
+// holds its normal form. The parsed term is never interned: its hash
+// equals that of its canonical node in any interner, and interning
+// would grow the router's interners with every fresh term it routes.
+// Uploads are registered locally and broadcast to every replica, which
+// keeps all registries in lockstep.
 type Router struct {
 	cfg      Config
 	reg      *registry.Registry
@@ -53,17 +57,11 @@ type Router struct {
 
 	rr atomic.Uint64 // round-robin cursor for unsharded endpoints
 
-	metMu    sync.Mutex
-	requests map[epCode]int64 // client-facing, by (endpoint, code)
-	retries  atomic.Int64
+	book    metrics.Requests // client-facing, by (endpoint, code)
+	retries atomic.Int64
 
 	healthStop chan struct{}
 	healthWG   sync.WaitGroup
-}
-
-type epCode struct {
-	endpoint string
-	code     int
 }
 
 type replica struct {
@@ -71,6 +69,37 @@ type replica struct {
 	healthy   atomic.Bool
 	forwarded atomic.Int64 // proxied requests answered by this replica
 	fwdErrors atomic.Int64 // transport failures talking to this replica
+}
+
+// declareMetrics declares the router's books. adt_requests_total
+// carries the same name and labels as a replica's own counter — the
+// router is the serving surface, and the load harness reconciles
+// against it unchanged. The adt_router_forwarded_total{shard} counters
+// are the second level: each must equal that replica's own total
+// request count.
+func (rt *Router) declareMetrics() *metrics.Registry {
+	perShard := func(val func(*replica) int64) func(metrics.Emit) {
+		return func(emit metrics.Emit) {
+			for i, rep := range rt.replicas {
+				emit(val(rep), "shard", strconv.Itoa(i))
+			}
+		}
+	}
+	r := &metrics.Registry{}
+	r.RequestCounts("adt_requests_total", "Requests served by the router, by endpoint and HTTP status code.", &rt.book)
+	r.Vec("adt_router_forwarded_total", "Requests a replica answered, by shard; reconciles exactly against that replica's adt_requests_total.",
+		metrics.Counter, perShard(func(rep *replica) int64 { return rep.forwarded.Load() }))
+	r.Vec("adt_router_forward_errors_total", "Transport failures talking to a shard (a nonzero value voids exact reconciliation).",
+		metrics.Counter, perShard(func(rep *replica) int64 { return rep.fwdErrors.Load() }))
+	r.Counter("adt_router_retries_total", "Forwarding attempts beyond the first, across all requests.", rt.retries.Load)
+	r.Vec("adt_router_replica_healthy", "Last known health of each shard (1 = serving).",
+		metrics.Gauge, perShard(func(rep *replica) int64 {
+			if rep.healthy.Load() {
+				return 1
+			}
+			return 0
+		}))
+	return r
 }
 
 // shardKeyCacheCap bounds the router's (term text -> shard key) cache.
@@ -111,9 +140,8 @@ func NewRouter(cfg Config, extraSources ...string) (*Router, error) {
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
-		keys:     make(map[string]uint64),
-		keysCap:  shardKeyCacheCap,
-		requests: make(map[epCode]int64),
+		keys:    make(map[string]uint64),
+		keysCap: shardKeyCacheCap,
 	}
 	for _, u := range cfg.ReplicaURLs {
 		rep := &replica{url: strings.TrimRight(u, "/")}
@@ -125,7 +153,7 @@ func NewRouter(cfg Config, extraSources ...string) (*Router, error) {
 	rt.mux.HandleFunc("POST /v1/specs", rt.handleUpload)
 	rt.mux.HandleFunc("POST /v1/check", rt.handleAny("check"))
 	rt.mux.HandleFunc("GET /v1/specs", rt.handleAny("specs"))
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	rt.mux.Handle("GET /metrics", rt.declareMetrics())
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	if cfg.HealthEvery > 0 {
 		rt.healthStop = make(chan struct{})
@@ -174,10 +202,10 @@ func (rt *Router) healthLoop() {
 
 // shardKey derives the consistent-hash key for one normalize request:
 // the FNV of the resolved version id and spec name, folded with the
-// term's stable structural hash after parsing and interning. Requests
-// the router cannot parse (unknown version, syntax error) fall back to
-// hashing the raw text — still deterministic, and the replica will
-// produce the authoritative error.
+// parsed term's stable structural hash. Requests the router cannot
+// parse (unknown version, syntax error) fall back to hashing the raw
+// text — still deterministic, and the replica will produce the
+// authoritative error.
 func (rt *Router) shardKey(version, spec, termText string) uint64 {
 	cacheKey := version + "\x00" + spec + "\x00" + termText
 	rt.keyMu.RLock()
@@ -204,15 +232,11 @@ func (rt *Router) computeShardKey(version, spec, termText string) uint64 {
 		return fnv64(version + "\x00" + spec + "\x00" + termText)
 	}
 	base := fnv64(ver.ID + "\x00" + spec)
-	sys, err := ver.Env.System(spec)
-	if err != nil {
-		return base ^ fnv64(termText)
-	}
 	t, err := ver.Env.ParseTerm(spec, termText)
 	if err != nil {
 		return base ^ fnv64(termText)
 	}
-	return mix64(base ^ sys.Interner().Canon(t).StableHash())
+	return mix64(base ^ t.StableHash())
 }
 
 // handleNormalize is the sharded path: decode enough of the body to
@@ -400,7 +424,7 @@ func (rt *Router) reply(w http.ResponseWriter, endpoint string, status int, cont
 	}
 	w.WriteHeader(status)
 	w.Write(body)
-	rt.count(endpoint, status)
+	rt.book.Count(endpoint, status)
 }
 
 func (rt *Router) writeError(w http.ResponseWriter, endpoint string, status int, msg string) {
@@ -408,67 +432,11 @@ func (rt *Router) writeError(w http.ResponseWriter, endpoint string, status int,
 	w.WriteHeader(status)
 	data, _ := json.MarshalIndent(serve.ErrorResponse{Error: msg}, "", "  ")
 	w.Write(append(data, '\n'))
-	rt.count(endpoint, status)
-}
-
-func (rt *Router) count(endpoint string, code int) {
-	rt.metMu.Lock()
-	rt.requests[epCode{endpoint, code}]++
-	rt.metMu.Unlock()
+	rt.book.Count(endpoint, status)
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	io.WriteString(w, "ok\n")
-}
-
-// handleMetrics exposes the router's books in the Prometheus text
-// format. adt_requests_total carries the same name and labels as a
-// replica's own counter — the router is the serving surface now, and
-// the load harness reconciles against it unchanged. The
-// adt_router_forwarded_total{shard} counters are the second level:
-// each must equal that replica's own total request count.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintln(w, "# HELP adt_requests_total Requests served by the router, by endpoint and HTTP status code.")
-	fmt.Fprintln(w, "# TYPE adt_requests_total counter")
-	rt.metMu.Lock()
-	keys := make([]epCode, 0, len(rt.requests))
-	for k := range rt.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].endpoint != keys[j].endpoint {
-			return keys[i].endpoint < keys[j].endpoint
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "adt_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, rt.requests[k])
-	}
-	rt.metMu.Unlock()
-
-	fmt.Fprintln(w, "# HELP adt_router_forwarded_total Requests a replica answered, by shard; reconciles exactly against that replica's adt_requests_total.")
-	fmt.Fprintln(w, "# TYPE adt_router_forwarded_total counter")
-	for i, rep := range rt.replicas {
-		fmt.Fprintf(w, "adt_router_forwarded_total{shard=\"%d\"} %d\n", i, rep.forwarded.Load())
-	}
-	fmt.Fprintln(w, "# HELP adt_router_forward_errors_total Transport failures talking to a shard (a nonzero value voids exact reconciliation).")
-	fmt.Fprintln(w, "# TYPE adt_router_forward_errors_total counter")
-	for i, rep := range rt.replicas {
-		fmt.Fprintf(w, "adt_router_forward_errors_total{shard=\"%d\"} %d\n", i, rep.fwdErrors.Load())
-	}
-	fmt.Fprintln(w, "# HELP adt_router_retries_total Forwarding attempts beyond the first, across all requests.")
-	fmt.Fprintln(w, "# TYPE adt_router_retries_total counter")
-	fmt.Fprintf(w, "adt_router_retries_total %d\n", rt.retries.Load())
-	fmt.Fprintln(w, "# HELP adt_router_replica_healthy Last known health of each shard (1 = serving).")
-	fmt.Fprintln(w, "# TYPE adt_router_replica_healthy gauge")
-	for i, rep := range rt.replicas {
-		h := 0
-		if rep.healthy.Load() {
-			h = 1
-		}
-		fmt.Fprintf(w, "adt_router_replica_healthy{shard=\"%d\"} %d\n", i, h)
-	}
 }

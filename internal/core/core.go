@@ -162,6 +162,18 @@ func (e *Env) SystemWithStrategy(name string, st rewrite.Strategy) (*rewrite.Sys
 	return sys, nil
 }
 
+// Compiled returns the systems compiled so far, for every spec and
+// strategy, in no particular order; it compiles nothing.
+func (e *Env) Compiled() []*rewrite.System {
+	e.sysMu.Lock()
+	defer e.sysMu.Unlock()
+	out := make([]*rewrite.System, 0, len(e.systems))
+	for _, sys := range e.systems {
+		out = append(out, sys)
+	}
+	return out
+}
+
 // ParseTerm parses and sort-checks a ground term against the named
 // specification, without evaluating it.
 func (e *Env) ParseTerm(specName, src string) (*term.Term, error) {

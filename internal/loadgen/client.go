@@ -8,9 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -18,6 +16,7 @@ import (
 	"algspec/internal/conform"
 	"algspec/internal/core"
 	"algspec/internal/faultinject"
+	"algspec/internal/metrics"
 	"algspec/internal/serve"
 	"algspec/internal/speclib"
 )
@@ -519,28 +518,6 @@ func (r *runner) fail(msg string) {
 	r.mu.Unlock()
 }
 
-// requestsTotalRe matches one adt_requests_total sample on the
-// Prometheus text page.
-var requestsTotalRe = regexp.MustCompile(`(?m)^adt_requests_total\{endpoint="([a-z]+)",code="(\d+)"\} (\d+)$`)
-
-// crossStrategyRe matches the server's cross-strategy cache hit counter,
-// reported for strategy-mixed runs.
-var crossStrategyRe = regexp.MustCompile(`(?m)^adt_cache_cross_strategy_hits_total (\d+)$`)
-
-// ParseRequestsTotal reads every adt_requests_total sample off a
-// Prometheus text page into the same "endpoint:code" keys the client
-// books attempts under. Shared by the live reconciliation below and by
-// `adt verify-run`, which re-checks a recorded metrics snapshot against
-// a runpack's books.
-func ParseRequestsTotal(page string) map[string]int64 {
-	server := make(map[string]int64)
-	for _, m := range requestsTotalRe.FindAllStringSubmatch(page, -1) {
-		v, _ := strconv.ParseInt(m[3], 10, 64)
-		server[m[1]+":"+m[2]] = v
-	}
-	return server
-}
-
 // reconcile fetches GET /metrics (uninstrumented on the server, so the
 // scrape itself never skews the books) and checks that the server's
 // per-(endpoint, code) request counters match the client's attempt
@@ -548,18 +525,16 @@ func ParseRequestsTotal(page string) map[string]int64 {
 // the duration of the run, so any discrepancy is a lost or phantom
 // update — exactly the class of bug the soak tests exist to catch.
 func (r *runner) reconcile(rep *Report) error {
-	resp, err := r.client.Get(r.cfg.BaseURL + "/metrics")
+	page, err := metrics.Scrape(r.client, r.cfg.BaseURL+"/metrics")
 	if err != nil {
 		return fmt.Errorf("loadgen: scraping /metrics: %w", err)
 	}
-	defer resp.Body.Close()
-	page, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("loadgen: reading /metrics: %w", err)
+	server := make(map[string]int64)
+	for _, s := range page.Samples("adt_requests_total") {
+		server[s.Labels["endpoint"]+":"+s.Labels["code"]] = int64(s.Value)
 	}
-	server := ParseRequestsTotal(string(page))
-	if m := crossStrategyRe.FindStringSubmatch(string(page)); m != nil {
-		rep.CrossStrategyHits, _ = strconv.ParseInt(m[1], 10, 64)
+	if v, ok := page.Value("adt_cache_cross_strategy_hits_total", nil); ok {
+		rep.CrossStrategyHits = int64(v)
 	}
 	for _, key := range SortedKeys(rep.Attempts) {
 		want := rep.Attempts[key]

@@ -188,18 +188,7 @@ func TestVerifyCatchesGoldenNFDrift(t *testing.T) {
 	outs := append([]loadgen.RequestOutcome(nil), res.Outcomes...)
 	reqs[0].WantNF = "'y" // engine answers 'x
 	outs[0].NF = "'y"
-	rep := &loadgen.Report{
-		Workload: reqs, Outcomes: outs,
-		Success: res.Books.Success, ExpectedFault: res.Books.ExpectedFault,
-		RetryExhausted: res.Books.RetryExhausted, Failed: res.Books.Failed,
-		Retries: res.Books.Retries, Attempts: res.Books.Attempts,
-	}
-	forged := filepath.Join(dir, "forged")
-	if err := Write(forged, *res.Manifest, rep, res.Metrics); err != nil {
-		t.Fatal(err)
-	}
-
-	vres, err := Verify(forged)
+	vres, err := Verify(forge(t, res, dir, reqs, outs, res.Metrics))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +203,56 @@ func TestVerifyCatchesGoldenNFDrift(t *testing.T) {
 	}
 	if !hit {
 		t.Errorf("no golden-nf-drift problem at %s:1; got: %v", WorkloadFile, vres.Problems)
+	}
+}
+
+// forge rewrites a recorded pack with the given workload, outcomes and
+// metrics snapshot under dir/forged; Write recomputes every digest, so
+// only the semantic checks can tell.
+func forge(t *testing.T, res *Result, dir string, reqs []loadgen.Request, outs []loadgen.RequestOutcome, metrics string) string {
+	t.Helper()
+	rep := &loadgen.Report{
+		Workload: reqs, Outcomes: outs,
+		Success: res.Books.Success, ExpectedFault: res.Books.ExpectedFault,
+		RetryExhausted: res.Books.RetryExhausted, Failed: res.Books.Failed,
+		Retries: res.Books.Retries, Attempts: res.Books.Attempts,
+	}
+	forged := filepath.Join(dir, "forged")
+	if err := Write(forged, *res.Manifest, rep, metrics); err != nil {
+		t.Fatal(err)
+	}
+	return forged
+}
+
+// TestVerifyNamesGarbledMetricsLine: a metrics.txt sample line replaced
+// by garbage, in a pack whose digests were recomputed to match, is
+// reported at that line.
+func TestVerifyNamesGarbledMetricsLine(t *testing.T) {
+	res, dir := recordPack(t, queueWorkload(t))
+	lines := strings.Split(res.Metrics, "\n")
+	at := -1
+	for i, line := range lines {
+		if strings.HasPrefix(line, "adt_requests_total{") {
+			at = i
+			break
+		}
+	}
+	if at < 0 {
+		t.Fatalf("no adt_requests_total sample in the snapshot:\n%s", res.Metrics)
+	}
+	lines[at] = "garbage"
+	vres, err := Verify(forge(t, res, dir, res.Workload, res.Outcomes, strings.Join(lines, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hit bool
+	for _, p := range vres.Problems {
+		if p.File == MetricsFile && p.Line == at+1 {
+			hit = true
+		}
+	}
+	if !hit {
+		t.Errorf("no problem at %s:%d; got: %v", MetricsFile, at+1, vres.Problems)
 	}
 }
 

@@ -4,14 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strconv"
 	"strings"
 
 	"algspec/internal/loadgen"
+	"algspec/internal/metrics"
 	"algspec/internal/speclib"
 )
 
@@ -65,10 +66,19 @@ func Verify(dir string) (*Result, error) {
 	if res.Manifest == nil {
 		return res, nil // nothing below is meaningful without a manifest
 	}
-	res.checkMetricsMonotone()
 	if res.Manifest.Kind == KindLoad {
 		res.checkBooks()
 		res.checkGoldenNFs()
+	}
+	page, err := metrics.Parse(res.Metrics)
+	var bad *metrics.SyntaxError
+	if errors.As(err, &bad) {
+		res.problemf(MetricsFile, bad.Line, "%s", bad.Msg)
+		return res, nil // a page that does not parse has no books to check
+	}
+	res.checkMetricsMonotone(page)
+	if res.Manifest.Kind == KindLoad {
+		res.reconcileMetrics(page)
 	}
 	return res, nil
 }
@@ -283,10 +293,11 @@ func (r *Result) parseResults(data string) {
 	}
 }
 
-// checkBooks cross-checks the three recordings of the same run: the
-// per-request results, the aggregated books, and the server's metrics
-// snapshot. Any two disagreeing means the pack was tampered with or
-// the producer was broken — either way, worth a named problem.
+// checkBooks cross-checks two recordings of the same run, the
+// per-request results and the aggregated books (reconcileMetrics adds
+// the third, the server's metrics snapshot). Any two disagreeing means
+// the pack was tampered with or the producer was broken — either way,
+// worth a named problem.
 func (r *Result) checkBooks() {
 	m, b := r.Manifest, r.Books
 	if len(r.Workload) != m.Requests {
@@ -327,90 +338,58 @@ func (r *Result) checkBooks() {
 				req.Spec, req.Term, o.NF, req.WantNF)
 		}
 	}
-	// The client's attempt books must reconcile against the server's
-	// request counter, both directions (the loadgen soak contract).
-	server := loadgen.ParseRequestsTotal(r.Metrics)
-	for _, key := range loadgen.SortedKeys(b.Attempts) {
+}
+
+// reconcileMetrics checks the client's attempt books against the
+// server's request counter in the metrics snapshot, both directions
+// (the loadgen soak contract).
+func (r *Result) reconcileMetrics(page metrics.Page) {
+	if r.Books == nil {
+		return
+	}
+	server := map[string]metrics.Sample{}
+	for _, s := range page.Samples("adt_requests_total") {
+		server[s.Labels["endpoint"]+":"+s.Labels["code"]] = s
+	}
+	for _, key := range loadgen.SortedKeys(r.Books.Attempts) {
 		if strings.HasSuffix(key, ":transport-error") {
 			continue // never reached the server; no counter to match
 		}
-		if server[key] != b.Attempts[key] {
-			r.problemf(MetricsFile, r.metricsLine(requestsTotalLine(key)),
-				"adt_requests_total[%s] is %d, books record %d attempt(s)", key, server[key], b.Attempts[key])
+		if s := server[key]; int64(s.Value) != r.Books.Attempts[key] {
+			r.problemf(MetricsFile, s.Line, "adt_requests_total[%s] is %d, books record %d attempt(s)",
+				key, int64(s.Value), r.Books.Attempts[key])
 		}
 	}
 	for _, key := range loadgen.SortedKeys(server) {
-		if b.Attempts[key] == 0 {
-			r.problemf(BooksFile, 0, "server counted %d request(s) for %s, books record none", server[key], key)
+		if r.Books.Attempts[key] == 0 {
+			r.problemf(BooksFile, 0, "server counted %d request(s) for %s, books record none", int64(server[key].Value), key)
 		}
 	}
 }
-
-// requestsTotalLine renders the exposition line prefix for an
-// "endpoint:status" attempt key, for locating it in the snapshot.
-func requestsTotalLine(key string) string {
-	ep, code, _ := strings.Cut(key, ":")
-	return fmt.Sprintf("adt_requests_total{endpoint=%q,code=%q}", ep, code)
-}
-
-// metricsLine finds the 1-based line number of the first metrics line
-// with the given prefix (0 when absent).
-func (r *Result) metricsLine(prefix string) int {
-	for i, line := range contentLines(r.Metrics) {
-		if strings.HasPrefix(line, prefix) {
-			return i + 1
-		}
-	}
-	return 0
-}
-
-var (
-	bucketRe = regexp.MustCompile(`^adt_request_duration_seconds_bucket\{endpoint="([a-z]+)",le="([^"]+)"\} (\d+)$`)
-	countRe  = regexp.MustCompile(`^adt_request_duration_seconds_count\{endpoint="([a-z]+)"\} (\d+)$`)
-)
 
 // checkMetricsMonotone walks the latency histograms in the snapshot:
 // cumulative bucket counts must be non-decreasing within an endpoint,
 // and the +Inf bucket must equal the endpoint's _count. A tampered
 // count breaks one of these even when the digest footer was recomputed
 // to match.
-func (r *Result) checkMetricsMonotone() {
-	type state struct {
-		prev int64
-		inf  int64
-	}
-	states := map[string]*state{}
-	infSeen := map[string]bool{}
-	for i, line := range contentLines(r.Metrics) {
-		if m := bucketRe.FindStringSubmatch(line); m != nil {
-			ep, le := m[1], m[2]
-			v, err := strconv.ParseInt(m[3], 10, 64)
-			if err != nil {
-				r.problemf(MetricsFile, i+1, "bucket count %q does not parse", m[3])
-				continue
+func (r *Result) checkMetricsMonotone(page metrics.Page) {
+	prev := map[string]float64{}
+	inf := map[string]float64{}
+	for _, s := range page {
+		ep := s.Labels["endpoint"]
+		switch s.Name {
+		case "adt_request_duration_seconds_bucket":
+			le := s.Labels["le"]
+			if s.Value < prev[ep] {
+				r.problemf(MetricsFile, s.Line, "histogram for %s not monotone: bucket le=%q holds %g after %g", ep, le, s.Value, prev[ep])
 			}
-			st := states[ep]
-			if st == nil {
-				st = &state{}
-				states[ep] = st
-			}
-			if v < st.prev {
-				r.problemf(MetricsFile, i+1, "histogram for %s not monotone: bucket le=%q holds %d after %d", ep, le, v, st.prev)
-			}
-			st.prev = v
+			prev[ep] = s.Value
 			if le == "+Inf" {
-				st.inf = v
-				infSeen[ep] = true
+				inf[ep] = s.Value
 			}
-		} else if m := countRe.FindStringSubmatch(line); m != nil {
-			ep := m[1]
-			v, err := strconv.ParseInt(m[2], 10, 64)
-			if err != nil {
-				r.problemf(MetricsFile, i+1, "count %q does not parse", m[2])
-				continue
-			}
-			if st := states[ep]; st != nil && infSeen[ep] && st.inf != v {
-				r.problemf(MetricsFile, i+1, "histogram for %s: +Inf bucket holds %d but _count is %d", ep, st.inf, v)
+		case "adt_request_duration_seconds_count":
+			if v, ok := inf[ep]; ok && v != s.Value {
+				r.problemf(MetricsFile, s.Line, "histogram for %s: +Inf bucket holds %g but _count is %g", ep, v, s.Value)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"algspec/internal/conform"
 	"algspec/internal/faultinject"
+	"algspec/internal/metrics"
 	"algspec/internal/registry"
 	"algspec/internal/rewrite"
 	"algspec/internal/sig"
@@ -81,6 +82,17 @@ func (cs *conformState) purge(now time.Time) {
 }
 
 // active is the live-session gauge.
+// declareMetrics declares the conformance books.
+func (cs *conformState) declareMetrics(r *metrics.Registry) {
+	r.Counter("adt_conform_sessions_opened_total", "Conformance sessions opened since boot.", cs.opened.Load)
+	r.Gauge("adt_conform_sessions_active", "Conformance sessions currently live (not closed, reaped or expired).", func() int64 { return int64(cs.active()) })
+	r.Counter("adt_conform_sessions_expired_total", "Conformance sessions reaped by the TTL.", cs.expired.Load)
+	r.Counter("adt_conform_sessions_rejected_total", "Conformance opens refused at the session cap (429).", cs.rejected.Load)
+	r.Counter("adt_conform_programs_total", "Probe programs served to conformance clients (plan plus shrink candidates).", cs.programs.Load)
+	r.Counter("adt_conform_pass_total", "Conformance verdicts that passed.", cs.pass.Load)
+	r.Counter("adt_conform_fail_total", "Conformance verdicts that failed (counterexample returned).", cs.fail.Load)
+}
+
 func (cs *conformState) active() int {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()

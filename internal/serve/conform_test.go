@@ -8,8 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -80,36 +78,6 @@ func poster(t testing.TB, ts *httptest.Server, count *int) conform.Poster {
 	}
 }
 
-// metric scrapes one un-labeled metric value from a /metrics page.
-func metric(t testing.TB, page, name string) int {
-	t.Helper()
-	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\d+)$`)
-	m := re.FindStringSubmatch(page)
-	if m == nil {
-		t.Fatalf("metric %s not found in page:\n%s", name, page)
-	}
-	v, err := strconv.Atoi(m[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-// labeledMetric scrapes adt_requests_total{endpoint=...,code=...}.
-func labeledMetric(t testing.TB, page, name, labels string) int {
-	t.Helper()
-	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name+"{"+labels+"}") + ` (\d+)$`)
-	m := re.FindStringSubmatch(page)
-	if m == nil {
-		return 0
-	}
-	v, err := strconv.Atoi(m[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
 // obsFor declares Nat observable where the spec has the sort (Graph
 // observes through Bool alone).
 func obsFor(env *core.Env, spec string) []string {
@@ -146,26 +114,26 @@ func TestConformE2EReferences(t *testing.T) {
 	}
 
 	_, page := do(t, ts, "GET", "/metrics", "")
-	if got := metric(t, page, "adt_conform_sessions_opened_total"); got != sessions {
+	if got := metricValue(t, page, "adt_conform_sessions_opened_total"); got != int64(sessions) {
 		t.Errorf("opened = %d, want %d", got, sessions)
 	}
-	if got := metric(t, page, "adt_conform_pass_total"); got != sessions {
+	if got := metricValue(t, page, "adt_conform_pass_total"); got != int64(sessions) {
 		t.Errorf("pass = %d, want %d", got, sessions)
 	}
-	if got := metric(t, page, "adt_conform_fail_total"); got != 0 {
+	if got := metricValue(t, page, "adt_conform_fail_total"); got != 0 {
 		t.Errorf("fail = %d, want 0", got)
 	}
-	if got := metric(t, page, "adt_conform_sessions_active"); got != 0 {
+	if got := metricValue(t, page, "adt_conform_sessions_active"); got != 0 {
 		t.Errorf("active = %d, want 0 (all sessions closed)", got)
 	}
-	if got := metric(t, page, "adt_conform_programs_total"); got == 0 {
+	if got := metricValue(t, page, "adt_conform_programs_total"); got == 0 {
 		t.Error("programs = 0, want > 0")
 	}
 	// Every wire exchange this test made (including the /metrics-invisible
 	// opens and closes) is booked on the request counter, and nothing else
 	// touched the endpoint: the books must match the client's count.
-	if got := labeledMetric(t, page, "adt_requests_total", `endpoint="conform",code="200"`); got != posts {
-		t.Errorf("adt_requests_total conform/200 = %d, want %d (client-side count)", got, posts)
+	if got, _ := parsePage(t, page).Value("adt_requests_total", map[string]string{"endpoint": "conform", "code": "200"}); got != float64(posts) {
+		t.Errorf("adt_requests_total conform/200 = %g, want %d (client-side count)", got, posts)
 	}
 }
 
@@ -206,13 +174,13 @@ func TestConformE2EMutants(t *testing.T) {
 	}
 
 	_, page := do(t, ts, "GET", "/metrics", "")
-	if got := metric(t, page, "adt_conform_fail_total"); got != mutants {
+	if got := metricValue(t, page, "adt_conform_fail_total"); got != int64(mutants) {
 		t.Errorf("fail = %d, want %d (one per mutant)", got, mutants)
 	}
-	if got := metric(t, page, "adt_conform_pass_total"); got != 0 {
+	if got := metricValue(t, page, "adt_conform_pass_total"); got != 0 {
 		t.Errorf("pass = %d, want 0", got)
 	}
-	if got := metric(t, page, "adt_conform_sessions_active"); got != 0 {
+	if got := metricValue(t, page, "adt_conform_sessions_active"); got != 0 {
 		t.Errorf("active = %d, want 0", got)
 	}
 }
@@ -306,7 +274,7 @@ func TestConformProtocol(t *testing.T) {
 	}
 
 	_, page := do(t, ts, "GET", "/metrics", "")
-	if got := metric(t, page, "adt_conform_sessions_active"); got != 0 {
+	if got := metricValue(t, page, "adt_conform_sessions_active"); got != 0 {
 		t.Errorf("active = %d, want 0 after close", got)
 	}
 }

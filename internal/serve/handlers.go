@@ -552,61 +552,3 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	io.WriteString(w, "ok\n")
 }
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.cache.Counters()
-	pHits, pMisses := s.parsed.Counters()
-	var interned int64
-	for _, name := range s.env.Names() {
-		if sys, err := s.env.System(name); err == nil {
-			interned += int64(sys.Interner().Size())
-		}
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.exposition(w, hits, misses, pHits, pMisses, s.rec.Snapshot(), interned)
-
-	fmt.Fprintln(w, "# HELP adt_registry_versions Registry versions held (base library included).")
-	fmt.Fprintln(w, "# TYPE adt_registry_versions gauge")
-	fmt.Fprintf(w, "adt_registry_versions %d\n", s.reg.Len())
-	fmt.Fprintln(w, "# HELP adt_confluence_certified Base-library specs carrying a confluence + termination certificate.")
-	fmt.Fprintln(w, "# TYPE adt_confluence_certified gauge")
-	fmt.Fprintf(w, "adt_confluence_certified %d\n", s.certifiedBase)
-	fmt.Fprintln(w, "# HELP adt_cache_cross_strategy_hits_total Normal-form cache hits served to a different strategy than the one that computed the entry (certified specs only).")
-	fmt.Fprintln(w, "# TYPE adt_cache_cross_strategy_hits_total counter")
-	fmt.Fprintf(w, "adt_cache_cross_strategy_hits_total %d\n", s.crossHits.Load())
-	for _, c := range []struct {
-		name, help string
-		kind       string
-		val        int64
-	}{
-		{"adt_conform_sessions_opened_total", "Conformance sessions opened since boot.", "counter", s.conf.opened.Load()},
-		{"adt_conform_sessions_active", "Conformance sessions currently live (not closed, reaped or expired).", "gauge", int64(s.conf.active())},
-		{"adt_conform_sessions_expired_total", "Conformance sessions reaped by the TTL.", "counter", s.conf.expired.Load()},
-		{"adt_conform_sessions_rejected_total", "Conformance opens refused at the session cap (429).", "counter", s.conf.rejected.Load()},
-		{"adt_conform_programs_total", "Probe programs served to conformance clients (plan plus shrink candidates).", "counter", s.conf.programs.Load()},
-		{"adt_conform_pass_total", "Conformance verdicts that passed.", "counter", s.conf.pass.Load()},
-		{"adt_conform_fail_total", "Conformance verdicts that failed (counterexample returned).", "counter", s.conf.fail.Load()},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n", c.name, c.help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", c.name, c.kind)
-		fmt.Fprintf(w, "%s %d\n", c.name, c.val)
-	}
-	if s.pers != nil {
-		for _, c := range []struct {
-			name, help string
-			kind       string
-			val        int64
-		}{
-			{"adt_persist_wal_records_total", "Normal-form entries appended to the WAL since boot.", "counter", s.pers.walRecords.Load()},
-			{"adt_persist_snapshots_total", "Snapshots written since boot.", "counter", s.pers.snapshots.Load()},
-			{"adt_persist_dropped_total", "Entries not persisted because the store hit its capacity bound.", "counter", s.pers.dropped.Load()},
-			{"adt_persist_errors_total", "Persistence I/O or integrity errors (a nonzero value at boot means a corrupt store forced a cold start).", "counter", s.pers.persistErrs.Load()},
-			{"adt_persist_stale_skipped_total", "Persisted entries skipped because their version is unknown to this boot.", "counter", s.pers.staleSkipped.Load()},
-			{"adt_warm_entries", "Cache entries installed warm at boot (persisted store plus corpus warming).", "gauge", s.pers.warmLoaded.Load()},
-		} {
-			fmt.Fprintf(w, "# HELP %s %s\n", c.name, c.help)
-			fmt.Fprintf(w, "# TYPE %s %s\n", c.name, c.kind)
-			fmt.Fprintf(w, "%s %d\n", c.name, c.val)
-		}
-	}
-}

@@ -1,47 +1,43 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"regexp"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
+	"algspec/internal/metrics"
 	"algspec/internal/serve"
 )
 
-// counterLine matches any single-value metric sample (counters and
-// gauges; histogram buckets carry an le label and are parsed apart).
-var counterLine = regexp.MustCompile(`(?m)^(adt_[a-z_]+(?:\{[^}]*\})?) ([0-9.e+-]+)$`)
-
-// bucketLine matches one histogram bucket sample, capturing the
-// endpoint, the le bound and the cumulative count.
-var bucketLine = regexp.MustCompile(`(?m)^adt_request_duration_seconds_bucket\{endpoint="([a-z]+)",le="([^"]+)"\} (\d+)$`)
-
-func scrape(t *testing.T, url string) (map[string]float64, string) {
+// parsePage parses a /metrics page, failing the test when it is
+// malformed.
+func parsePage(t testing.TB, text string) metrics.Page {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics")
+	page, err := metrics.Parse(text)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v\n%s", err, text)
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := string(data)
-	samples := make(map[string]float64)
-	for _, m := range counterLine.FindAllStringSubmatch(page, -1) {
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			t.Fatalf("unparseable sample %q: %v", m[0], err)
+	return page
+}
+
+// metricValue returns the value of one series (a name and its label
+// pairs) on a /metrics page, failing the test when the page lacks it.
+func metricValue(t testing.TB, text, name string, labels ...string) int64 {
+	t.Helper()
+	var want map[string]string
+	for i := 0; i+1 < len(labels); i += 2 {
+		if want == nil {
+			want = map[string]string{}
 		}
-		samples[m[1]] = v
+		want[labels[i]] = labels[i+1]
 	}
-	return samples, page
+	v, ok := parsePage(t, text).Value(name, want)
+	if !ok {
+		t.Fatalf("metrics page has no sample %s%q:\n%s", name, labels, text)
+	}
+	return int64(v)
 }
 
 // TestMetricsMonotoneUnderLoad scrapes /metrics twice with concurrent
@@ -73,38 +69,46 @@ func TestMetricsMonotoneUnderLoad(t *testing.T) {
 		wg.Wait()
 	}
 
+	scrape := func() metrics.Page {
+		_, text := do(t, ts, "GET", "/metrics", "")
+		return parsePage(t, text)
+	}
+	series := func(s metrics.Sample) string { return fmt.Sprint(s.Name, s.Labels) }
 	hammer(10)
-	before, _ := scrape(t, ts.URL)
+	before := scrape()
 	hammer(10)
-	after, page := scrape(t, ts.URL)
+	after := scrape()
 
+	afterVals := make(map[string]float64)
+	for _, s := range after {
+		afterVals[series(s)] = s.Value
+	}
 	gauges := map[string]bool{"adt_in_flight": true, "adt_interned_terms": true}
-	for series, v0 := range before {
-		name, _, _ := strings.Cut(series, "{")
-		if gauges[name] {
+	for _, s := range before {
+		if gauges[s.Name] {
 			continue
 		}
-		v1, ok := after[series]
+		v1, ok := afterVals[series(s)]
 		if !ok {
-			t.Errorf("series %s vanished between scrapes", series)
+			t.Errorf("series %s vanished between scrapes", series(s))
 			continue
 		}
-		if v1 < v0 {
-			t.Errorf("counter %s went backwards: %g -> %g", series, v0, v1)
+		if v1 < s.Value {
+			t.Errorf("counter %s went backwards: %g -> %g", series(s), s.Value, v1)
 		}
 	}
 
 	// Histogram shape: per endpoint, bucket counts appear in exposition
 	// order (ascending le, +Inf last) and must be non-decreasing, with
 	// the +Inf bucket equal to the series _count.
-	buckets := make(map[string][]int64)
-	inf := make(map[string]int64)
-	for _, m := range bucketLine.FindAllStringSubmatch(page, -1) {
-		n, _ := strconv.ParseInt(m[3], 10, 64)
-		if m[2] == "+Inf" {
-			inf[m[1]] = n
+	buckets := make(map[string][]float64)
+	inf := make(map[string]float64)
+	for _, s := range after.Samples("adt_request_duration_seconds_bucket") {
+		ep := s.Labels["endpoint"]
+		if s.Labels["le"] == "+Inf" {
+			inf[ep] = s.Value
 		}
-		buckets[m[1]] = append(buckets[m[1]], n)
+		buckets[ep] = append(buckets[ep], s.Value)
 	}
 	if len(buckets) == 0 {
 		t.Fatal("no histogram buckets on the metrics page")
@@ -112,17 +116,49 @@ func TestMetricsMonotoneUnderLoad(t *testing.T) {
 	for ep, counts := range buckets {
 		for i := 1; i < len(counts); i++ {
 			if counts[i] < counts[i-1] {
-				t.Errorf("endpoint %s: bucket %d (%d) below bucket %d (%d); cumulative histograms must be monotone in le",
+				t.Errorf("endpoint %s: bucket %d (%g) below bucket %d (%g); cumulative histograms must be monotone in le",
 					ep, i, counts[i], i-1, counts[i-1])
 			}
 		}
-		count, ok := after[fmt.Sprintf(`adt_request_duration_seconds_count{endpoint=%q}`, ep)]
+		count, ok := after.Value("adt_request_duration_seconds_count", map[string]string{"endpoint": ep})
 		if !ok {
 			t.Errorf("endpoint %s: histogram has buckets but no _count", ep)
 			continue
 		}
-		if float64(inf[ep]) != count {
-			t.Errorf("endpoint %s: le=\"+Inf\" bucket %d != _count %g", ep, inf[ep], count)
+		if inf[ep] != count {
+			t.Errorf("endpoint %s: le=\"+Inf\" bucket %g != _count %g", ep, inf[ep], count)
 		}
+	}
+}
+
+// TestInternedTermsCountUploads: adt_interned_terms sums the Systems of
+// every registry version, so normalizes pinned to an upload — which
+// intern into that version's own Systems — raise it.
+func TestInternedTermsCountUploads(t *testing.T) {
+	ts := newTestServer(t, serve.Config{Workers: 2})
+	src, _ := json.Marshal(goodCheckSrc)
+	code, body := do(t, ts, "POST", "/v1/specs", fmt.Sprintf(`{"source":%s}`, src))
+	if code != http.StatusCreated {
+		t.Fatalf("upload: status %d: %s", code, body)
+	}
+	var up serve.SpecUploadResponse
+	if err := json.Unmarshal([]byte(body), &up); err != nil {
+		t.Fatal(err)
+	}
+	interned := func() int64 {
+		_, page := do(t, ts, "GET", "/metrics", "")
+		return metricValue(t, page, "adt_interned_terms")
+	}
+	before := interned()
+	const requests = 20
+	for i := 0; i < requests; i++ {
+		term := fmt.Sprintf("front(add(add(new, 'p%d), 'q%d))", i, i)
+		if code, body := do(t, ts, "POST", "/v1/normalize", normalizeBody(t, "Queue", term, up.Version)); code != http.StatusOK {
+			t.Fatalf("pinned normalize: status %d: %s", code, body)
+		}
+	}
+	// Each request interns at least its two fresh atoms.
+	if after := interned(); after < before+2*requests {
+		t.Errorf("adt_interned_terms went from %d to %d over %d pinned normalizes with fresh atoms", before, after, requests)
 	}
 }

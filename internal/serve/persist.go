@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"algspec/internal/metrics"
 )
 
 // This file is the durability layer of the normal-form cache (DESIGN
@@ -97,6 +99,17 @@ func newPersister(dir string, cap int) (*persister, error) {
 		seen: make(map[string]struct{}),
 		wal:  wal,
 	}, nil
+}
+
+// declareMetrics declares the persistence books; a server without
+// PersistDir has none.
+func (p *persister) declareMetrics(r *metrics.Registry) {
+	r.Counter("adt_persist_wal_records_total", "Normal-form entries appended to the WAL since boot.", p.walRecords.Load)
+	r.Counter("adt_persist_snapshots_total", "Snapshots written since boot.", p.snapshots.Load)
+	r.Counter("adt_persist_dropped_total", "Entries not persisted because the store hit its capacity bound.", p.dropped.Load)
+	r.Counter("adt_persist_errors_total", "Persistence I/O or integrity errors (a nonzero value at boot means a corrupt store forced a cold start).", p.persistErrs.Load)
+	r.Counter("adt_persist_stale_skipped_total", "Persisted entries skipped because their version is unknown to this boot.", p.staleSkipped.Load)
+	r.Gauge("adt_warm_entries", "Cache entries installed warm at boot (persisted store plus corpus warming).", p.warmLoaded.Load)
 }
 
 func recordKey(rec walRecord) string {

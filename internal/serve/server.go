@@ -35,6 +35,7 @@ import (
 
 	"algspec/internal/core"
 	"algspec/internal/corpus"
+	"algspec/internal/metrics"
 	"algspec/internal/registry"
 	"algspec/internal/rewrite"
 	"algspec/internal/sig"
@@ -91,7 +92,7 @@ type Server struct {
 	cache   *nfCache
 	parsed  *parseCache
 	pers    *persister
-	met     *metrics
+	book    *metrics.Requests // per-(endpoint, code) counts and latency
 	rec     rewrite.StatsRecorder
 	slots   *slots
 	conf    *conformState
@@ -104,6 +105,7 @@ type Server struct {
 	// normal form is strategy-independent by theorem.
 	certifiedBase int64
 	crossHits     atomic.Int64
+	inFlight      atomic.Int64
 
 	snapStop chan struct{}
 	snapWG   sync.WaitGroup
@@ -148,7 +150,7 @@ func NewWithSources(cfg Config, sources []string) (*Server, error) {
 		sources: sources,
 		cache:   newNFCache(cfg.CacheSize),
 		parsed:  newParseCache(cfg.CacheSize),
-		met:     newMetrics(),
+		book:    &metrics.Requests{},
 	}
 	if cfg.PersistDir != "" {
 		persistCap := cfg.CacheSize
@@ -182,7 +184,7 @@ func NewWithSources(cfg Config, sources []string) (*Server, error) {
 	s.mux.Handle("POST /v1/conform", s.instrument("conform", s.handleConform))
 	s.mux.Handle("POST /v1/specs", s.instrument("upload", s.handleSpecUpload))
 	s.mux.Handle("GET /v1/specs", s.instrument("specs", s.handleSpecs))
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", s.declareMetrics())
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	if s.pers != nil {
 		s.snapStop = make(chan struct{})
@@ -334,14 +336,61 @@ func (s *Server) Close() {
 	}
 }
 
+// declareMetrics declares the families of GET /metrics, in page order.
+// Everything is cumulative since process start except the gauges.
+func (s *Server) declareMetrics() *metrics.Registry {
+	r := &metrics.Registry{}
+	r.RequestCounts("adt_requests_total", "Requests served, by endpoint and HTTP status code.", s.book)
+	r.Gauge("adt_in_flight", "API requests currently being served (excludes /metrics itself).", s.inFlight.Load)
+	r.Counter("adt_cache_hits_total", "Normal-form cache hits.", func() int64 { h, _ := s.cache.Counters(); return h })
+	r.Counter("adt_cache_misses_total", "Normal-form cache misses.", func() int64 { _, m := s.cache.Counters(); return m })
+	r.Counter("adt_parse_cache_hits_total", "Parse cache hits (term text resolved without reparsing).", func() int64 { h, _ := s.parsed.Counters(); return h })
+	r.Counter("adt_parse_cache_misses_total", "Parse cache misses.", func() int64 { _, m := s.parsed.Counters(); return m })
+	for _, c := range [...]struct {
+		name string
+		val  func(rewrite.Stats) int
+	}{
+		{"adt_engine_steps_total", func(st rewrite.Stats) int { return st.Steps }},
+		{"adt_engine_rule_fires_total", func(st rewrite.Stats) int { return st.RuleFires }},
+		{"adt_engine_native_calls_total", func(st rewrite.Stats) int { return st.NativeCalls }},
+		{"adt_engine_compiled_evals_total", func(st rewrite.Stats) int { return st.CompiledEvals }},
+		{"adt_engine_interp_evals_total", func(st rewrite.Stats) int { return st.InterpEvals }},
+	} {
+		r.Counter(c.name, "Cumulative engine work across all request forks.", func() int64 { return int64(c.val(s.rec.Snapshot())) })
+	}
+	r.Gauge("adt_interned_terms", "Canonical terms held by the per-spec interners.", s.internedTerms)
+	r.RequestLatency("adt_request_duration_seconds", "Request latency, by endpoint.", s.book)
+	r.Gauge("adt_registry_versions", "Registry versions held (base library included).", func() int64 { return int64(s.reg.Len()) })
+	r.Gauge("adt_confluence_certified", "Base-library specs carrying a confluence + termination certificate.", func() int64 { return s.certifiedBase })
+	r.Counter("adt_cache_cross_strategy_hits_total", "Normal-form cache hits served to a different strategy than the one that computed the entry (certified specs only).", s.crossHits.Load)
+	s.conf.declareMetrics(r)
+	if s.pers != nil {
+		s.pers.declareMetrics(r)
+	}
+	return r
+}
+
+// internedTerms sums the interners of every System compiled so far in
+// every registry version, uploads included; it compiles nothing, so a
+// scrape never builds an upload's copies of the base library.
+func (s *Server) internedTerms() int64 {
+	var n int64
+	for _, v := range s.reg.Versions() {
+		for _, sys := range v.Env.Compiled() {
+			n += int64(sys.Interner().Size())
+		}
+	}
+	return n
+}
+
 // instrument wraps an API handler with the in-flight gauge, the
 // per-(endpoint, code) request counter and the latency histogram.
 // /metrics itself is served unwrapped so the gauge a scrape reports
 // does not count the scrape.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.met.inFlight.Add(1)
-		defer s.met.inFlight.Add(-1)
+		s.inFlight.Add(1)
+		defer s.inFlight.Add(-1)
 		start := time.Now()
 		if rule, ok := fpHandlerDelay.Fire(); ok {
 			// Injected stall inside the measured window, so it shows up
@@ -350,7 +399,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		}
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
-		s.met.observe(endpoint, sw.code, time.Since(start).Seconds())
+		s.book.Observe(endpoint, sw.code, time.Since(start).Seconds())
 	})
 }
 

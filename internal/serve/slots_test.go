@@ -67,9 +67,9 @@ func TestSlotsQueuedDeadline(t *testing.T) {
 	if a := <-held; a.err != nil || a.code != http.StatusOK {
 		t.Fatalf("slot-holding request = %d %v: %s", a.code, a.err, a.body)
 	}
-	samples, _ := scrape(t, ts.URL)
-	if evals := samples["adt_engine_compiled_evals_total"] + samples["adt_engine_interp_evals_total"]; evals != 1 {
-		t.Errorf("engine evaluations = %g, want 1 (the timed-out request must not reach the engine)", evals)
+	_, page := do(t, ts, "GET", "/metrics", "")
+	if evals := metricValue(t, page, "adt_engine_compiled_evals_total") + metricValue(t, page, "adt_engine_interp_evals_total"); evals != 1 {
+		t.Errorf("engine evaluations = %d, want 1 (the timed-out request must not reach the engine)", evals)
 	}
 }
 

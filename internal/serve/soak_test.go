@@ -2,7 +2,6 @@ package serve_test
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,21 +31,6 @@ func soakTerms() []string {
 		base = append(base, "front(remove("+t+"))")
 	}
 	return base
-}
-
-// metricValue extracts one sample's value from a Prometheus text page.
-func metricValue(t *testing.T, page, sample string) int64 {
-	t.Helper()
-	re := regexp.MustCompile("(?m)^" + regexp.QuoteMeta(sample) + " ([0-9]+)$")
-	m := re.FindStringSubmatch(page)
-	if m == nil {
-		t.Fatalf("metrics page has no sample %q:\n%s", sample, page)
-	}
-	v, err := strconv.ParseInt(m[1], 10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
 }
 
 // TestSoakConcurrentNormalize hammers /v1/normalize from many
@@ -113,7 +97,7 @@ func TestSoakConcurrentNormalize(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("metrics = %d", code)
 	}
-	served := metricValue(t, page, `adt_requests_total{endpoint="normalize",code="200"}`)
+	served := metricValue(t, page, "adt_requests_total", "endpoint", "normalize", "code", "200")
 	hits := metricValue(t, page, "adt_cache_hits_total")
 	misses := metricValue(t, page, "adt_cache_misses_total")
 	if served != total {
@@ -134,7 +118,7 @@ func TestSoakConcurrentNormalize(t *testing.T) {
 	if steps := metricValue(t, page, "adt_engine_steps_total"); steps <= 0 {
 		t.Errorf("engine steps = %d, want > 0", steps)
 	}
-	hist := metricValue(t, page, `adt_request_duration_seconds_count{endpoint="normalize"}`)
+	hist := metricValue(t, page, "adt_request_duration_seconds_count", "endpoint", "normalize")
 	if hist != total {
 		t.Errorf("latency observations = %d, want %d", hist, total)
 	}
