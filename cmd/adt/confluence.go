@@ -17,7 +17,6 @@ import (
 // no claim either way), and a fully certified run exits 0.
 func cmdConfluence(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("confluence", flag.ContinueOnError)
-	fs.SetOutput(out)
 	lib := fs.Bool("lib", false, "preload the embedded specification library")
 	specName := fs.String("spec", "", "only this specification (default: all loaded)")
 	jsonOut := fs.Bool("json", false, "emit certificates as JSON")
@@ -25,7 +24,7 @@ func cmdConfluence(args []string, out io.Writer) error {
 	maxRules := fs.Int("max-rules", 0, "rule budget for completion (0 = 128)")
 	rounds := fs.Int("rounds", 0, "closure-round budget (0 = 8)")
 	fuel := fs.Int("fuel", 0, "per-round reduction budget (0 = 1<<18)")
-	files, err := parseInterleaved(fs, args)
+	files, err := parseInterleaved(fs, args, out)
 	if err != nil {
 		return err
 	}

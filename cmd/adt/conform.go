@@ -23,7 +23,6 @@ import (
 // specs/counter.spec` is a complete local conformance run.
 func cmdConform(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("conform", flag.ContinueOnError)
-	fs.SetOutput(out)
 	lib := fs.Bool("lib", true, "preload the embedded specification library")
 	specName := fs.String("spec", "", "specification to conform against (required)")
 	url := fs.String("url", "", "conformance server base URL (empty = boot an in-process server over the loaded specs)")
@@ -33,7 +32,7 @@ func cmdConform(args []string, out io.Writer) error {
 	depth := fs.Int("depth", 0, "depth bound for random instances (0 = server default)")
 	seed := fs.Int64("seed", 0, "planning seed (0 = server's fixed default)")
 	observe := fs.String("observe", "auto", "comma-separated extra observable sorts; auto = Nat when the spec has it and the implementation is ref or mutants")
-	files, err := parseInterleaved(fs, args)
+	files, err := parseInterleaved(fs, args, out)
 	if err != nil {
 		return err
 	}

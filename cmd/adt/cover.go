@@ -13,12 +13,11 @@ import (
 // dead relations).
 func cmdCover(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cover", flag.ContinueOnError)
-	fs.SetOutput(out)
 	lib := fs.Bool("lib", false, "preload the embedded specification library")
 	specName := fs.String("spec", "", "restrict to one specification (default: all loaded)")
 	depth := fs.Int("depth", 4, "ground-term depth of the generated workload")
 	maxPerOp := fs.Int("max", 4000, "instance cap per operation")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, out); err != nil {
 		return err
 	}
 	if err := checkDepth("cover", *depth); err != nil {

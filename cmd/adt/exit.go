@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 
 	"algspec/internal/core"
 	"algspec/internal/spec"
@@ -46,11 +47,19 @@ func exitf(code int, format string, a ...any) error {
 }
 
 // parseFlags parses args into fs; every subcommand's flags go through
-// it. A flag the set rejects is a usage error. -h or -help returns
-// flag.ErrHelp, which exits 0 once the set has printed its usage.
-func parseFlags(fs *flag.FlagSet, args []string) error {
+// it, and it owns the set's output. A flag the set rejects is a usage
+// error, which run reports in one line on stderr; nothing goes to out.
+// -h or -help prints the set's usage on out and returns flag.ErrHelp,
+// which exits 0.
+func parseFlags(fs *flag.FlagSet, args []string, out io.Writer) error {
+	fs.SetOutput(io.Discard)
 	err := fs.Parse(args)
-	if err == nil || errors.Is(err, flag.ErrHelp) {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, flag.ErrHelp):
+		fs.SetOutput(out)
+		fs.Usage()
 		return err
 	}
 	return &exitError{code: exitUsage, err: err}

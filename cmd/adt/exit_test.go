@@ -65,6 +65,10 @@ func TestExitCodes(t *testing.T) {
 		args     []string
 		wantCode int
 		errHas   string
+		// outHas must appear on stdout; quiet requires an empty stdout
+		// and exactly one line on stderr.
+		outHas string
+		quiet  bool
 	}{
 		{
 			name:     "test ok",
@@ -155,6 +159,33 @@ func TestExitCodes(t *testing.T) {
 			name:     "-h prints usage and exits 0",
 			args:     []string{"check", "-h"},
 			wantCode: exitOK,
+		},
+		{
+			name:     "rejected flag writes one stderr line and no stdout",
+			args:     []string{"check", "-nope"},
+			wantCode: exitUsage,
+			errHas:   "adt: flag provided but not defined: -nope",
+			quiet:    true,
+		},
+		{
+			name:     "rejected flag after a positional writes one stderr line",
+			args:     []string{"serve", "extra.spec", "-nope"},
+			wantCode: exitUsage,
+			errHas:   "flag provided but not defined: -nope",
+			quiet:    true,
+		},
+		{
+			name:     "malformed flag value writes one stderr line",
+			args:     []string{"load", "-rps", "many"},
+			wantCode: exitUsage,
+			errHas:   "invalid value",
+			quiet:    true,
+		},
+		{
+			name:     "-h prints the flag list on stdout",
+			args:     []string{"test", "-h"},
+			wantCode: exitOK,
+			outHas:   "-seed",
 		},
 		{
 			name:     "serve -workers below 0 is usage",
@@ -254,6 +285,12 @@ func TestExitCodes(t *testing.T) {
 			}
 			if tc.wantCode == exitOK && errOut != "" {
 				t.Errorf("exit 0 with stderr %q", errOut)
+			}
+			if !strings.Contains(out, tc.outHas) {
+				t.Errorf("stdout %q does not contain %q", out, tc.outHas)
+			}
+			if tc.quiet && (out != "" || strings.Count(errOut, "\n") != 1) {
+				t.Errorf("want nothing on stdout and one line on stderr, got stdout %q, stderr %q", out, errOut)
 			}
 		})
 	}

@@ -20,7 +20,6 @@ import (
 // compiles in any module with no dependency on this one.
 func cmdGenDriver(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gen-driver", flag.ContinueOnError)
-	fs.SetOutput(out)
 	lib := fs.Bool("lib", true, "preload the embedded specification library")
 	specName := fs.String("spec", "", "specification to derive the driver from (required)")
 	outDir := fs.String("o", "", "output directory (default ./PKG)")
@@ -31,7 +30,7 @@ func cmdGenDriver(args []string, out io.Writer) error {
 	observe := fs.String("observe", "", "comma-separated extra observable sorts (e.g. Nat)")
 	selftest := fs.Bool("selftest", false, "run the suite against the engine itself instead of writing files")
 	force := fs.Bool("force", false, "overwrite an existing impl.go (normally kept: it is the user's file)")
-	files, err := parseInterleaved(fs, args)
+	files, err := parseInterleaved(fs, args, out)
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,6 @@ import (
 // reconciliation possible: nobody else can touch the counters.
 func cmdLoad(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("load", flag.ContinueOnError)
-	fs.SetOutput(out)
 	seed := fs.Int64("seed", 1, "workload seed; same seed, same request sequence")
 	duration := fs.Duration("duration", 5*time.Second, "nominal run length; total requests = rps * duration")
 	rps := fs.Int("rps", 50, "request pacing rate (requests per second)")
@@ -36,7 +35,7 @@ func cmdLoad(args []string, out io.Writer) error {
 	replicas := fs.Int("replicas", 0, "boot a consistent-hash cluster of N replicas behind a router and load against it (0 = single server)")
 	runpackDir := fs.String("runpack", "", "emit a verifiable run artifact into this directory (forces -workers 1; single server only)")
 	stratSpec := fs.String("strategies", "", "rotate normalize requests through these evaluation strategies, e.g. innermost,outermost (single server only)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, out); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {

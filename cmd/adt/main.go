@@ -198,9 +198,8 @@ func loadEnv(lib bool, files []string) (*core.Env, error) {
 
 func cmdInfo(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("info", flag.ContinueOnError)
-	fs.SetOutput(out)
 	lib := fs.Bool("lib", false, "preload the embedded specification library")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, out); err != nil {
 		return err
 	}
 	env, err := loadEnv(*lib, fs.Args())
@@ -241,12 +240,11 @@ func joinComma(parts []string) string {
 
 func cmdCheck(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
-	fs.SetOutput(out)
 	lib := fs.Bool("lib", false, "preload the embedded specification library")
 	depth := fs.Int("depth", 4, "ground-term depth for the dynamic checks")
 	dynamic := fs.Bool("dynamic", true, "also run the dynamic (ground-term) checks")
 	workers := fs.Int("workers", 0, "worker goroutines for the dynamic checks (0 = GOMAXPROCS)")
-	files, err := parseInterleaved(fs, args)
+	files, err := parseInterleaved(fs, args, out)
 	if err != nil {
 		return err
 	}
@@ -298,13 +296,12 @@ func cmdCheck(args []string, out io.Writer) error {
 
 func cmdEval(args []string, out io.Writer, traced bool) error {
 	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
-	fs.SetOutput(out)
 	lib := fs.Bool("lib", true, "preload the embedded specification library")
 	specName := fs.String("spec", "", "specification to evaluate against (required)")
 	stats := fs.Bool("stats", false, "print engine work counters (steps, rule fires, native calls) after the normal form")
 	engine := fs.String("engine", "compiled", "evaluation tier: compiled (abstract rewrite machine, default) or interp (reference interpreter)")
 	workers := fs.Int("workers", 0, "worker goroutines when several terms are given (0 = GOMAXPROCS)")
-	rest, err := parseInterleaved(fs, args)
+	rest, err := parseInterleaved(fs, args, out)
 	if err != nil {
 		return err
 	}
@@ -396,11 +393,10 @@ func engineOptions(engine string) ([]rewrite.Option, error) {
 
 func cmdVerify(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
-	fs.SetOutput(out)
 	repName := fs.String("rep", "stack", "representation to verify: stack (paper's stack of arrays) or list (flat list)")
 	depth := fs.Int("depth", 4, "concrete ground-term depth")
 	assume := fs.Bool("assume", true, "apply the paper's Assumption 1 (stack representation only)")
-	pos, err := parseInterleaved(fs, args)
+	pos, err := parseInterleaved(fs, args, out)
 	if err != nil {
 		return err
 	}

@@ -24,13 +24,12 @@ func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 //	    "on l : reverseL(reverseL(l)) = l"
 func cmdProve(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("prove", flag.ContinueOnError)
-	fs.SetOutput(out)
 	lib := fs.Bool("lib", true, "preload the embedded specification library")
 	specName := fs.String("spec", "", "specification to prove over (required)")
 	varsFlag := fs.String("vars", "", "variable declarations, e.g. \"l:List, e:Elem\"")
 	var lemmas multiFlag
 	fs.Var(&lemmas, "lemma", "lemma to prove first, as \"on VAR : LHS = RHS\" (repeatable)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, out); err != nil {
 		return err
 	}
 	if *specName == "" || fs.NArg() != 1 {

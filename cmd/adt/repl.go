@@ -17,9 +17,8 @@ import (
 // rewritten in place; otherwise the formatted text goes to out.
 func cmdFmt(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fmt", flag.ContinueOnError)
-	fs.SetOutput(out)
 	write := fs.Bool("w", false, "rewrite files in place instead of printing")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, out); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
@@ -57,10 +56,9 @@ func cmdFmt(args []string, out io.Writer) error {
 //	:quit        exit
 func cmdRepl(args []string, stdin io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("repl", flag.ContinueOnError)
-	fs.SetOutput(out)
 	lib := fs.Bool("lib", true, "preload the embedded specification library")
 	specName := fs.String("spec", "Queue", "initially active specification")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, out); err != nil {
 		return err
 	}
 	env, err := loadEnv(*lib, fs.Args())

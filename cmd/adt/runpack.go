@@ -19,8 +19,7 @@ import (
 // 3 the pack fails verification (every problem is named file:line).
 func cmdVerifyRun(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("verify-run", flag.ContinueOnError)
-	fs.SetOutput(out)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, out); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
@@ -57,8 +56,7 @@ func cmdVerifyRun(args []string, out io.Writer) error {
 // names the first divergent request, spec and term).
 func cmdRegress(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("regress", flag.ContinueOnError)
-	fs.SetOutput(out)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, out); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {

@@ -29,17 +29,15 @@ var (
 
 func cmdServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	fs.SetOutput(out)
 	addr := fs.String("addr", "localhost:8044", "listen address (host:port; port 0 picks a free one)")
 	workers := fs.Int("workers", 0, "concurrent normalizations (0 = GOMAXPROCS)")
 	fuel := fs.Int("fuel", 0, "per-request reduction budget and cap on client budgets (0 = engine default)")
 	cacheSize := fs.Int("cache", 0, "shared normal-form cache entries (0 = default, negative = disabled)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request wall-clock deadline (0 = none)")
 	persist := fs.String("persist", "", "durability directory: uploaded specs and the normal-form cache survive restarts (empty = off)")
-	snapEvery := fs.Duration("snapshot-every", 0, "background snapshot period for the persisted cache (0 = default 30s)")
 	warm := fs.Bool("warm", false, "pre-normalize the golden-conformance battery into the cache at boot")
 	runpackDir := fs.String("runpack", "", "emit a verifiable session artifact (config + final metrics snapshot) into this directory at shutdown")
-	files, err := parseInterleaved(fs, args)
+	files, err := parseInterleaved(fs, args, out)
 	if err != nil {
 		return err
 	}
@@ -61,13 +59,12 @@ func cmdServe(args []string, out io.Writer) error {
 		extras[i] = string(src)
 	}
 	srv, err := serve.New(serve.Config{
-		Workers:       *workers,
-		Fuel:          *fuel,
-		CacheSize:     *cacheSize,
-		Timeout:       *timeout,
-		PersistDir:    *persist,
-		SnapshotEvery: *snapEvery,
-		Warm:          *warm,
+		Workers:    *workers,
+		Fuel:       *fuel,
+		CacheSize:  *cacheSize,
+		Timeout:    *timeout,
+		PersistDir: *persist,
+		Warm:       *warm,
 	}, extras...)
 	if err != nil {
 		return err

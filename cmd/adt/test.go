@@ -17,10 +17,10 @@ import (
 // arguments ("adt test specs/pqueue.spec -mutate"), which the standard
 // flag package alone does not allow: it stops at the first positional.
 // Positionals are accumulated in order across the interleaved runs.
-func parseInterleaved(fs *flag.FlagSet, args []string) ([]string, error) {
+func parseInterleaved(fs *flag.FlagSet, args []string, out io.Writer) ([]string, error) {
 	var pos []string
 	for {
-		if err := parseFlags(fs, args); err != nil {
+		if err := parseFlags(fs, args, out); err != nil {
 			return nil, err
 		}
 		args = fs.Args()
@@ -43,7 +43,6 @@ func parseInterleaved(fs *flag.FlagSet, args []string) ([]string, error) {
 
 func cmdTest(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(out)
 	lib := fs.Bool("lib", true, "preload the embedded specification library")
 	specName := fs.String("spec", "", "test only the named specification")
 	n := fs.Int("n", 48, "random instantiations per axiom (plus the guaranteed minimal one)")
@@ -53,7 +52,7 @@ func cmdTest(args []string, out io.Writer) error {
 	mutate := fs.Bool("mutate", false, "mutation smoke mode: perturb each axiom RHS and require the oracle to notice")
 	engine := fs.String("engine", "compiled", "evaluation tier for the axiom oracles: compiled or interp")
 	diff := fs.Bool("diff", true, "differential mode: normalize a corpus under all engine configurations")
-	files, err := parseInterleaved(fs, args)
+	files, err := parseInterleaved(fs, args, out)
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,8 @@
 // (including the Bool, Nat and native-equality operations inherited
 // through uses), so the specification can serve as the implementation's
 // test oracle — the paper's §5 discipline of testing a module against
-// nothing but the algebraic definitions of its operations.
+// nothing but the algebraic definitions of its operations. Each adapter
+// is an operation table built with internal/refimpl's adapter kit.
 package adapters
 
 import (
@@ -20,200 +21,30 @@ import (
 	"algspec/internal/adt/stack"
 	"algspec/internal/adt/symtab"
 	"algspec/internal/model"
-	"algspec/internal/sig"
+	"algspec/internal/refimpl"
 	"algspec/internal/spec"
-	"algspec/internal/term"
 )
-
-// opFunc evaluates one operation.
-type opFunc func(args []model.Value) (model.Value, error)
-
-// opTable is a dispatch table from operation name to evaluator.
-type opTable map[string]opFunc
-
-func (t opTable) apply(op string, args []model.Value) (model.Value, error) {
-	f, ok := t[op]
-	if !ok {
-		return nil, fmt.Errorf("adapters: operation %s not implemented", op)
-	}
-	return f(args)
-}
-
-// asBool / asInt / asString convert harness values with decent errors.
-func asBool(v model.Value) (bool, error) {
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("adapters: want bool, got %T", v)
-	}
-	return b, nil
-}
-
-func asInt(v model.Value) (int, error) {
-	n, ok := v.(int)
-	if !ok {
-		return 0, fmt.Errorf("adapters: want int, got %T", v)
-	}
-	return n, nil
-}
-
-func asString(v model.Value) (string, error) {
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("adapters: want string, got %T", v)
-	}
-	return s, nil
-}
-
-// boolOps implements the Bool specification over Go bools.
-func boolOps(t opTable) {
-	t["true"] = func([]model.Value) (model.Value, error) { return true, nil }
-	t["false"] = func([]model.Value) (model.Value, error) { return false, nil }
-	t["not"] = func(a []model.Value) (model.Value, error) {
-		b, err := asBool(a[0])
-		return !b, err
-	}
-	t["and"] = func(a []model.Value) (model.Value, error) {
-		x, err := asBool(a[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := asBool(a[1])
-		return x && y, err
-	}
-	t["or"] = func(a []model.Value) (model.Value, error) {
-		x, err := asBool(a[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := asBool(a[1])
-		return x || y, err
-	}
-}
-
-// natOps implements the Nat specification over Go ints.
-func natOps(t opTable) {
-	t["zero"] = func([]model.Value) (model.Value, error) { return 0, nil }
-	t["succ"] = func(a []model.Value) (model.Value, error) {
-		n, err := asInt(a[0])
-		return n + 1, err
-	}
-	t["pred"] = func(a []model.Value) (model.Value, error) {
-		n, err := asInt(a[0])
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return model.ErrValue, nil
-		}
-		return n - 1, nil
-	}
-	t["addN"] = func(a []model.Value) (model.Value, error) {
-		m, err := asInt(a[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := asInt(a[1])
-		return m + n, err
-	}
-	t["eqN"] = func(a []model.Value) (model.Value, error) {
-		m, err := asInt(a[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := asInt(a[1])
-		return m == n, err
-	}
-	t["ltN"] = func(a []model.Value) (model.Value, error) {
-		m, err := asInt(a[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := asInt(a[1])
-		return m < n, err
-	}
-}
-
-// sameOps implements the native atom equalities over Go strings.
-func sameOps(t opTable, names ...string) {
-	for _, name := range names {
-		t[name] = func(a []model.Value) (model.Value, error) {
-			x, err := asString(a[0])
-			if err != nil {
-				return nil, err
-			}
-			y, err := asString(a[1])
-			return x == y, err
-		}
-	}
-}
-
-// stdAtom injects atoms of any atom/param sort as their spelling.
-func stdAtom(so sig.Sort, spelling string) (model.Value, error) {
-	return spelling, nil
-}
-
-// stdReify reifies Bool, Nat and atom/parameter sorts; everything else is
-// hidden.
-func stdReify(sp *spec.Spec) func(so sig.Sort, v model.Value) (*term.Term, bool, error) {
-	return func(so sig.Sort, v model.Value) (*term.Term, bool, error) {
-		switch {
-		case so == sig.BoolSort:
-			b, err := asBool(v)
-			if err != nil {
-				return nil, false, err
-			}
-			return term.Bool(b), true, nil
-		case so == "Nat" && sp.Sig.HasSort("Nat"):
-			n, err := asInt(v)
-			if err != nil {
-				return nil, false, err
-			}
-			t := term.NewOp("zero", "Nat")
-			for i := 0; i < n; i++ {
-				t = term.NewOp("succ", "Nat", t)
-			}
-			return t, true, nil
-		case sp.Sig.IsAtomSort(so) || sp.Sig.IsParam(so):
-			s, err := asString(v)
-			if err != nil {
-				return nil, false, err
-			}
-			return term.NewAtom(s, so), true, nil
-		default:
-			return nil, false, nil
-		}
-	}
-}
-
-func build(sp *spec.Spec, t opTable) *model.Impl {
-	return &model.Impl{
-		SpecName: sp.Name,
-		Apply:    t.apply,
-		Atom:     stdAtom,
-		Reify:    stdReify(sp),
-	}
-}
 
 // Bool adapts the Go bool operations to the Bool spec.
 func Bool(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	return build(sp, t)
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	return refimpl.Build(sp, t)
 }
 
 // Nat adapts Go ints to the Nat spec.
 func Nat(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	natOps(t)
-	return build(sp, t)
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.NatOps(t)
+	return refimpl.Build(sp, t)
 }
 
 // Queue adapts queue.Queue to the Queue spec (Items are atoms, carried as
 // strings).
 func Queue(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
 	asQ := func(v model.Value) (queue.Queue[string], error) {
 		q, ok := v.(queue.Queue[string])
 		if !ok {
@@ -227,7 +58,7 @@ func Queue(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		x, err := asString(a[1])
+		x, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -259,15 +90,15 @@ func Queue(sp *spec.Spec) *model.Impl {
 		q, err := asQ(a[0])
 		return q.IsEmpty(), err
 	}
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }
 
 // BoundedQueue adapts boundedqueue.Queue (capacity 3, the paper's bound)
 // to the BoundedQueue spec.
 func BoundedQueue(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	natOps(t)
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.NatOps(t)
 	asQ := func(v model.Value) (boundedqueue.Queue[string], error) {
 		q, ok := v.(boundedqueue.Queue[string])
 		if !ok {
@@ -282,7 +113,7 @@ func BoundedQueue(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		x, err := asString(a[1])
+		x, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -326,12 +157,12 @@ func BoundedQueue(sp *spec.Spec) *model.Impl {
 		q, err := asQ(a[0])
 		return q.Len(), err
 	}
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }
 
 // arrayOps implements the Array spec operations over
 // array.Array[string].
-func arrayOps(t opTable) {
+func arrayOps(t refimpl.OpTable) {
 	asA := func(v model.Value) (array.Array[string], error) {
 		a, ok := v.(array.Array[string])
 		if !ok {
@@ -345,11 +176,11 @@ func arrayOps(t opTable) {
 		if err != nil {
 			return nil, err
 		}
-		id, err := asString(a[1])
+		id, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
-		val, err := asString(a[2])
+		val, err := refimpl.AsString(a[2])
 		if err != nil {
 			return nil, err
 		}
@@ -360,7 +191,7 @@ func arrayOps(t opTable) {
 		if err != nil {
 			return nil, err
 		}
-		id, err := asString(a[1])
+		id, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -375,25 +206,25 @@ func arrayOps(t opTable) {
 		if err != nil {
 			return nil, err
 		}
-		id, err := asString(a[1])
+		id, err := refimpl.AsString(a[1])
 		return arr.IsUndefined(ident.Intern(id)), err
 	}
 }
 
 // Array adapts array.Array to the Array spec.
 func Array(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	sameOps(t, "same?")
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.SameOps(t, "same?")
 	arrayOps(t)
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }
 
 // Stack adapts stack.Stack (of Arrays) to the Stack spec.
 func Stack(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	sameOps(t, "same?")
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.SameOps(t, "same?")
 	arrayOps(t)
 	asS := func(v model.Value) (stack.Stack[array.Array[string]], error) {
 		s, ok := v.(stack.Stack[array.Array[string]])
@@ -457,16 +288,16 @@ func Stack(sp *spec.Spec) *model.Impl {
 		}
 		return out, nil
 	}
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }
 
 // Symboltable adapts a symtab.Table implementation to the Symboltable
 // spec. newTable supplies the representation under test (NewStackTable,
 // NewListTable, or a symbolic table).
 func Symboltable(sp *spec.Spec, newTable func() symtab.Table) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	sameOps(t, "same?")
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.SameOps(t, "same?")
 	asT := func(v model.Value) (symtab.Table, error) {
 		tbl, ok := v.(symtab.Table)
 		if !ok {
@@ -498,11 +329,11 @@ func Symboltable(sp *spec.Spec, newTable func() symtab.Table) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		id, err := asString(a[1])
+		id, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
-		attrs, err := asString(a[2])
+		attrs, err := refimpl.AsString(a[2])
 		if err != nil {
 			return nil, err
 		}
@@ -513,7 +344,7 @@ func Symboltable(sp *spec.Spec, newTable func() symtab.Table) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		id, err := asString(a[1])
+		id, err := refimpl.AsString(a[1])
 		return tbl.IsInBlock(ident.Intern(id)), err
 	}
 	t["retrieve"] = func(a []model.Value) (model.Value, error) {
@@ -521,7 +352,7 @@ func Symboltable(sp *spec.Spec, newTable func() symtab.Table) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		id, err := asString(a[1])
+		id, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -531,19 +362,19 @@ func Symboltable(sp *spec.Spec, newTable func() symtab.Table) *model.Impl {
 		}
 		return attrs, nil
 	}
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }
 
 // Knowlist adapts knowlist.List to the Knowlist spec.
 func Knowlist(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	sameOps(t, "same?")
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.SameOps(t, "same?")
 	knowlistOps(t)
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }
 
-func knowlistOps(t opTable) {
+func knowlistOps(t refimpl.OpTable) {
 	asK := func(v model.Value) (knowlist.List, error) {
 		k, ok := v.(knowlist.List)
 		if !ok {
@@ -557,7 +388,7 @@ func knowlistOps(t opTable) {
 		if err != nil {
 			return nil, err
 		}
-		id, err := asString(a[1])
+		id, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -568,16 +399,16 @@ func knowlistOps(t opTable) {
 		if err != nil {
 			return nil, err
 		}
-		id, err := asString(a[1])
+		id, err := refimpl.AsString(a[1])
 		return k.IsIn(ident.Intern(id)), err
 	}
 }
 
 // SymboltableKnows adapts symtab.KnowsTable to the SymboltableKnows spec.
 func SymboltableKnows(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	sameOps(t, "same?")
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.SameOps(t, "same?")
 	knowlistOps(t)
 	asT := func(v model.Value) (symtab.KnowsTable, error) {
 		tbl, ok := v.(symtab.KnowsTable)
@@ -614,11 +445,11 @@ func SymboltableKnows(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		id, err := asString(a[1])
+		id, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
-		attrs, err := asString(a[2])
+		attrs, err := refimpl.AsString(a[2])
 		if err != nil {
 			return nil, err
 		}
@@ -629,7 +460,7 @@ func SymboltableKnows(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		id, err := asString(a[1])
+		id, err := refimpl.AsString(a[1])
 		return tbl.IsInBlock(ident.Intern(id)), err
 	}
 	t["retrieve"] = func(a []model.Value) (model.Value, error) {
@@ -637,7 +468,7 @@ func SymboltableKnows(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		id, err := asString(a[1])
+		id, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -647,15 +478,15 @@ func SymboltableKnows(sp *spec.Spec) *model.Impl {
 		}
 		return attrs, nil
 	}
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }
 
 // Set adapts set.Set to the Set spec.
 func Set(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	natOps(t)
-	sameOps(t, "sameElem?")
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.NatOps(t)
+	refimpl.SameOps(t, "sameElem?")
 	asS := func(v model.Value) (set.Set[string], error) {
 		s, ok := v.(set.Set[string])
 		if !ok {
@@ -669,7 +500,7 @@ func Set(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		x, err := asString(a[1])
+		x, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -680,7 +511,7 @@ func Set(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		x, err := asString(a[1])
+		x, err := refimpl.AsString(a[1])
 		return s.IsMember(x), err
 	}
 	t["delete"] = func(a []model.Value) (model.Value, error) {
@@ -688,7 +519,7 @@ func Set(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		x, err := asString(a[1])
+		x, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -702,15 +533,15 @@ func Set(sp *spec.Spec) *model.Impl {
 		s, err := asS(a[0])
 		return s.IsEmpty(), err
 	}
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }
 
 // List adapts list.List to the List spec.
 func List(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	natOps(t)
-	sameOps(t, "sameElem?")
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.NatOps(t)
+	refimpl.SameOps(t, "sameElem?")
 	asL := func(v model.Value) (list.List[string], error) {
 		l, ok := v.(list.List[string])
 		if !ok {
@@ -720,7 +551,7 @@ func List(sp *spec.Spec) *model.Impl {
 	}
 	t["nil"] = func([]model.Value) (model.Value, error) { return list.Nil[string](), nil }
 	t["cons"] = func(a []model.Value) (model.Value, error) {
-		x, err := asString(a[0])
+		x, err := refimpl.AsString(a[0])
 		if err != nil {
 			return nil, err
 		}
@@ -776,12 +607,12 @@ func List(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		x, err := asString(a[1])
+		x, err := refimpl.AsString(a[1])
 		return l.Member(x), err
 	}
 	t["reverseL"] = func(a []model.Value) (model.Value, error) {
 		l, err := asL(a[0])
 		return l.Reverse(), err
 	}
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }

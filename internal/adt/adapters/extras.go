@@ -7,15 +7,16 @@ import (
 	"algspec/internal/adt/bst"
 	"algspec/internal/adt/fmap"
 	"algspec/internal/model"
+	"algspec/internal/refimpl"
 	"algspec/internal/spec"
 )
 
 // Bag adapts bag.Bag to the Bag spec.
 func Bag(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	natOps(t)
-	sameOps(t, "sameElem?")
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.NatOps(t)
+	refimpl.SameOps(t, "sameElem?")
 	asB := func(v model.Value) (bag.Bag[string], error) {
 		b, ok := v.(bag.Bag[string])
 		if !ok {
@@ -29,7 +30,7 @@ func Bag(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		x, err := asString(a[1])
+		x, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -40,7 +41,7 @@ func Bag(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		x, err := asString(a[1])
+		x, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -51,7 +52,7 @@ func Bag(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		x, err := asString(a[1])
+		x, err := refimpl.AsString(a[1])
 		return b.Count(x), err
 	}
 	t["memberB?"] = func(a []model.Value) (model.Value, error) {
@@ -59,22 +60,22 @@ func Bag(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		x, err := asString(a[1])
+		x, err := refimpl.AsString(a[1])
 		return b.Member(x), err
 	}
 	t["sizeb"] = func(a []model.Value) (model.Value, error) {
 		b, err := asB(a[0])
 		return b.Size(), err
 	}
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }
 
 // BST adapts bst.Tree to the BST spec. The spec's Nats arrive as ints
 // through the Nat operations.
 func BST(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	natOps(t)
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.NatOps(t)
 	asT := func(v model.Value) (bst.Tree, error) {
 		tr, ok := v.(bst.Tree)
 		if !ok {
@@ -88,7 +89,7 @@ func BST(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		n, err := asInt(a[1])
+		n, err := refimpl.AsInt(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +104,7 @@ func BST(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		n, err := asInt(a[1])
+		n, err := refimpl.AsInt(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +115,7 @@ func BST(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		n, err := asInt(a[1])
+		n, err := refimpl.AsInt(a[1])
 		return tr.Member(n), err
 	}
 	t["isEmptyT?"] = func(a []model.Value) (model.Value, error) {
@@ -136,15 +137,15 @@ func BST(sp *spec.Spec) *model.Impl {
 		tr, err := asT(a[0])
 		return tr.Size(), err
 	}
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }
 
 // Map adapts fmap.Map to the Map spec.
 func Map(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	natOps(t)
-	sameOps(t, "sameElem?")
+	t := refimpl.OpTable{}
+	refimpl.BoolOps(t)
+	refimpl.NatOps(t)
+	refimpl.SameOps(t, "sameElem?")
 	asM := func(v model.Value) (fmap.Map[string, string], error) {
 		m, ok := v.(fmap.Map[string, string])
 		if !ok {
@@ -160,11 +161,11 @@ func Map(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		k, err := asString(a[1])
+		k, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
-		v, err := asString(a[2])
+		v, err := refimpl.AsString(a[2])
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +176,7 @@ func Map(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		k, err := asString(a[1])
+		k, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +191,7 @@ func Map(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		k, err := asString(a[1])
+		k, err := refimpl.AsString(a[1])
 		return m.HasKey(k), err
 	}
 	t["removeKey"] = func(a []model.Value) (model.Value, error) {
@@ -198,7 +199,7 @@ func Map(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		k, err := asString(a[1])
+		k, err := refimpl.AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -208,5 +209,5 @@ func Map(sp *spec.Spec) *model.Impl {
 		m, err := asM(a[0])
 		return m.Size(), err
 	}
-	return build(sp, t)
+	return refimpl.Build(sp, t)
 }

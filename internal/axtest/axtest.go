@@ -38,6 +38,10 @@ import (
 // internal/gen's fixed default so bare runs stay reproducible.
 const DefaultSeed = 0x6177_7474
 
+// maxShrink caps the candidate evaluations spent shrinking each
+// counterexample.
+const maxShrink = 256
+
 // Config tunes an oracle run. The zero value is usable.
 type Config struct {
 	// N is the number of random instantiations drawn per axiom, on top
@@ -52,15 +56,9 @@ type Config struct {
 	// Workers bounds the goroutines used for batch normalization
 	// (<= 0 = GOMAXPROCS).
 	Workers int
-	// MaxShrink caps the number of candidate evaluations spent shrinking
-	// each counterexample (0 = 256).
-	MaxShrink int
 	// MaxFailures caps the failures recorded per run; counting continues
 	// past the cap (0 = 8).
 	MaxFailures int
-	// Gen, when non-nil, supplies the instance generator; otherwise one
-	// is built from the spec with Seed and the system's interner.
-	Gen *gen.Generator
 	// System, when non-nil, is the engine the axioms are checked against
 	// (the mutation driver points it at a system compiled from a
 	// perturbed spec). It is forked, not mutated. Nil compiles a plain
@@ -77,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = DefaultSeed
-	}
-	if c.MaxShrink == 0 {
-		c.MaxShrink = 256
 	}
 	if c.MaxFailures == 0 {
 		c.MaxFailures = 8
@@ -217,10 +212,7 @@ func CheckAxioms(sp *spec.Spec, cfg Config) *Report {
 		c.sys = rewrite.New(sp)
 	}
 	c.seq = c.sys.Fork()
-	c.g = cfg.Gen
-	if c.g == nil {
-		c.g = gen.New(sp, gen.Config{Seed: cfg.Seed, Intern: c.sys.Interner()})
-	}
+	c.g = gen.New(sp, gen.Config{Seed: cfg.Seed, Intern: c.sys.Interner()})
 	rep := &Report{Spec: sp.Name, Seed: cfg.Seed}
 
 	// Draw every instance up front, sequentially, so the set depends only
@@ -234,22 +226,14 @@ func CheckAxioms(sp *spec.Spec, cfg Config) *Report {
 	for _, ax := range sp.Own {
 		vars := ax.LHS.Vars()
 		rep.Axioms++
-		asns := make([]map[string]*term.Term, 0, cfg.N+1)
-		if min, ok := c.g.MinimalAssignment(vars); ok {
-			asns = append(asns, min)
-		} else {
+		asns, err := c.g.Samples(vars, cfg.N, cfg.Depth)
+		switch {
+		case asns == nil:
 			rep.Skipped = append(rep.Skipped,
 				fmt.Sprintf("axiom [%s]: a variable's sort has no ground terms", ax.Label))
-			continue
-		}
-		for i := 0; i < cfg.N; i++ {
-			asn, err := c.g.RandomAssignment(vars, cfg.Depth)
-			if err != nil {
-				rep.Skipped = append(rep.Skipped,
-					fmt.Sprintf("axiom [%s]: %v", ax.Label, err))
-				break
-			}
-			asns = append(asns, asn)
+		case err != nil:
+			rep.Skipped = append(rep.Skipped,
+				fmt.Sprintf("axiom [%s]: %v", ax.Label, err))
 		}
 		for _, asn := range asns {
 			insts = append(insts, instance{ax, asn})
@@ -334,7 +318,7 @@ func (c *checker) stillFails(ax *spec.Axiom, asn map[string]*term.Term) bool {
 // repeatedly replaced by the smallest candidates that keep the axiom
 // failing — the minimal ground term of the sort first, then proper
 // subterms of the binding with the same sort, smallest first. The loop
-// runs to a fixpoint (or the MaxShrink probe budget), so the result is
+// runs to a fixpoint (or the maxShrink probe budget), so the result is
 // locally minimal: no single replacement can shrink it further.
 func (c *checker) shrink(ax *spec.Axiom, asn map[string]*term.Term) (map[string]*term.Term, int) {
 	cur := make(map[string]*term.Term, len(asn))
@@ -347,7 +331,7 @@ func (c *checker) shrink(ax *spec.Axiom, asn map[string]*term.Term) (map[string]
 	}
 	sort.Strings(names)
 
-	budget := c.cfg.MaxShrink
+	budget := maxShrink
 	steps := 0
 	for improved := true; improved; {
 		improved = false

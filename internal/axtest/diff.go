@@ -211,17 +211,7 @@ func CheckEngines(sp *spec.Spec, cfg DiffConfig) *DiffReport {
 func buildCorpus(sp *spec.Spec, g *gen.Generator, cfg DiffConfig) []*term.Term {
 	var corpus []*term.Term
 	for _, op := range sp.Extensions() {
-		vars := make([]*term.Term, len(op.Domain))
-		for i, ds := range op.Domain {
-			vars[i] = term.NewVar(fmt.Sprintf("x%d", i), ds)
-		}
-		for _, asn := range g.Instantiations(vars, cfg.Depth, cfg.PerOp) {
-			args := make([]*term.Term, len(vars))
-			for i, v := range vars {
-				args[i] = asn[v.Sym]
-			}
-			corpus = append(corpus, term.NewOp(op.Name, op.Range, args...))
-		}
+		corpus = append(corpus, g.Applications(op, cfg.Depth, cfg.PerOp)...)
 		for k := 0; k < cfg.RandomPerOp; k++ {
 			args := make([]*term.Term, len(op.Domain))
 			ok := true

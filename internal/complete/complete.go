@@ -217,7 +217,7 @@ func (c *checker) missing(matrix [][]*term.Term, sorts []sig.Sort) []*term.Term 
 		return nil
 	}
 
-	if c.openSort(headSort) {
+	if c.sp.Sig.OpenSort(headSort) {
 		return c.missingOpen(matrix, sorts)
 	}
 
@@ -231,12 +231,6 @@ func (c *checker) missing(matrix [][]*term.Term, sorts []sig.Sort) []*term.Term 
 		}
 	}
 	return nil
-}
-
-// openSort reports whether the sort's value universe is open-ended
-// (atoms, parameters) rather than a finite constructor set.
-func (c *checker) openSort(so sig.Sort) bool {
-	return c.sp.Sig.IsAtomSort(so) || c.sp.Sig.IsParam(so)
 }
 
 // missingOpen handles a first column of an open sort: variables cover
@@ -405,8 +399,6 @@ type DynamicConfig struct {
 	Depth int
 	// MaxTermsPerOp caps the instances tried per extension (default 2000).
 	MaxTermsPerOp int
-	// Gen configures atom universes; zero value is fine.
-	Gen gen.Config
 	// System, when non-nil, supplies an already-compiled rewrite system
 	// for the spec (e.g. from core.Env's cache); workers fork it rather
 	// than recompiling the axioms.
@@ -469,7 +461,7 @@ func CheckDynamic(sp *spec.Spec, cfg DynamicConfig) *DynamicReport {
 		cfg.MaxTermsPerOp = 2000
 	}
 	r := &DynamicReport{Spec: sp.Name}
-	g := gen.New(sp, cfg.Gen)
+	g := gen.New(sp, gen.Config{})
 	sys := cfg.System
 	if sys == nil {
 		sys = rewrite.New(sp)
@@ -487,18 +479,7 @@ func CheckDynamic(sp *spec.Spec, cfg DynamicConfig) *DynamicReport {
 		if op.Native || sp.IsConstructor(opName) {
 			continue
 		}
-		vars := make([]*term.Term, len(op.Domain))
-		for i, d := range op.Domain {
-			vars[i] = term.NewVar(fmt.Sprintf("x%d", i), d)
-		}
-		insts := g.Instantiations(vars, cfg.Depth, cfg.MaxTermsPerOp)
-		for _, inst := range insts {
-			args := make([]*term.Term, len(vars))
-			for i, v := range vars {
-				args[i] = inst[v.Sym]
-			}
-			items = append(items, term.NewOp(op.Name, op.Range, args...))
-		}
+		items = append(items, g.Applications(op, cfg.Depth, cfg.MaxTermsPerOp)...)
 	}
 	r.Checked = len(items)
 

@@ -84,7 +84,7 @@ type ModelClient struct {
 
 // NewModelClient wraps an implementation of the given spec.
 func NewModelClient(sp *spec.Spec, impl *model.Impl) *ModelClient {
-	return &ModelClient{h: model.NewHarness(sp, impl, model.Config{}), impl: impl, sp: sp}
+	return &ModelClient{h: model.NewHarness(sp, impl), impl: impl, sp: sp}
 }
 
 // Observe evaluates the program in the implementation and reifies the

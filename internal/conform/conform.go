@@ -16,6 +16,7 @@ package conform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"algspec/internal/core"
@@ -45,12 +46,15 @@ type PlanConfig struct {
 	// representing counts as ints declares Nat here, which is what lets
 	// the planner emit value(...) probes at all.
 	ObserveSorts []sig.Sort
-	// MaxPrograms caps the probe batch (0 = 256).
-	MaxPrograms int
-	// MaxShrink caps the candidate programs spent shrinking a
-	// counterexample across all rounds (0 = 64).
-	MaxShrink int
 }
+
+const (
+	// maxPrograms caps the probe batch.
+	maxPrograms = 256
+	// maxShrink caps the candidate programs spent shrinking a
+	// counterexample across all rounds.
+	maxShrink = 64
+)
 
 func (c PlanConfig) withDefaults() PlanConfig {
 	if c.N == 0 {
@@ -67,12 +71,6 @@ func (c PlanConfig) withDefaults() PlanConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x6177_7474 // gen's fixed default, for bare-run reproducibility
-	}
-	if c.MaxPrograms == 0 {
-		c.MaxPrograms = 256
-	}
-	if c.MaxShrink == 0 {
-		c.MaxShrink = 64
 	}
 	return c
 }
@@ -102,15 +100,14 @@ type Plan struct {
 	// not a constructor value (stuck term: nothing to compare against).
 	Skipped int
 	// Capped counts probes dropped because the batch already held
-	// PlanConfig.MaxPrograms programs.
+	// maxPrograms programs.
 	Capped int
 
-	cfg        PlanConfig
-	env        *core.Env
-	sp         *spec.Spec
-	g          *gen.Generator
-	observable func(sig.Sort) bool
-	nextID     int
+	cfg    PlanConfig
+	env    *core.Env
+	sp     *spec.Spec
+	g      *gen.Generator
+	nextID int
 }
 
 // NewPlan builds the probe batch: every own axiom instantiated with the
@@ -122,23 +119,16 @@ type Plan struct {
 // normal form is not a constructor value are skipped and counted.
 func NewPlan(env *core.Env, sp *spec.Spec, norm Normalizer, cfg PlanConfig) (*Plan, error) {
 	cfg = cfg.withDefaults()
-	obs := make(map[sig.Sort]bool, len(cfg.ObserveSorts))
-	for _, so := range cfg.ObserveSorts {
-		obs[so] = true
-	}
 	p := &Plan{
 		Spec: sp.Name,
 		cfg:  cfg,
 		env:  env,
 		sp:   sp,
 		g:    gen.New(sp, gen.Config{Seed: cfg.Seed}),
-		observable: func(so sig.Sort) bool {
-			return so == sig.BoolSort || sp.Sig.IsAtomSort(so) || sp.Sig.IsParam(so) || obs[so]
-		},
 	}
 	seen := map[string]bool{}
 	add := func(t *term.Term, axiom string) error {
-		if len(p.Programs) >= cfg.MaxPrograms {
+		if len(p.Programs) >= maxPrograms {
 			p.Capped++
 			return nil
 		}
@@ -160,20 +150,8 @@ func NewPlan(env *core.Env, sp *spec.Spec, norm Normalizer, cfg PlanConfig) (*Pl
 	}
 
 	for _, ax := range sp.Own {
-		vars := ax.LHS.Vars()
-		asns := make([]map[string]*term.Term, 0, cfg.N+1)
-		if min, ok := p.g.MinimalAssignment(vars); ok {
-			asns = append(asns, min)
-		} else {
-			continue
-		}
-		for i := 0; i < cfg.N; i++ {
-			asn, err := p.g.RandomAssignment(vars, cfg.Depth)
-			if err != nil {
-				break
-			}
-			asns = append(asns, asn)
-		}
+		// A failed draw only ends this axiom's instances early.
+		asns, _ := p.g.Samples(ax.LHS.Vars(), cfg.N, cfg.Depth)
 		for _, asn := range asns {
 			s := subst.Subst(asn)
 			for _, side := range []*term.Term{s.Apply(ax.LHS), s.Apply(ax.RHS)} {
@@ -190,35 +168,9 @@ func NewPlan(env *core.Env, sp *spec.Spec, norm Normalizer, cfg PlanConfig) (*Pl
 	// non-native operation whose range the client can observe. This is
 	// what catches an implementation whose lie never surfaces through an
 	// axiom side — the same net CheckAgainstSpec casts for local models.
-	for _, op := range sp.Sig.Ops() {
-		if op.Native || sp.IsConstructor(op.Name) || !p.observable(op.Range) {
-			continue
-		}
-		vars := make([]*term.Term, len(op.Domain))
-		for i, d := range op.Domain {
-			vars[i] = term.NewVar(fmt.Sprintf("x%d", i), d)
-		}
-		asns := make([]map[string]*term.Term, 0, 4)
-		if min, ok := p.g.MinimalAssignment(vars); ok {
-			asns = append(asns, min)
-		}
-		sweep := cfg.N
-		if sweep > 4 {
-			sweep = 4
-		}
-		for i := 0; i < sweep; i++ {
-			asn, err := p.g.RandomAssignment(vars, cfg.Depth)
-			if err != nil {
-				break
-			}
-			asns = append(asns, asn)
-		}
-		for _, asn := range asns {
-			args := make([]*term.Term, len(vars))
-			for i, v := range vars {
-				args[i] = asn[v.Sym]
-			}
-			if err := add(term.NewOp(op.Name, op.Range, args...), ""); err != nil {
+	for _, op := range sp.Observers(cfg.ObserveSorts...) {
+		for _, probe := range p.g.SampledApplications(op, min(cfg.N, 4), cfg.Depth) {
+			if err := add(probe, ""); err != nil {
 				return nil, err
 			}
 		}
@@ -254,7 +206,7 @@ func (p *Plan) compile(t *term.Term, axiom string, norm Normalizer) (*Program, b
 // contexts (every operation taking its sort, remaining positions filled
 // with minimal ground terms), recursively up to depth wraps.
 func (p *Plan) lift(t *term.Term, depth int) []*term.Term {
-	ctxs := ObserverContexts(p.sp, p.g, p.observable, t.Sort, depth)
+	ctxs := ObserverContexts(p.sp, p.g, p.cfg.ObserveSorts, t.Sort, depth)
 	out := make([]*term.Term, 0, len(ctxs))
 	hole := subst.Subst{HoleVar: t}
 	for _, c := range ctxs {
@@ -271,14 +223,15 @@ const HoleVar = "__hole"
 
 // ObserverContexts enumerates observable contexts for a sort: terms
 // with a single HoleVar occurrence of the given sort whose root sort is
-// observable. A hole of an observable sort yields the identity context;
+// observable (spec.Observable, or one of the extra sorts the client
+// declares). A hole of an observable sort yields the identity context;
 // a hidden sort is wrapped in every operation taking it (remaining
 // positions filled with minimal ground terms), recursively up to depth
 // wraps. This is the shared lift machinery of the conformance planner
 // and the driverkit generator: both fronts must probe hidden sorts
 // through exactly the same observations.
-func ObserverContexts(sp *spec.Spec, g *gen.Generator, observable func(sig.Sort) bool, so sig.Sort, depth int) []*term.Term {
-	if observable(so) {
+func ObserverContexts(sp *spec.Spec, g *gen.Generator, extra []sig.Sort, so sig.Sort, depth int) []*term.Term {
+	if sp.Observable(so) || slices.Contains(extra, so) {
 		return []*term.Term{term.NewVar(HoleVar, so)}
 	}
 	if depth <= 0 {
@@ -308,7 +261,7 @@ func ObserverContexts(sp *spec.Spec, g *gen.Generator, observable func(sig.Sort)
 				continue
 			}
 			inner := term.NewOp(op.Name, op.Range, args...)
-			for _, outer := range ObserverContexts(sp, g, observable, op.Range, depth-1) {
+			for _, outer := range ObserverContexts(sp, g, extra, op.Range, depth-1) {
 				out = append(out, subst.Subst{HoleVar: inner}.Apply(outer))
 			}
 		}
@@ -413,7 +366,7 @@ type Session struct {
 // NewSession starts a session on a plan. The first round's programs are
 // Current().
 func NewSession(p *Plan) *Session {
-	return &Session{plan: p, round: 1, current: p.Programs, budget: p.cfg.MaxShrink}
+	return &Session{plan: p, round: 1, current: p.Programs, budget: maxShrink}
 }
 
 // Round is the round number Observe expects next (starting at 1).

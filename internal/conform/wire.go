@@ -98,7 +98,7 @@ type Response struct {
 	// Programs are the probes awaiting observation (empty when Done).
 	Programs []ProgramMsg `json:"programs,omitempty"`
 	// Skipped counts planned probes dropped for lack of a constructor
-	// normal form; Capped counts probes dropped by the MaxPrograms batch
+	// normal form; Capped counts probes dropped by the planner's batch
 	// cap (both reported on open).
 	Skipped int `json:"skipped,omitempty"`
 	Capped  int `json:"capped,omitempty"`

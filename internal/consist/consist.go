@@ -24,7 +24,6 @@ import (
 
 	"algspec/internal/gen"
 	"algspec/internal/rewrite"
-	"algspec/internal/sig"
 	"algspec/internal/spec"
 	"algspec/internal/subst"
 	"algspec/internal/term"
@@ -206,8 +205,6 @@ type GroundConfig struct {
 	Depth int
 	// MaxTermsPerOp caps instances per boolean observer (default 1500).
 	MaxTermsPerOp int
-	// Gen configures atom universes.
-	Gen gen.Config
 	// System, when non-nil, supplies an already-compiled rewrite system
 	// for the spec; workers fork it (with per-strategy options) instead
 	// of recompiling the axioms.
@@ -265,34 +262,16 @@ func CheckGround(sp *spec.Spec, cfg GroundConfig) *GroundReport {
 		cfg.MaxTermsPerOp = 1500
 	}
 	r := &GroundReport{Spec: sp.Name}
-	g := gen.New(sp, cfg.Gen)
+	g := gen.New(sp, gen.Config{})
 	base := cfg.System
 	if base == nil {
 		base = rewrite.New(sp)
 	}
 
-	observable := func(so sig.Sort) bool {
-		return so == sig.BoolSort || sp.Sig.IsAtomSort(so) || sp.Sig.IsParam(so)
-	}
-
 	// Deterministic observation list.
 	var items []*term.Term
-	for _, op := range sp.Sig.Ops() {
-		if op.Native || sp.IsConstructor(op.Name) || !observable(op.Range) {
-			continue
-		}
-		vars := make([]*term.Term, len(op.Domain))
-		for i, d := range op.Domain {
-			vars[i] = term.NewVar(fmt.Sprintf("x%d", i), d)
-		}
-		insts := g.Instantiations(vars, cfg.Depth, cfg.MaxTermsPerOp)
-		for _, instMap := range insts {
-			args := make([]*term.Term, len(vars))
-			for i, v := range vars {
-				args[i] = instMap[v.Sym]
-			}
-			items = append(items, term.NewOp(op.Name, op.Range, args...))
-		}
+	for _, op := range sp.Observers() {
+		items = append(items, g.Applications(op, cfg.Depth, cfg.MaxTermsPerOp)...)
 	}
 	r.Checked = len(items)
 

@@ -31,27 +31,22 @@ import (
 
 // Env is an environment of checked specifications. The zero value is not
 // usable; call NewEnv. Loading is not concurrency-safe, but once the
-// environment is populated, System/SystemWithStrategy may be called from
-// multiple goroutines (the compiled-system cache is mutex-guarded).
+// environment is populated, System may be called from multiple
+// goroutines (the compiled-system cache is mutex-guarded).
 // Note the cached systems themselves are stateful: a caller that wants to
 // normalize on several goroutines forks the cached system per worker.
 type Env struct {
 	specs   map[string]*spec.Spec
 	order   []string
 	sysMu   sync.Mutex
-	systems map[sysKey]*rewrite.System
-}
-
-type sysKey struct {
-	name     string
-	strategy rewrite.Strategy
+	systems map[string]*rewrite.System
 }
 
 // NewEnv returns an empty environment.
 func NewEnv() *Env {
 	return &Env{
 		specs:   make(map[string]*spec.Spec),
-		systems: make(map[sysKey]*rewrite.System),
+		systems: make(map[string]*rewrite.System),
 	}
 }
 
@@ -137,33 +132,27 @@ func (e *Env) SortedNames() []string {
 }
 
 // System returns a (cached) rewrite system for the named specification
-// with the default innermost strategy.
+// with the default innermost strategy. Compiling a specification
+// (building rules and the head-symbol index) happens once per spec;
+// repeated CLI commands and checkers reuse the cached system, and a
+// caller that needs another strategy forks it with WithStrategy.
 func (e *Env) System(name string) (*rewrite.System, error) {
-	return e.SystemWithStrategy(name, rewrite.Innermost)
-}
-
-// SystemWithStrategy returns a (cached) rewrite system with the given
-// strategy. Compiling a specification (building rules and the head-symbol
-// index) happens once per (spec, strategy); repeated CLI commands and
-// checkers reuse the cached system.
-func (e *Env) SystemWithStrategy(name string, st rewrite.Strategy) (*rewrite.System, error) {
-	key := sysKey{name, st}
 	e.sysMu.Lock()
 	defer e.sysMu.Unlock()
-	if sys, ok := e.systems[key]; ok {
+	if sys, ok := e.systems[name]; ok {
 		return sys, nil
 	}
 	sp, ok := e.specs[name]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown specification %s", name)
 	}
-	sys := rewrite.New(sp, rewrite.WithStrategy(st))
-	e.systems[key] = sys
+	sys := rewrite.New(sp)
+	e.systems[name] = sys
 	return sys, nil
 }
 
-// Compiled returns the systems compiled so far, for every spec and
-// strategy, in no particular order; it compiles nothing.
+// Compiled returns the systems compiled so far, one per spec, in no
+// particular order; it compiles nothing.
 func (e *Env) Compiled() []*rewrite.System {
 	e.sysMu.Lock()
 	defer e.sysMu.Unlock()

@@ -51,11 +51,14 @@ type Config struct {
 	// canonically, beyond the always-observable Bool, atom and
 	// parameter sorts (see conform.PlanConfig.ObserveSorts).
 	ObserveSorts []sig.Sort
-	// MaxPairs caps the baked suite (0 = 192).
-	MaxPairs int
-	// MaxShrink caps the shrink candidates tried on a failure (0 = 64).
-	MaxShrink int
 }
+
+const (
+	// maxPairs caps the baked suite.
+	maxPairs = 192
+	// maxShrink caps the shrink candidates tried on a failure.
+	maxShrink = 64
+)
 
 func (c Config) withDefaults(specName string) Config {
 	if c.Pkg == "" {
@@ -75,12 +78,6 @@ func (c Config) withDefaults(specName string) Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x6177_7474 // gen's fixed default
-	}
-	if c.MaxPairs == 0 {
-		c.MaxPairs = 192
-	}
-	if c.MaxShrink == 0 {
-		c.MaxShrink = 64
 	}
 	return c
 }
@@ -105,7 +102,7 @@ type Package struct {
 	Suite *rt.Suite
 	// AxiomPairs/ObsPairs split Suite.Pairs by kind; Skipped counts
 	// planned pairs dropped (stuck or engine-unequal normal forms) and
-	// pairs beyond MaxPairs.
+	// pairs beyond maxPairs.
 	AxiomPairs, ObsPairs, Skipped int
 	// Files maps emitted file name to contents.
 	Files map[string]string
@@ -117,15 +114,10 @@ func Build(env *core.Env, sp *spec.Spec, cfg Config) (*Package, error) {
 	if err := checkPkgName(cfg.Pkg); err != nil {
 		return nil, err
 	}
-	obs := make(map[sig.Sort]bool, len(cfg.ObserveSorts))
 	for _, so := range cfg.ObserveSorts {
 		if !sp.Sig.HasSort(so) {
 			return nil, fmt.Errorf("driverkit: %s has no sort %q", sp.Name, so)
 		}
-		obs[so] = true
-	}
-	observable := func(so sig.Sort) bool {
-		return so == sig.BoolSort || sp.Sig.IsAtomSort(so) || sp.Sig.IsParam(so) || obs[so]
 	}
 	g := gen.New(sp, gen.Config{Seed: cfg.Seed})
 	sys, err := env.System(sp.Name)
@@ -142,7 +134,7 @@ func Build(env *core.Env, sp *spec.Spec, cfg Config) (*Package, error) {
 			Spec:      sp.Name,
 			Seed:      cfg.Seed,
 			Min:       map[string]*rt.Tree{},
-			MaxShrink: cfg.MaxShrink,
+			MaxShrink: maxShrink,
 		},
 	}
 	seen := map[string]bool{}
@@ -154,20 +146,9 @@ func Build(env *core.Env, sp *spec.Spec, cfg Config) (*Package, error) {
 	// for one.
 	for _, ax := range sp.Own {
 		vars := ax.LHS.Vars()
-		asns := make([]map[string]*term.Term, 0, cfg.N+1)
-		if min, ok := g.MinimalAssignment(vars); ok {
-			asns = append(asns, min)
-		} else {
-			continue
-		}
-		for i := 0; i < cfg.N; i++ {
-			asn, err := g.RandomAssignment(vars, cfg.Depth)
-			if err != nil {
-				break
-			}
-			asns = append(asns, asn)
-		}
-		ctxs := conform.ObserverContexts(sp, g, observable, ax.LHS.Sort, 2)
+		// A failed draw only ends this axiom's instances early.
+		asns, _ := g.Samples(vars, cfg.N, cfg.Depth)
+		ctxs := conform.ObserverContexts(sp, g, cfg.ObserveSorts, ax.LHS.Sort, 2)
 		for _, ctx := range ctxs {
 			hole := subst.Subst{conform.HoleVar: ax.LHS}
 			tl := hole.Apply(ctx)
@@ -181,7 +162,7 @@ func Build(env *core.Env, sp *spec.Spec, cfg Config) (*Package, error) {
 					continue
 				}
 				seen[key] = true
-				if len(p.Suite.Pairs) >= cfg.MaxPairs {
+				if len(p.Suite.Pairs) >= maxPairs {
 					p.Skipped++
 					continue
 				}
@@ -222,42 +203,15 @@ func Build(env *core.Env, sp *spec.Spec, cfg Config) (*Package, error) {
 
 	// Observation pairs: every ground observer probe against its engine
 	// normal form (the CheckAgainstSpec net, baked offline).
-	sweep := cfg.N
-	if sweep > 4 {
-		sweep = 4
-	}
-	ops := append([]*sig.Operation(nil), sp.Sig.Ops()...)
+	ops := sp.Observers(cfg.ObserveSorts...)
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Name < ops[j].Name })
 	for _, op := range ops {
-		if op.Native || sp.IsConstructor(op.Name) || !observable(op.Range) {
-			continue
-		}
-		vars := make([]*term.Term, len(op.Domain))
-		for i, d := range op.Domain {
-			vars[i] = term.NewVar(fmt.Sprintf("x%d", i), d)
-		}
-		asns := make([]map[string]*term.Term, 0, sweep+1)
-		if min, ok := g.MinimalAssignment(vars); ok {
-			asns = append(asns, min)
-		}
-		for i := 0; i < sweep; i++ {
-			asn, err := g.RandomAssignment(vars, cfg.Depth)
-			if err != nil {
-				break
-			}
-			asns = append(asns, asn)
-		}
-		for _, asn := range asns {
-			args := make([]*term.Term, len(vars))
-			for i, v := range vars {
-				args[i] = asn[v.Sym]
-			}
-			probe := term.NewOp(op.Name, op.Range, args...)
+		for _, probe := range g.SampledApplications(op, min(cfg.N, 4), cfg.Depth) {
 			if seen[probe.String()] {
 				continue
 			}
 			seen[probe.String()] = true
-			if len(p.Suite.Pairs) >= cfg.MaxPairs {
+			if len(p.Suite.Pairs) >= maxPairs {
 				p.Skipped++
 				continue
 			}

@@ -1,13 +1,19 @@
 // Package gen generates ground terms of a specification: the finite
 // approximations of the algebra's carrier sets that every checker in the
 // framework quantifies over. Values of parameter sorts ("Item is a
-// parameter of the type", §3) and of atom sorts are drawn from a
-// caller-supplied universe of atom spellings.
+// parameter of the type", §3) and of atom sorts are drawn from a fixed
+// universe of three atom spellings, 'a, 'b and 'c.
 //
 // Two modes are provided: exhaustive enumeration of all constructor terms
 // up to a depth bound (used for the "for all legal assignments" proof
 // obligations of §4, made finite), and random sampling (used to extend
 // coverage beyond the exhaustive bound).
+//
+// On top of both sit the probe planners every checker shares:
+// Applications (an operation applied exhaustively), Samples (an axiom's
+// minimal plus random assignments) and SampledApplications (an operation
+// applied to sampled arguments). Their draw order is fixed, so a seeded
+// generator plans the same probes on every run.
 package gen
 
 import (
@@ -20,14 +26,11 @@ import (
 	"algspec/internal/term"
 )
 
+// atoms is the value universe of every open (atom or parameter) sort.
+var atoms = []string{"a", "b", "c"}
+
 // Config configures a Generator.
 type Config struct {
-	// Atoms supplies the value universe for atom and parameter sorts.
-	// A sort missing from the map gets DefaultAtoms.
-	Atoms map[sig.Sort][]string
-	// DefaultAtoms is used for atom/parameter sorts not listed in Atoms.
-	// If empty, {"a","b","c"} is used.
-	DefaultAtoms []string
 	// MaxTerms caps the size of each enumeration result (0 = 100000).
 	MaxTerms int
 	// Seed seeds the random sampler (0 = a fixed default, keeping runs
@@ -63,9 +66,6 @@ func New(sp *spec.Spec, cfg Config) *Generator {
 	if cfg.MaxTerms == 0 {
 		cfg.MaxTerms = 100000
 	}
-	if len(cfg.DefaultAtoms) == 0 {
-		cfg.DefaultAtoms = []string{"a", "b", "c"}
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 0x6177_7474 // arbitrary fixed default for reproducibility
@@ -81,27 +81,13 @@ func New(sp *spec.Spec, cfg Config) *Generator {
 	return g
 }
 
-// atomsFor returns the atom universe for a sort.
-func (g *Generator) atomsFor(so sig.Sort) []string {
-	if a, ok := g.cfg.Atoms[so]; ok {
-		return a
-	}
-	return g.cfg.DefaultAtoms
-}
-
-// isLeafSort reports whether values of the sort come from the atom
-// universe rather than from constructors.
-func (g *Generator) isLeafSort(so sig.Sort) bool {
-	return g.sp.Sig.IsAtomSort(so) || g.sp.Sig.IsParam(so)
-}
-
 // computeMinDepths finds, for every sort, the minimum depth of a ground
 // constructor term of that sort (leaf sorts have depth 1).
 func (g *Generator) computeMinDepths() {
 	const inf = 1 << 30
 	g.minDepth = make(map[sig.Sort]int)
 	for _, so := range g.sp.Sig.Sorts() {
-		if g.isLeafSort(so) {
+		if g.sp.Sig.OpenSort(so) {
 			g.minDepth[so] = 1
 		} else {
 			g.minDepth[so] = inf
@@ -188,8 +174,8 @@ func (g *Generator) enumerate(so sig.Sort, maxDepth int) []*term.Term {
 		return cached
 	}
 	var out []*term.Term
-	if g.isLeafSort(so) {
-		for _, a := range g.atomsFor(so) {
+	if g.sp.Sig.OpenSort(so) {
+		for _, a := range atoms {
 			out = append(out, g.atom(a, so))
 		}
 		g.memo[key] = out
@@ -256,11 +242,7 @@ func (g *Generator) Random(so sig.Sort, maxDepth int) (*term.Term, error) {
 
 // random is Random without the lock; callers hold g.mu.
 func (g *Generator) random(so sig.Sort, maxDepth int) (*term.Term, error) {
-	if g.isLeafSort(so) {
-		atoms := g.atomsFor(so)
-		if len(atoms) == 0 {
-			return nil, fmt.Errorf("gen: no atoms configured for sort %s", so)
-		}
+	if g.sp.Sig.OpenSort(so) {
 		return g.atom(atoms[g.rng.Intn(len(atoms))], so), nil
 	}
 	md, ok := g.MinDepth(so)
@@ -402,6 +384,81 @@ func (g *Generator) Instantiations(vars []*term.Term, maxDepth, limit int) []map
 			return out
 		}
 	}
+}
+
+// Applications returns op applied to every instantiation of fresh
+// argument variables x0…xn with ground terms of depth <= depth, capped
+// at limit terms, in Instantiations order: the exhaustive probe list of
+// the completeness, consistency and model checkers.
+func (g *Generator) Applications(op *sig.Operation, depth, limit int) []*term.Term {
+	vars := argVars(op)
+	insts := g.Instantiations(vars, depth, limit)
+	out := make([]*term.Term, len(insts))
+	for i, inst := range insts {
+		out[i] = apply(op, vars, inst)
+	}
+	return out
+}
+
+// Samples returns the minimal assignment of vars followed by up to n
+// random ones of depth <= depth, drawn in that order from the seeded
+// source: the instances of one axiom. When some variable's sort has no
+// ground terms it draws nothing and returns nil. A failed random draw
+// ends the list; its error comes back with the assignments before it.
+func (g *Generator) Samples(vars []*term.Term, n, depth int) ([]map[string]*term.Term, error) {
+	min, ok := g.MinimalAssignment(vars)
+	if !ok {
+		return nil, nil
+	}
+	out := []map[string]*term.Term{min}
+	for i := 0; i < n; i++ {
+		asn, err := g.RandomAssignment(vars, depth)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, asn)
+	}
+	return out, nil
+}
+
+// SampledApplications returns op applied to sampled arguments: its
+// fresh variables' minimal assignment, when there is one, then up to n
+// random assignments, stopping at the first failed draw. Unlike Samples
+// it still draws when the minimal assignment fails, so the two keep the
+// draw orders the conformance planners' axiom and observer probes have
+// always had.
+func (g *Generator) SampledApplications(op *sig.Operation, n, depth int) []*term.Term {
+	vars := argVars(op)
+	var out []*term.Term
+	if min, ok := g.MinimalAssignment(vars); ok {
+		out = append(out, apply(op, vars, min))
+	}
+	for i := 0; i < n; i++ {
+		asn, err := g.RandomAssignment(vars, depth)
+		if err != nil {
+			break
+		}
+		out = append(out, apply(op, vars, asn))
+	}
+	return out
+}
+
+// argVars returns fresh variables x0…xn, one per argument of op.
+func argVars(op *sig.Operation) []*term.Term {
+	vars := make([]*term.Term, len(op.Domain))
+	for i, d := range op.Domain {
+		vars[i] = term.NewVar(fmt.Sprintf("x%d", i), d)
+	}
+	return vars
+}
+
+// apply builds op over the terms an assignment binds to vars.
+func apply(op *sig.Operation, vars []*term.Term, asn map[string]*term.Term) *term.Term {
+	args := make([]*term.Term, len(vars))
+	for i, v := range vars {
+		args[i] = asn[v.Sym]
+	}
+	return term.NewOp(op.Name, op.Range, args...)
 }
 
 // ObserverTerms wraps each of the given ground terms of sort so in every

@@ -6,6 +6,7 @@ import (
 
 	"algspec/internal/gen"
 	"algspec/internal/sig"
+	"algspec/internal/spec"
 	"algspec/internal/speclib"
 	"algspec/internal/term"
 )
@@ -86,18 +87,6 @@ func TestEnumerateNoDuplicates(t *testing.T) {
 			t.Fatalf("duplicate term %s", tm)
 		}
 		seen[h] = tm
-	}
-}
-
-func TestCustomAtoms(t *testing.T) {
-	sp := speclib.BaseEnv().MustGet("Queue")
-	g := gen.New(sp, gen.Config{Atoms: map[sig.Sort][]string{"Item": {"only"}}})
-	items := g.Enumerate("Item", 1)
-	if len(items) != 1 || items[0].Sym != "only" {
-		t.Errorf("items = %v", items)
-	}
-	if got := g.Enumerate("Queue", 2); len(got) != 2 { // new, add(new,'only)
-		t.Errorf("queues = %v", got)
 	}
 }
 
@@ -189,6 +178,129 @@ func TestInstantiations(t *testing.T) {
 	// nothing).
 	if got := g.Instantiations(nil, 2, 0); len(got) != 1 {
 		t.Errorf("empty vars = %d", len(got))
+	}
+}
+
+// TestApplications: an operation applied to every instantiation of
+// fresh variables x0…xn, in Instantiations order, capped at the limit.
+func TestApplications(t *testing.T) {
+	g := gQueue(t)
+	sp := speclib.BaseEnv().MustGet("Queue")
+	add := sp.Sig.MustOp("add")
+	got := g.Applications(add, 2, 0)
+	insts := g.Instantiations([]*term.Term{term.NewVar("x0", "Queue"), term.NewVar("x1", "Item")}, 2, 0)
+	if len(got) != 12 || len(insts) != 12 {
+		t.Fatalf("applications = %d, instantiations = %d, want 12", len(got), len(insts))
+	}
+	for i, inst := range insts {
+		if want := term.NewOp("add", "Queue", inst["x0"], inst["x1"]); !got[i].Equal(want) {
+			t.Errorf("application %d = %s, want %s", i, got[i], want)
+		}
+	}
+	if n := len(g.Applications(add, 2, 5)); n != 5 {
+		t.Errorf("limited applications = %d, want 5", n)
+	}
+	if c := g.Applications(sp.Sig.MustOp("new"), 2, 0); len(c) != 1 || c[0].String() != "new" {
+		t.Errorf("constant applications = %v", c)
+	}
+}
+
+// boxSpec has a sort whose ground terms are at least two deep.
+const boxSpec = `
+spec Box
+  uses Nat
+  ops
+    box : Nat -> Box
+end
+`
+
+// TestSamplesDrawOrder pins the planners' draw order, which seeded
+// callers depend on: Samples makes exactly the MinimalAssignment then
+// RandomAssignment calls and stops at the first failed draw.
+func TestSamplesDrawOrder(t *testing.T) {
+	env := speclib.BaseEnv()
+	if _, err := env.Load(boxSpec); err != nil {
+		t.Fatal(err)
+	}
+	sp := env.MustGet("Box")
+	vars := []*term.Term{term.NewVar("n", "Nat"), term.NewVar("b", "Box")}
+	g, ref := gen.New(sp, gen.Config{Seed: 9}), gen.New(sp, gen.Config{Seed: 9})
+	got, err := g.Samples(vars, 5, 3)
+	if err != nil || len(got) != 6 {
+		t.Fatalf("samples = %d, %v; want 6, nil", len(got), err)
+	}
+	min, _ := ref.MinimalAssignment(vars)
+	want := []map[string]*term.Term{min}
+	for i := 0; i < 5; i++ {
+		asn, _ := ref.RandomAssignment(vars, 3)
+		want = append(want, asn)
+	}
+	for i := range want {
+		if got[i]["n"].String() != want[i]["n"].String() || got[i]["b"].String() != want[i]["b"].String() {
+			t.Errorf("sample %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	// At depth 1 the minimal assignment exists but the first draw fails.
+	if got, err := g.Samples(vars, 3, 1); len(got) != 1 || err == nil {
+		t.Errorf("too-deep samples = %v, %v; want the minimal one and an error", got, err)
+	}
+	_, _ = ref.RandomAssignment(vars, 1)
+	sameStream(t, g, ref, "Nat")
+}
+
+// TestUninhabitedDraws: for a sort with no ground terms (which a checked
+// spec cannot declare, so the spec is built by hand) Samples draws
+// nothing, while SampledApplications still draws the variables before it.
+func TestUninhabitedDraws(t *testing.T) {
+	s := sig.New("Loop")
+	for _, err := range []error{
+		s.AddParam("Item"), s.AddSort("Loop"),
+		s.Declare(&sig.Operation{Name: "grow", Domain: []sig.Sort{"Loop"}, Range: "Loop"}),
+		s.Declare(&sig.Operation{Name: "peek", Domain: []sig.Sort{"Item", "Loop"}, Range: "Item"}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sp := &spec.Spec{Name: "Loop", Sig: s}
+	vars := []*term.Term{term.NewVar("x0", "Item"), term.NewVar("x1", "Loop")}
+	g, ref := gen.New(sp, gen.Config{Seed: 9}), gen.New(sp, gen.Config{Seed: 9})
+	if got, err := g.Samples(vars, 3, 3); got != nil || err != nil {
+		t.Errorf("samples = %v, %v; want nil, nil", got, err)
+	}
+	if got := g.SampledApplications(s.MustOp("peek"), 3, 3); len(got) != 0 {
+		t.Errorf("applications = %v", got)
+	}
+	_, _ = ref.RandomAssignment(vars, 3)
+	sameStream(t, g, ref, "Item")
+}
+
+// sameStream requires two generators to be at the same point of their
+// random streams.
+func sameStream(t *testing.T, g, ref *gen.Generator, so sig.Sort) {
+	t.Helper()
+	a, _ := g.RandomMany(so, 3, 8)
+	b, _ := ref.RandomMany(so, 3, 8)
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			t.Fatalf("random streams diverged at draw %d: %s vs %s", i, a[i], b[i])
+		}
+	}
+}
+
+// TestSampledApplications: the minimal application, then one per
+// random assignment.
+func TestSampledApplications(t *testing.T) {
+	sp := speclib.BaseEnv().MustGet("Queue")
+	g := gen.New(sp, gen.Config{Seed: 3})
+	got := g.SampledApplications(sp.Sig.MustOp("front"), 4, 3)
+	if len(got) != 5 || got[0].String() != "front(new)" {
+		t.Fatalf("sampled applications = %v", got)
+	}
+	for _, p := range got {
+		if p.Sym != "front" || p.Args[0].Sort != "Queue" || !p.IsGround() {
+			t.Errorf("bad probe %s", p)
+		}
 	}
 }
 

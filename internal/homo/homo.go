@@ -122,8 +122,6 @@ type Config struct {
 	// abstract observer contexts this deep (0 disables; differences
 	// then count as failures directly).
 	ObsDepth int
-	// Gen configures atom universes.
-	Gen gen.Config
 	// Workers sets the number of verification goroutines per axiom
 	// (<= 0 means GOMAXPROCS). Each worker forks the merged and abstract
 	// rewrite systems; the report is identical for any worker count.
@@ -362,7 +360,7 @@ func (r *Report) String() string {
 // Verify discharges the proof obligations for every abstract own axiom.
 func (v *Verifier) Verify(cfg Config) (*Report, error) {
 	cfg.fill()
-	v.g = gen.New(v.merged, cfg.Gen)
+	v.g = gen.New(v.merged, gen.Config{})
 	r := &Report{Representation: v.merged.Name}
 	for _, ax := range v.rep.Abstract.Own {
 		res, err := v.verifyAxiom(ax, cfg)
@@ -379,7 +377,7 @@ func (v *Verifier) Verify(cfg Config) (*Report, error) {
 // and without Assumption 1).
 func (v *Verifier) VerifyAxiom(label string, cfg Config) (*AxiomResult, error) {
 	cfg.fill()
-	v.g = gen.New(v.merged, cfg.Gen)
+	v.g = gen.New(v.merged, gen.Config{})
 	for _, ax := range v.rep.Abstract.Own {
 		if ax.Label == label {
 			return v.verifyAxiom(ax, cfg)

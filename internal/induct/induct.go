@@ -183,7 +183,7 @@ func (p *Prover) Prove(eq Equation, inductVar string) (*Proof, error) {
 func (p *Prover) findVar(eq Equation, name string) (*term.Term, error) {
 	for _, v := range append(eq.LHS.Vars(), eq.RHS.Vars()...) {
 		if v.Sym == name {
-			if p.sp.Sig.IsParam(v.Sort) || p.sp.Sig.IsAtomSort(v.Sort) {
+			if p.sp.Sig.OpenSort(v.Sort) {
 				return nil, fmt.Errorf("induct: variable %s has open sort %s; induct on a constructor sort", name, v.Sort)
 			}
 			return v, nil

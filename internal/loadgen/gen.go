@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"algspec/internal/corpus"
 	"algspec/internal/speclib"
 )
 
@@ -159,12 +160,12 @@ func NewGenerator(seed int64, mix Mix) (*Generator, error) {
 	g := &Generator{
 		rng:    rand.New(rand.NewSource(seed)),
 		mix:    mix,
-		specs:  BatterySpecs(),
+		specs:  corpus.BatterySpecs(),
 		oracle: make(map[string][]string),
 	}
 	env := speclib.BaseEnv()
 	for _, spec := range g.specs {
-		terms := Battery(spec)
+		terms := corpus.Battery(spec)
 		nfs := make([]string, len(terms))
 		for i, src := range terms {
 			nf, err := env.Eval(spec, src)
@@ -210,8 +211,8 @@ func (g *Generator) Sequence(n int) []Request {
 		case w < g.mix.Normalize:
 			req.Kind = KindNormalize
 			req.Spec = g.specs[g.rng.Intn(len(g.specs))]
-			ti := g.rng.Intn(len(Battery(req.Spec)))
-			req.Term = Battery(req.Spec)[ti]
+			ti := g.rng.Intn(len(corpus.Battery(req.Spec)))
+			req.Term = corpus.Battery(req.Spec)[ti]
 			req.WantNF = g.oracle[req.Spec][ti]
 		case w < g.mix.Normalize+g.mix.Check:
 			req.Kind = KindCheck

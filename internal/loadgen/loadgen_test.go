@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"algspec/internal/corpus"
 	"algspec/internal/faultinject"
 	"algspec/internal/serve"
 )
@@ -187,11 +188,11 @@ func TestBatteryOraclesCoverAllSpecs(t *testing.T) {
 		t.Fatal("battery covers no specs")
 	}
 	for _, spec := range g.specs {
-		if len(Battery(spec)) == 0 {
+		if len(corpus.Battery(spec)) == 0 {
 			t.Errorf("spec %s has an empty battery", spec)
 		}
-		if len(g.oracle[spec]) != len(Battery(spec)) {
-			t.Errorf("spec %s: %d oracles for %d terms", spec, len(g.oracle[spec]), len(Battery(spec)))
+		if len(g.oracle[spec]) != len(corpus.Battery(spec)) {
+			t.Errorf("spec %s: %d oracles for %d terms", spec, len(g.oracle[spec]), len(corpus.Battery(spec)))
 		}
 	}
 }

@@ -84,15 +84,6 @@ type Config struct {
 	Depth int
 	// MaxInstancesPerAxiom caps instantiations per axiom (default 2000).
 	MaxInstancesPerAxiom int
-	// ObsDepth is the observation depth for hidden-sort comparison:
-	// how many operations may be stacked on top of the compared values
-	// (default 2).
-	ObsDepth int
-	// ObsFill bounds the ground terms used to fill the other argument
-	// positions of observer contexts (default 2).
-	ObsFill int
-	// Gen configures atom universes.
-	Gen gen.Config
 	// System, when non-nil, supplies an already-compiled rewrite system
 	// for the spec (used by CheckAgainstSpec); workers fork it instead
 	// of recompiling the axioms.
@@ -111,13 +102,16 @@ func (c *Config) fill() {
 	if c.MaxInstancesPerAxiom == 0 {
 		c.MaxInstancesPerAxiom = 2000
 	}
-	if c.ObsDepth == 0 {
-		c.ObsDepth = 2
-	}
-	if c.ObsFill == 0 {
-		c.ObsFill = 2
-	}
 }
+
+// Observational comparison of hidden-sort values: obsDepth bounds how many
+// operations may be stacked on top of the compared values, and obsFill
+// the depth of the ground terms filling an observer context's other
+// argument positions.
+const (
+	obsDepth = 2
+	obsFill  = 2
+)
 
 // Failure records one failed axiom instance or disagreement.
 type Failure struct {
@@ -162,7 +156,6 @@ func (r *Report) String() string {
 type harness struct {
 	sp   *spec.Spec
 	impl *Impl
-	cfg  Config
 	g    *gen.Generator
 }
 
@@ -176,12 +169,10 @@ type Harness struct {
 	h *harness
 }
 
-// NewHarness builds a harness over the implementation. The Config's
-// generator settings govern observational comparison (ObsDepth,
-// ObsFill) exactly as in CheckAxioms.
-func NewHarness(sp *spec.Spec, impl *Impl, cfg Config) *Harness {
-	cfg.fill()
-	return &Harness{h: &harness{sp: sp, impl: impl, cfg: cfg, g: gen.New(sp, cfg.Gen)}}
+// NewHarness builds a harness over the implementation. It compares
+// hidden-sort values observationally exactly as CheckAxioms does.
+func NewHarness(sp *spec.Spec, impl *Impl) *Harness {
+	return &Harness{h: &harness{sp: sp, impl: impl, g: gen.New(sp, gen.Config{})}}
 }
 
 // Eval evaluates a ground term through the implementation (lazy if,
@@ -190,16 +181,11 @@ func NewHarness(sp *spec.Spec, impl *Impl, cfg Config) *Harness {
 func (h *Harness) Eval(t *term.Term) (Value, error) { return h.h.Eval(t) }
 
 // Equal compares two implementation values at a sort: reified for
-// observable sorts, observational (up to Config.ObsDepth) for hidden
+// observable sorts, observational (obsDepth operations deep) for hidden
 // ones.
 func (h *Harness) Equal(so sig.Sort, a, b Value) (bool, error) {
-	return h.h.equal(so, a, b, h.h.cfg.ObsDepth)
+	return h.h.equal(so, a, b, obsDepth)
 }
-
-// Generator exposes the ground-term generator the harness draws
-// observation fills from, so callers instantiate axioms from the same
-// universe.
-func (h *Harness) Generator() *gen.Generator { return h.h.g }
 
 // errStop aborts a check when the implementation adapter itself fails.
 var errStop = errors.New("model: implementation adapter error")
@@ -266,7 +252,7 @@ func (h *harness) reifyBool(v Value) (bool, error) {
 
 // equal compares two implementation values at a sort: reified comparison
 // for observable sorts, observational comparison for hidden sorts.
-func (h *harness) equal(so sig.Sort, a, b Value, obsDepth int) (bool, error) {
+func (h *harness) equal(so sig.Sort, a, b Value, depth int) (bool, error) {
 	if IsErr(a) || IsErr(b) {
 		return IsErr(a) && IsErr(b), nil
 	}
@@ -284,9 +270,9 @@ func (h *harness) equal(so sig.Sort, a, b Value, obsDepth int) (bool, error) {
 	if oka {
 		return ta.Equal(tb), nil
 	}
-	if obsDepth <= 0 {
-		// Out of observation budget: optimistically equal. Increase
-		// ObsDepth for stronger discrimination.
+	if depth <= 0 {
+		// Out of observation budget: optimistically equal. A larger
+		// obsDepth would discriminate more.
 		return true, nil
 	}
 	// Observational equality: every observer context must agree.
@@ -308,7 +294,7 @@ func (h *harness) equal(so sig.Sort, a, b Value, obsDepth int) (bool, error) {
 				if err != nil {
 					return false, err
 				}
-				eq, err := h.equal(op.Range, ra, rb, obsDepth-1)
+				eq, err := h.equal(op.Range, ra, rb, depth-1)
 				if err != nil {
 					return false, err
 				}
@@ -329,7 +315,7 @@ func (h *harness) contextFills(op *sig.Operation, hole int) ([][]Value, bool) {
 		if i == hole {
 			continue
 		}
-		terms := h.g.Enumerate(d, h.cfg.ObsFill)
+		terms := h.g.Enumerate(d, obsFill)
 		if len(terms) == 0 {
 			return nil, false
 		}
@@ -387,7 +373,7 @@ func (h *harness) applyContext(op *sig.Operation, hole int, v Value, fill []Valu
 func CheckAxioms(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 	cfg.fill()
 	r := &Report{Spec: sp.Name}
-	h := &harness{sp: sp, impl: impl, cfg: cfg, g: gen.New(sp, cfg.Gen)}
+	h := &harness{sp: sp, impl: impl, g: gen.New(sp, gen.Config{})}
 
 	type item struct {
 		ax       *spec.Axiom
@@ -423,7 +409,7 @@ func CheckAxioms(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 				outcomes[i] = outcome{fatal: fmt.Errorf("axiom [%s] rhs %s: %w", it.ax.Label, it.rhs, err)}
 				continue
 			}
-			eq, err := h.equal(it.ax.LHS.Sort, lv, rv, cfg.ObsDepth)
+			eq, err := h.equal(it.ax.LHS.Sort, lv, rv, obsDepth)
 			if err != nil {
 				outcomes[i] = outcome{fatal: fmt.Errorf("axiom [%s] compare: %w", it.ax.Label, err)}
 				continue
@@ -481,7 +467,7 @@ func applyAssignment(t *term.Term, inst map[string]*term.Term) *term.Term {
 func CheckAgainstSpec(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 	cfg.fill()
 	r := &Report{Spec: sp.Name}
-	h := &harness{sp: sp, impl: impl, cfg: cfg, g: gen.New(sp, cfg.Gen)}
+	h := &harness{sp: sp, impl: impl, g: gen.New(sp, gen.Config{})}
 	base := cfg.System
 	if base == nil {
 		base = rewrite.New(sp)
@@ -490,27 +476,9 @@ func CheckAgainstSpec(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 		base = base.Fork()
 	}
 
-	observable := func(so sig.Sort) bool {
-		return so == sig.BoolSort || sp.Sig.IsAtomSort(so) || sp.Sig.IsParam(so)
-	}
-
 	var items []*term.Term
-	for _, op := range sp.Sig.Ops() {
-		if op.Native || !observable(op.Range) || sp.IsConstructor(op.Name) {
-			continue
-		}
-		vars := make([]*term.Term, len(op.Domain))
-		for i, d := range op.Domain {
-			vars[i] = term.NewVar(fmt.Sprintf("x%d", i), d)
-		}
-		insts := h.g.Instantiations(vars, cfg.Depth, cfg.MaxInstancesPerAxiom)
-		for _, inst := range insts {
-			args := make([]*term.Term, len(vars))
-			for i, v := range vars {
-				args[i] = inst[v.Sym]
-			}
-			items = append(items, term.NewOp(op.Name, op.Range, args...))
-		}
+	for _, op := range sp.Observers() {
+		items = append(items, h.g.Applications(op, cfg.Depth, cfg.MaxInstancesPerAxiom)...)
 	}
 
 	// Symbolic side first: one batched normalization over all observer

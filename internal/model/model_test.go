@@ -66,7 +66,7 @@ func TestSymboltableRepresentations(t *testing.T) {
 	for name, mk := range reps {
 		t.Run(name, func(t *testing.T) {
 			impl := adapters.Symboltable(sp, mk)
-			cfg := model.Config{Depth: 3, MaxInstancesPerAxiom: 250, ObsDepth: 2}
+			cfg := model.Config{Depth: 3, MaxInstancesPerAxiom: 250}
 			if r := model.CheckAxioms(sp, impl, cfg); !r.OK() {
 				t.Errorf("axioms: %s", r)
 			}
@@ -140,7 +140,7 @@ func TestRemoveWrongEndCaught(t *testing.T) {
 	// remove's range is the hidden sort Queue, so ground observer terms
 	// (which contain only constructors) never exercise it; the axiom
 	// check with observational comparison is what catches it.
-	r := model.CheckAxioms(sp, impl, model.Config{Depth: 4, MaxInstancesPerAxiom: 400, ObsDepth: 2})
+	r := model.CheckAxioms(sp, impl, model.Config{Depth: 4, MaxInstancesPerAxiom: 400})
 	if r.OK() {
 		t.Fatal("wrong-end remove not caught")
 	}

@@ -18,169 +18,21 @@ import (
 	"algspec/internal/model"
 	"algspec/internal/sig"
 	"algspec/internal/spec"
-	"algspec/internal/term"
 )
-
-type opTable map[string]func(args []model.Value) (model.Value, error)
-
-func (t opTable) apply(op string, args []model.Value) (model.Value, error) {
-	f, ok := t[op]
-	if !ok {
-		return nil, fmt.Errorf("refimpl: operation %s not implemented", op)
-	}
-	return f(args)
-}
-
-func asBool(v model.Value) (bool, error) {
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("refimpl: want bool, got %T", v)
-	}
-	return b, nil
-}
-
-func asInt(v model.Value) (int, error) {
-	n, ok := v.(int)
-	if !ok {
-		return 0, fmt.Errorf("refimpl: want int, got %T", v)
-	}
-	return n, nil
-}
-
-func asString(v model.Value) (string, error) {
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("refimpl: want string, got %T", v)
-	}
-	return s, nil
-}
-
-func boolOps(t opTable) {
-	t["true"] = func([]model.Value) (model.Value, error) { return true, nil }
-	t["false"] = func([]model.Value) (model.Value, error) { return false, nil }
-	t["not"] = func(a []model.Value) (model.Value, error) {
-		b, err := asBool(a[0])
-		return !b, err
-	}
-	t["and"] = func(a []model.Value) (model.Value, error) {
-		x, err := asBool(a[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := asBool(a[1])
-		return x && y, err
-	}
-	t["or"] = func(a []model.Value) (model.Value, error) {
-		x, err := asBool(a[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := asBool(a[1])
-		return x || y, err
-	}
-}
-
-func natOps(t opTable) {
-	t["zero"] = func([]model.Value) (model.Value, error) { return 0, nil }
-	t["succ"] = func(a []model.Value) (model.Value, error) {
-		n, err := asInt(a[0])
-		return n + 1, err
-	}
-	t["pred"] = func(a []model.Value) (model.Value, error) {
-		n, err := asInt(a[0])
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return model.ErrValue, nil
-		}
-		return n - 1, nil
-	}
-	t["addN"] = func(a []model.Value) (model.Value, error) {
-		m, err := asInt(a[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := asInt(a[1])
-		return m + n, err
-	}
-	t["eqN"] = func(a []model.Value) (model.Value, error) {
-		m, err := asInt(a[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := asInt(a[1])
-		return m == n, err
-	}
-	t["ltN"] = func(a []model.Value) (model.Value, error) {
-		m, err := asInt(a[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := asInt(a[1])
-		return m < n, err
-	}
-}
-
-// StdReify is the reification the reference implementations share:
-// Bool values to true/false, int values of a Nat sort to succ^n(zero),
-// string values of atom/parameter sorts to the atom itself. Every other
-// sort is hidden (compared observationally).
-func StdReify(sp *spec.Spec) func(so sig.Sort, v model.Value) (*term.Term, bool, error) {
-	return func(so sig.Sort, v model.Value) (*term.Term, bool, error) {
-		switch {
-		case so == sig.BoolSort:
-			b, err := asBool(v)
-			if err != nil {
-				return nil, false, err
-			}
-			return term.Bool(b), true, nil
-		case so == "Nat" && sp.Sig.HasSort("Nat"):
-			n, err := asInt(v)
-			if err != nil {
-				return nil, false, err
-			}
-			t := term.NewOp("zero", "Nat")
-			for i := 0; i < n; i++ {
-				t = term.NewOp("succ", "Nat", t)
-			}
-			return t, true, nil
-		case sp.Sig.IsAtomSort(so) || sp.Sig.IsParam(so):
-			s, err := asString(v)
-			if err != nil {
-				return nil, false, err
-			}
-			return term.NewAtom(s, so), true, nil
-		default:
-			return nil, false, nil
-		}
-	}
-}
-
-func buildImpl(sp *spec.Spec, t opTable) *model.Impl {
-	return &model.Impl{
-		SpecName: sp.Name,
-		Apply:    t.apply,
-		Atom: func(so sig.Sort, spelling string) (model.Value, error) {
-			return spelling, nil
-		},
-		Reify: StdReify(sp),
-	}
-}
 
 // Counter represents a Counter as the int count of net increments; undo
 // on zero is the boundary error.
 func Counter(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	natOps(t)
+	t := OpTable{}
+	BoolOps(t)
+	NatOps(t)
 	t["start"] = func([]model.Value) (model.Value, error) { return 0, nil }
 	t["inc"] = func(a []model.Value) (model.Value, error) {
-		c, err := asInt(a[0])
+		c, err := AsInt(a[0])
 		return c + 1, err
 	}
 	t["undo"] = func(a []model.Value) (model.Value, error) {
-		c, err := asInt(a[0])
+		c, err := AsInt(a[0])
 		if err != nil {
 			return nil, err
 		}
@@ -190,10 +42,10 @@ func Counter(sp *spec.Spec) *model.Impl {
 		return c - 1, nil
 	}
 	t["value"] = func(a []model.Value) (model.Value, error) {
-		c, err := asInt(a[0])
+		c, err := AsInt(a[0])
 		return c, err
 	}
-	return buildImpl(sp, t)
+	return Build(sp, t)
 }
 
 // graphEdge is one directed edge of the Graph representation.
@@ -202,16 +54,9 @@ type graphEdge struct{ from, to string }
 // Graph represents a Graph as an (immutable) slice of directed edges
 // over Identifier spellings.
 func Graph(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	t["same?"] = func(a []model.Value) (model.Value, error) {
-		x, err := asString(a[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := asString(a[1])
-		return x == y, err
-	}
+	t := OpTable{}
+	BoolOps(t)
+	SameOps(t, "same?")
 	asG := func(v model.Value) ([]graphEdge, error) {
 		g, ok := v.([]graphEdge)
 		if !ok {
@@ -225,11 +70,11 @@ func Graph(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		from, err := asString(a[1])
+		from, err := AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
-		to, err := asString(a[2])
+		to, err := AsString(a[2])
 		if err != nil {
 			return nil, err
 		}
@@ -242,11 +87,11 @@ func Graph(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		from, err := asString(a[1])
+		from, err := AsString(a[1])
 		if err != nil {
 			return nil, err
 		}
-		to, err := asString(a[2])
+		to, err := AsString(a[2])
 		if err != nil {
 			return nil, err
 		}
@@ -257,15 +102,15 @@ func Graph(sp *spec.Spec) *model.Impl {
 		}
 		return false, nil
 	}
-	return buildImpl(sp, t)
+	return Build(sp, t)
 }
 
 // PQueue represents a PQueue as an ascending-sorted int slice (a
 // multiset: duplicates are kept).
 func PQueue(sp *spec.Spec) *model.Impl {
-	t := opTable{}
-	boolOps(t)
-	natOps(t)
+	t := OpTable{}
+	BoolOps(t)
+	NatOps(t)
 	asQ := func(v model.Value) ([]int, error) {
 		q, ok := v.([]int)
 		if !ok {
@@ -279,7 +124,7 @@ func PQueue(sp *spec.Spec) *model.Impl {
 		if err != nil {
 			return nil, err
 		}
-		n, err := asInt(a[1])
+		n, err := AsInt(a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -317,7 +162,7 @@ func PQueue(sp *spec.Spec) *model.Impl {
 		q, err := asQ(a[0])
 		return len(q) == 0, err
 	}
-	return buildImpl(sp, t)
+	return Build(sp, t)
 }
 
 // Builders maps each implemented spec name to its reference builder.

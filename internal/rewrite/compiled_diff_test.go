@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"algspec/internal/core"
-	"algspec/internal/loadgen"
+	"algspec/internal/corpus"
 	"algspec/internal/rewrite"
 	"algspec/internal/speclib"
 	"algspec/internal/term"
@@ -26,7 +26,7 @@ func TestCompiledTierMatchesInterpreter(t *testing.T) {
 	covered := 0
 	for _, name := range speclib.Names {
 		sp := env.MustGet(name)
-		battery := loadgen.Battery(name)
+		battery := corpus.Battery(name)
 
 		compiled := rewrite.New(sp)
 		interp := compiled.Fork(rewrite.WithoutCompiledTier())

@@ -280,17 +280,10 @@ func (c *checker) expr(e ast.Expr, expected sig.Sort, onLHS bool) (*term.Term, e
 	}
 }
 
-// atomish reports whether a sort admits atom literals: declared atom
-// sorts, and parameter sorts (atoms serve as the arbitrary values a
-// parameter sort like Item ranges over).
-func (c *checker) atomish(so sig.Sort) bool {
-	return c.out.Sig.IsAtomSort(so) || c.out.Sig.IsParam(so)
-}
-
 func (c *checker) atomSort(e *ast.AtomLit, expected sig.Sort) (sig.Sort, error) {
 	if e.SortAnno != "" {
 		so := sig.Sort(e.SortAnno)
-		if !c.atomish(so) {
+		if !c.out.Sig.OpenSort(so) {
 			return "", c.errf(e.Pos, "'%s: %s is not an atom or parameter sort", e.Spelling, e.SortAnno)
 		}
 		if expected != "" && expected != so {
@@ -299,14 +292,14 @@ func (c *checker) atomSort(e *ast.AtomLit, expected sig.Sort) (sig.Sort, error) 
 		return so, nil
 	}
 	if expected != "" {
-		if !c.atomish(expected) {
+		if !c.out.Sig.OpenSort(expected) {
 			return "", c.errf(e.Pos, "'%s used where sort %s is required, but %s is not an atom or parameter sort", e.Spelling, expected, expected)
 		}
 		return expected, nil
 	}
 	var atomSorts []sig.Sort
 	for _, so := range c.out.Sig.Sorts() {
-		if c.atomish(so) {
+		if c.out.Sig.OpenSort(so) {
 			atomSorts = append(atomSorts, so)
 		}
 	}

@@ -17,26 +17,25 @@ import (
 )
 
 // This file is the durability layer of the normal-form cache (DESIGN
-// §13): a periodic snapshot plus an append-only write-ahead log of
-// (version, spec, term) → (normal form, steps) entries, both integrity-
-// digested, so a restarted replica answers its first request from the
-// warm cache instead of paying the cold path again. The layout under
-// Config.PersistDir:
+// §13): an append-only, integrity-digested log of (version, spec, term)
+// → (normal form, steps) entries, so a restarted replica answers its
+// first request from the warm cache instead of paying the cold path
+// again. The log is the whole store: each entry is written once, when it
+// is first computed, and the store's capacity bound keeps it finite. The
+// layout under Config.PersistDir:
 //
 //	specs/<hex>.spec   canonical source of each uploaded version
 //	                   (content-addressed: the filename is the version
 //	                   hash, so corruption is self-evident)
-//	nf.snapshot        full entry set at the last snapshot, with a
-//	                   trailing SHA-256 over the payload
-//	nf.wal             entries appended since that snapshot, one line
-//	                   each, prefixed with a truncated SHA-256 of the
-//	                   line's payload
+//	nf.wal             every persisted entry, one line each, prefixed
+//	                   with a truncated SHA-256 of the line's payload
 //
 // Corruption anywhere is rejected loudly: load returns an error naming
-// the file and the server falls back to a cold start (the cache is an
-// accelerator, never a source of truth). Both files store only strings,
-// never pointers — the canonical-term text is re-parsed and re-interned
-// at boot, which is what makes the entries portable across processes.
+// the file and line, and the server falls back to a cold start (the
+// cache is an accelerator, never a source of truth) with the log started
+// afresh. Both files store only strings, never pointers — the
+// canonical-term text is re-parsed and re-interned at boot, which is
+// what makes the entries portable across processes.
 
 // walRecord is one persisted cache entry. Term and NF are canonical
 // spellings; Sort is the term's root sort, which disambiguates bare
@@ -51,30 +50,24 @@ type walRecord struct {
 }
 
 const (
-	snapshotFile   = "nf.snapshot"
-	walFile        = "nf.wal"
-	specsDir       = "specs"
-	snapshotHeader = "adt-nf-snapshot v1"
-	snapshotFooter = "sha256 "
+	walFile  = "nf.wal"
+	specsDir = "specs"
 )
 
 // persister owns the persist directory. A nil *persister (no
 // Config.PersistDir) is valid and makes every method a no-op, mirroring
-// the nil cache. The in-memory record set is the snapshot's source: it
-// is seeded from the previous snapshot+WAL at boot and grows with every
-// appended entry, so a snapshot always captures everything known, not
-// just what the current LRU happens to retain.
+// the nil cache. seen holds the key of every entry in the log — seeded
+// from the log at boot and grown with every append — so an entry is
+// written at most once and len(seen) counts the store against its cap.
 type persister struct {
 	dir string
 	cap int
 
 	mu   sync.Mutex
 	seen map[string]struct{}
-	recs []walRecord
 	wal  *os.File
 
 	walRecords   atomic.Int64 // entries appended to the WAL since boot
-	snapshots    atomic.Int64 // snapshots written since boot
 	dropped      atomic.Int64 // entries not persisted (capacity)
 	persistErrs  atomic.Int64 // I/O or integrity errors (boot load, saves)
 	staleSkipped atomic.Int64 // records for versions this boot cannot resolve
@@ -82,9 +75,8 @@ type persister struct {
 }
 
 // newPersister prepares the directory tree and opens the WAL for
-// appending. cap bounds the record set (and with it the snapshot size);
-// entries beyond it are counted in dropped, never silently lost track
-// of.
+// appending. cap bounds the entries the log holds; entries beyond it are
+// counted in dropped, never silently lost track of.
 func newPersister(dir string, cap int) (*persister, error) {
 	if err := os.MkdirAll(filepath.Join(dir, specsDir), 0o755); err != nil {
 		return nil, err
@@ -105,7 +97,6 @@ func newPersister(dir string, cap int) (*persister, error) {
 // PersistDir has none.
 func (p *persister) declareMetrics(r *metrics.Registry) {
 	r.Counter("adt_persist_wal_records_total", "Normal-form entries appended to the WAL since boot.", p.walRecords.Load)
-	r.Counter("adt_persist_snapshots_total", "Snapshots written since boot.", p.snapshots.Load)
 	r.Counter("adt_persist_dropped_total", "Entries not persisted because the store hit its capacity bound.", p.dropped.Load)
 	r.Counter("adt_persist_errors_total", "Persistence I/O or integrity errors (a nonzero value at boot means a corrupt store forced a cold start).", p.persistErrs.Load)
 	r.Counter("adt_persist_stale_skipped_total", "Persisted entries skipped because their version is unknown to this boot.", p.staleSkipped.Load)
@@ -129,12 +120,11 @@ func (p *persister) append(rec walRecord) {
 	if _, dup := p.seen[key]; dup {
 		return
 	}
-	if len(p.recs) >= p.cap {
+	if len(p.seen) >= p.cap {
 		p.dropped.Add(1)
 		return
 	}
 	p.seen[key] = struct{}{}
-	p.recs = append(p.recs, rec)
 	line, err := json.Marshal(rec)
 	if err != nil {
 		// rec is our own struct of strings and an int; cannot fail.
@@ -144,8 +134,8 @@ func (p *persister) append(rec walRecord) {
 	p.walRecords.Add(1)
 }
 
-// seed installs records restored from disk without re-writing them;
-// they will be carried forward by the next snapshot.
+// seed books the records restored from the log, which already holds
+// them, so they are not written again.
 func (p *persister) seed(recs []walRecord) {
 	if p == nil {
 		return
@@ -157,48 +147,21 @@ func (p *persister) seed(recs []walRecord) {
 		if _, dup := p.seen[key]; dup {
 			continue
 		}
-		if len(p.recs) >= p.cap {
+		if len(p.seen) >= p.cap {
 			p.dropped.Add(1)
 			continue
 		}
 		p.seen[key] = struct{}{}
-		p.recs = append(p.recs, rec)
 	}
 }
 
-// snapshot writes the full record set atomically (temp file + rename)
-// and truncates the WAL, whose entries the snapshot now subsumes.
-func (p *persister) snapshot() error {
-	if p == nil {
-		return nil
-	}
+// restart empties the log after a boot could not read it, so that the
+// entries this process appends are readable at the next boot instead of
+// sitting behind the corrupt line forever.
+func (p *persister) restart() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var b strings.Builder
-	digest := sha256.New()
-	for _, rec := range p.recs {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			panic(fmt.Sprintf("serve: marshaling snapshot record: %v", err))
-		}
-		b.Write(line)
-		b.WriteByte('\n')
-		digest.Write(line)
-		digest.Write([]byte{'\n'})
-	}
-	content := snapshotHeader + "\n" + b.String() + snapshotFooter + hex.EncodeToString(digest.Sum(nil)) + "\n"
-	tmp := filepath.Join(p.dir, snapshotFile+".tmp")
-	if err := os.WriteFile(tmp, []byte(content), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(p.dir, snapshotFile)); err != nil {
-		return err
-	}
-	if err := p.wal.Truncate(0); err != nil {
-		return err
-	}
-	p.snapshots.Add(1)
-	return nil
+	return p.wal.Truncate(0)
 }
 
 // saveSpec persists an uploaded version's canonical source under its
@@ -212,12 +175,11 @@ func (p *persister) saveSpec(id, canonicalSource string) error {
 	return os.WriteFile(filepath.Join(p.dir, specsDir, name), []byte(canonicalSource), 0o644)
 }
 
-// close snapshots one last time and releases the WAL handle.
+// close releases the WAL handle.
 func (p *persister) close() {
 	if p == nil {
 		return
 	}
-	_ = p.snapshot()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	_ = p.wal.Close()
@@ -229,62 +191,22 @@ func lineDigest(payload []byte) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// loadNFStore reads the snapshot and WAL back, verifying every digest.
-// Any corruption — a flipped byte in a record, a truncated snapshot, a
-// forged digest — returns an error naming the offending file and line;
-// the caller falls back to a cold start.
+// loadNFStore reads the WAL back, verifying every digest. Any
+// corruption — a flipped byte in a record, a truncated line, a forged
+// digest — returns an error naming the file and line; the caller falls
+// back to a cold start.
 func loadNFStore(dir string) ([]walRecord, error) {
-	var recs []walRecord
-	snap := filepath.Join(dir, snapshotFile)
-	if data, err := os.ReadFile(snap); err == nil {
-		sr, err := parseSnapshot(data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", snap, err)
-		}
-		recs = append(recs, sr...)
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
 	wal := filepath.Join(dir, walFile)
-	if data, err := os.ReadFile(wal); err == nil {
-		wr, err := parseWAL(data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", wal, err)
-		}
-		recs = append(recs, wr...)
-	} else if !os.IsNotExist(err) {
+	data, err := os.ReadFile(wal)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
 		return nil, err
 	}
-	return recs, nil
-}
-
-func parseSnapshot(data []byte) ([]walRecord, error) {
-	lines := strings.Split(string(data), "\n")
-	if len(lines) < 2 || lines[0] != snapshotHeader {
-		return nil, fmt.Errorf("snapshot header missing or unrecognized (want %q)", snapshotHeader)
-	}
-	if lines[len(lines)-1] == "" {
-		lines = lines[:len(lines)-1]
-	}
-	last := lines[len(lines)-1]
-	if !strings.HasPrefix(last, snapshotFooter) {
-		return nil, fmt.Errorf("snapshot truncated: no %q footer", strings.TrimSpace(snapshotFooter))
-	}
-	payload := lines[1 : len(lines)-1]
-	digest := sha256.New()
-	var recs []walRecord
-	for i, line := range payload {
-		var rec walRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return nil, fmt.Errorf("snapshot record %d: %w", i+1, err)
-		}
-		digest.Write([]byte(line))
-		digest.Write([]byte{'\n'})
-		recs = append(recs, rec)
-	}
-	want := strings.TrimPrefix(last, snapshotFooter)
-	if got := hex.EncodeToString(digest.Sum(nil)); got != want {
-		return nil, fmt.Errorf("snapshot digest mismatch: payload hashes to %s, footer says %s", got, want)
+	recs, err := parseWAL(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", wal, err)
 	}
 	return recs, nil
 }

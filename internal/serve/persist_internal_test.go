@@ -1,53 +1,13 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"strings"
 	"testing"
 )
 
-// The parse helpers must reject corruption with errors an operator can
-// act on: the message names what is wrong (header, footer, digest,
-// line number), never a bare "invalid data".
-
-func TestParseSnapshotErrors(t *testing.T) {
-	rec := `{"version":"sha256:ab","spec":"Queue","sort":"Queue","term":"new","nf":"new","steps":0}`
-	cases := []struct {
-		name string
-		data string
-		want string
-	}{
-		{"empty file", "", "header missing"},
-		{"wrong header", "nf-cache v0\n" + rec + "\n", "header missing"},
-		{"no footer", "adt-nf-snapshot v1\n" + rec + "\n", "snapshot truncated"},
-		{"bad record json", "adt-nf-snapshot v1\n{oops\nsha256 00\n", "snapshot record 1"},
-		{"digest mismatch", "adt-nf-snapshot v1\n" + rec + "\nsha256 " + strings.Repeat("0", 64) + "\n", "digest mismatch"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := parseSnapshot([]byte(tc.data))
-			if err == nil {
-				t.Fatalf("corrupt snapshot accepted")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not explain the corruption (want substring %q)", err, tc.want)
-			}
-		})
-	}
-}
-
-func TestParseSnapshotRoundTrip(t *testing.T) {
-	rec := `{"version":"sha256:ab","spec":"Queue","sort":"Queue","term":"new","nf":"new","steps":0}`
-	data := "adt-nf-snapshot v1\n" + rec + "\nsha256 " + sumLines(rec) + "\n"
-	recs, err := parseSnapshot([]byte(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Spec != "Queue" || recs[0].Version != "sha256:ab" {
-		t.Fatalf("round trip lost the record: %+v", recs)
-	}
-}
+// The WAL parser must reject corruption with errors an operator can act
+// on: the message names what is wrong (digest, record, line number),
+// never a bare "invalid data".
 
 func TestParseWALErrors(t *testing.T) {
 	payload := `{"version":"sha256:ab","spec":"Queue","sort":"Queue","term":"new","nf":"new","steps":0}`
@@ -85,15 +45,4 @@ func TestParseWALRoundTrip(t *testing.T) {
 	if len(recs) != 2 || recs[0].Steps != 3 {
 		t.Fatalf("round trip lost records: %+v", recs)
 	}
-}
-
-// sumLines mirrors the snapshot writer's running digest over payload
-// lines (each line plus its newline).
-func sumLines(lines ...string) string {
-	h := sha256.New()
-	for _, l := range lines {
-		h.Write([]byte(l))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

@@ -35,7 +35,7 @@ func decodeNormalize(t testing.TB, body string) serve.NormalizeResponse {
 }
 
 // TestRestartWarm is the durability acceptance test: a server that
-// normalized a term, snapshotted and shut down must answer the same
+// normalized a term and shut down must answer the same
 // request as a cache hit immediately after restart — the cold path is
 // paid once per cluster lifetime, not once per process.
 func TestRestartWarm(t *testing.T) {
@@ -56,7 +56,7 @@ func TestRestartWarm(t *testing.T) {
 		t.Fatalf("first request claims to be cached: %s", body)
 	}
 	ts1.Close()
-	srv1.Close() // writes the final snapshot
+	srv1.Close()
 
 	srv2, err := serve.New(serve.Config{PersistDir: dir})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestRestartWarm(t *testing.T) {
 }
 
 // TestRestartWarmFromWALOnly covers the crash path: the first server
-// never closes (no snapshot), so the second boot replays the WAL alone.
+// never closes, so the second boot replays the WAL of a live process.
 func TestRestartWarmFromWALOnly(t *testing.T) {
 	dir := t.TempDir()
 	term := "front(add(add(new, 'q), 'r))"
@@ -91,9 +91,6 @@ func TestRestartWarmFromWALOnly(t *testing.T) {
 	t.Cleanup(func() { ts1.Close(); srv1.Close() })
 	if code, body := do(t, ts1, "POST", "/v1/normalize", normalizeBody(t, "Queue", term, "")); code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "nf.snapshot")); !os.IsNotExist(err) {
-		t.Fatalf("snapshot exists before any close (stat err %v); WAL-only path not exercised", err)
 	}
 
 	srv2, err := serve.New(serve.Config{PersistDir: dir})
@@ -174,47 +171,41 @@ func corruptOneByte(t *testing.T, path string) {
 // (correctness over warmth), serves normally, and raises
 // adt_persist_errors_total so an operator sees the corruption.
 func TestCorruptStoreColdStart(t *testing.T) {
-	for _, file := range []string{"nf.snapshot", "nf.wal"} {
-		t.Run(file, func(t *testing.T) {
-			dir := t.TempDir()
-			term := "front(add(add(new, 'x), 'y))"
+	t.Run("nf.wal", func(t *testing.T) {
+		dir := t.TempDir()
+		term := "front(add(add(new, 'x), 'y))"
 
-			srv1, err := serve.New(serve.Config{PersistDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts1 := newTestServerFrom(t, srv1)
-			if code, body := do(t, ts1, "POST", "/v1/normalize", normalizeBody(t, "Queue", term, "")); code != http.StatusOK {
-				t.Fatalf("status %d: %s", code, body)
-			}
-			ts1.Close()
-			if file == "nf.snapshot" {
-				srv1.Close() // fold the WAL into a snapshot, then corrupt that
-			} else {
-				defer srv1.Close()
-			}
-			corruptOneByte(t, filepath.Join(dir, file))
+		srv1, err := serve.New(serve.Config{PersistDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts1 := newTestServerFrom(t, srv1)
+		if code, body := do(t, ts1, "POST", "/v1/normalize", normalizeBody(t, "Queue", term, "")); code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, body)
+		}
+		ts1.Close()
+		defer srv1.Close()
+		corruptOneByte(t, filepath.Join(dir, "nf.wal"))
 
-			srv2, err := serve.New(serve.Config{PersistDir: dir})
-			if err != nil {
-				t.Fatalf("boot over a corrupt store must fall back cold, got error: %v", err)
-			}
-			ts2 := newTestServerFrom(t, srv2)
-			defer func() { ts2.Close(); srv2.Close() }()
+		srv2, err := serve.New(serve.Config{PersistDir: dir})
+		if err != nil {
+			t.Fatalf("boot over a corrupt store must fall back cold, got error: %v", err)
+		}
+		ts2 := newTestServerFrom(t, srv2)
+		defer func() { ts2.Close(); srv2.Close() }()
 
-			_, page := do(t, ts2, "GET", "/metrics", "")
-			if got := metricValue(t, page, "adt_persist_errors_total"); got == 0 {
-				t.Fatalf("corruption in %s went uncounted:\n%s", file, page)
-			}
-			if got := metricValue(t, page, "adt_warm_entries"); got != 0 {
-				t.Fatalf("%d entr(ies) loaded from a corrupt %s", got, file)
-			}
-			code, body := do(t, ts2, "POST", "/v1/normalize", normalizeBody(t, "Queue", term, ""))
-			if code != http.StatusOK || decodeNormalize(t, body).Cached {
-				t.Fatalf("cold fallback broken (status %d): %s", code, body)
-			}
-		})
-	}
+		_, page := do(t, ts2, "GET", "/metrics", "")
+		if got := metricValue(t, page, "adt_persist_errors_total"); got == 0 {
+			t.Fatalf("corruption in nf.wal went uncounted:\n%s", page)
+		}
+		if got := metricValue(t, page, "adt_warm_entries"); got != 0 {
+			t.Fatalf("%d entr(ies) loaded from a corrupt nf.wal", got)
+		}
+		code, body := do(t, ts2, "POST", "/v1/normalize", normalizeBody(t, "Queue", term, ""))
+		if code != http.StatusOK || decodeNormalize(t, body).Cached {
+			t.Fatalf("cold fallback broken (status %d): %s", code, body)
+		}
+	})
 
 	// An uploaded source edited so that it still parses no longer hashes
 	// to its file name: registering it would list a version nobody
@@ -270,6 +261,52 @@ func TestCorruptStoreColdStart(t *testing.T) {
 			t.Fatalf("edited spec source registered as %+v", list.Versions)
 		}
 	})
+}
+
+// TestCorruptWALHealsAfterColdStart: a boot that cannot read the WAL
+// starts it afresh, so what that process computes is warm at the next
+// boot, even if the process crashes (never calls Close) in between.
+func TestCorruptWALHealsAfterColdStart(t *testing.T) {
+	dir := t.TempDir()
+	term := "front(add(add(new, 'heal), 'x))"
+
+	srv1, err := serve.New(serve.Config{PersistDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := newTestServerFrom(t, srv1)
+	if code, body := do(t, ts1, "POST", "/v1/normalize", normalizeBody(t, "Queue", "front(add(new, 'w))", "")); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	ts1.Close()
+	t.Cleanup(srv1.Close)
+	corruptOneByte(t, filepath.Join(dir, "nf.wal"))
+
+	srv2, err := serve.New(serve.Config{PersistDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := newTestServerFrom(t, srv2)
+	if code, body := do(t, ts2, "POST", "/v1/normalize", normalizeBody(t, "Queue", term, "")); code != http.StatusOK || decodeNormalize(t, body).Cached {
+		t.Fatalf("cold boot over a corrupt WAL (status %d): %s", code, body)
+	}
+	ts2.Close()
+	t.Cleanup(srv2.Close) // the crash: the third boot happens before any Close
+
+	srv3, err := serve.New(serve.Config{PersistDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts3 := newTestServerFrom(t, srv3)
+	defer func() { ts3.Close(); srv3.Close() }()
+	_, page := do(t, ts3, "GET", "/metrics", "")
+	if got := metricValue(t, page, "adt_persist_errors_total"); got != 0 {
+		t.Errorf("the log written after the cold start is still unreadable: %d error(s)", got)
+	}
+	code, body := do(t, ts3, "POST", "/v1/normalize", normalizeBody(t, "Queue", term, ""))
+	if code != http.StatusOK || !decodeNormalize(t, body).Cached {
+		t.Fatalf("entry computed after the cold start was lost (status %d): %s", code, body)
+	}
 }
 
 // TestWarmFromCorpus: Config.Warm alone (no persisted store) must make

@@ -21,9 +21,9 @@
 // recorder the forks drain into.
 //
 // Durability (DESIGN §13): with Config.PersistDir set, uploaded specs
-// and every cold normalization are persisted (snapshot + WAL, integrity
-// digested), and a restarted server reloads them at boot so its first
-// request is served from the warm cache.
+// and every cold normalization are persisted (an integrity-digested
+// write-ahead log), and a restarted server reloads them at boot so its
+// first request is served from the warm cache.
 package serve
 
 import (
@@ -62,11 +62,6 @@ type Config struct {
 	// the adt_persist_errors_total counter raised) and the server falls
 	// back to a cold start.
 	PersistDir string
-	// SnapshotEvery is the period of the background snapshot that folds
-	// the WAL into nf.snapshot (0: DefaultSnapshotEvery). Only
-	// meaningful with PersistDir; a final snapshot is always taken on
-	// Close.
-	SnapshotEvery time.Duration
 	// Warm, when true, pre-normalizes the golden-conformance battery
 	// (the corpus mirrored in specs/golden/) into the normal-form cache
 	// at boot, so even a server without a persisted store answers its
@@ -77,10 +72,6 @@ type Config struct {
 // DefaultCacheSize is the normal-form cache bound when Config leaves
 // CacheSize zero.
 const DefaultCacheSize = 1 << 16
-
-// DefaultSnapshotEvery is the background snapshot period when Config
-// leaves SnapshotEvery zero.
-const DefaultSnapshotEvery = 30 * time.Second
 
 // Server is the spec-evaluation service. Create with New, mount
 // Handler on an http.Server, and Close on the way out.
@@ -107,10 +98,8 @@ type Server struct {
 	crossHits     atomic.Int64
 	inFlight      atomic.Int64
 
-	snapStop chan struct{}
-	snapWG   sync.WaitGroup
-	closeMu  sync.Mutex
-	closed   bool
+	closeMu sync.Mutex
+	closed  bool
 }
 
 // New builds a server over the embedded specification library plus any
@@ -135,9 +124,6 @@ func NewWithSources(cfg Config, sources []string) (*Server, error) {
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = DefaultCacheSize
-	}
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
 	reg, err := registry.New(sources)
 	if err != nil {
@@ -186,20 +172,15 @@ func NewWithSources(cfg Config, sources []string) (*Server, error) {
 	s.mux.Handle("GET /v1/specs", s.instrument("specs", s.handleSpecs))
 	s.mux.Handle("GET /metrics", s.declareMetrics())
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if s.pers != nil {
-		s.snapStop = make(chan struct{})
-		s.snapWG.Add(1)
-		go s.snapshotLoop()
-	}
 	return s, nil
 }
 
 // loadPersisted restores the durable state: re-registers every uploaded
 // spec source whose content address still matches its file name, then
-// replays the snapshot+WAL into the normal-form cache. Failures never
-// abort boot — a corrupt store means a cold start, counted in
-// adt_persist_errors_total — because the persisted cache is an
-// accelerator, not a source of truth.
+// replays the WAL into the normal-form cache. Failures never abort boot
+// — a corrupt store means a cold start, counted in
+// adt_persist_errors_total, with the WAL started afresh — because the
+// persisted cache is an accelerator, not a source of truth.
 func (s *Server) loadPersisted() {
 	specs, errs := loadSpecSources(s.cfg.PersistDir)
 	s.pers.persistErrs.Add(int64(len(errs)))
@@ -217,6 +198,9 @@ func (s *Server) loadPersisted() {
 	recs, err := loadNFStore(s.cfg.PersistDir)
 	if err != nil {
 		s.pers.persistErrs.Add(1)
+		if err := s.pers.restart(); err != nil {
+			s.pers.persistErrs.Add(1)
+		}
 		return
 	}
 	s.pers.seed(recs)
@@ -289,24 +273,6 @@ func (s *Server) warmFromCorpus() {
 	}
 }
 
-// snapshotLoop periodically folds the WAL into a fresh snapshot so a
-// crash replays a short log, not the whole history.
-func (s *Server) snapshotLoop() {
-	defer s.snapWG.Done()
-	t := time.NewTicker(s.cfg.SnapshotEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := s.pers.snapshot(); err != nil {
-				s.pers.persistErrs.Add(1)
-			}
-		case <-s.snapStop:
-			return
-		}
-	}
-}
-
 // Handler returns the HTTP handler tree; mount it on an http.Server or
 // an httptest.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -318,8 +284,8 @@ func (s *Server) Registry() *registry.Registry { return s.reg }
 // Close stops admitting normalizations and drains the admitted ones —
 // waiting and running requests finish (or hit their fuel and deadline
 // bounds) and write their results to the cache and the WAL — then
-// stops the snapshotter and writes a final snapshot. Call it after
-// http.Server.Shutdown has stopped new requests. Close is idempotent.
+// closes the WAL. Call it after http.Server.Shutdown has stopped new
+// requests. Close is idempotent.
 func (s *Server) Close() {
 	s.closeMu.Lock()
 	if s.closed {
@@ -329,11 +295,7 @@ func (s *Server) Close() {
 	s.closed = true
 	s.closeMu.Unlock()
 	s.slots.close()
-	if s.pers != nil {
-		close(s.snapStop)
-		s.snapWG.Wait()
-		s.pers.close()
-	}
+	s.pers.close()
 }
 
 // declareMetrics declares the families of GET /metrics, in page order.

@@ -75,9 +75,9 @@ func TestSlotsQueuedDeadline(t *testing.T) {
 
 // TestSlotsDrainOnClose: Close drains what it admitted all the way to
 // the store. A request holding the only slot when Close begins still
-// answers 200, Close returns only after its normal form is in the WAL
-// (so the final snapshot carries it), requests after Close get 503, and
-// a server restarted from the directory answers the term warm.
+// answers 200, Close returns only after its normal form is in the WAL,
+// requests after Close get 503, and a server restarted from the
+// directory answers the term warm.
 func TestSlotsDrainOnClose(t *testing.T) {
 	dir := t.TempDir()
 	term := "front(add(add(new, 'drain), 'x))"

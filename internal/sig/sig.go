@@ -146,6 +146,13 @@ func (s *Signature) IsParam(name Sort) bool { return s.params[name] }
 // IsAtomSort reports whether the sort admits atom literals.
 func (s *Signature) IsAtomSort(name Sort) bool { return s.atomSorts[name] }
 
+// OpenSort reports whether the sort's values are an open-ended supply of
+// atoms rather than a finite set of constructor forms: an atom sort, or a
+// parameter sort (atoms serve as the arbitrary values a parameter like
+// Item ranges over). Ground-term generation, coverage analysis, atom
+// literals and reification all treat exactly these sorts as leaves.
+func (s *Signature) OpenSort(name Sort) bool { return s.atomSorts[name] || s.params[name] }
+
 // Sorts returns all sorts in declaration order.
 func (s *Signature) Sorts() []Sort {
 	out := make([]Sort, len(s.sortOrder))

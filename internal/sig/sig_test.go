@@ -94,6 +94,9 @@ func TestSortFlavours(t *testing.T) {
 	if s.IsParam("Plain") || s.IsAtomSort("Plain") {
 		t.Error("Plain flavour wrong")
 	}
+	if !s.OpenSort("Identifier") || !s.OpenSort("Item") || s.OpenSort("Plain") || s.OpenSort("Nope") {
+		t.Error("OpenSort must hold of exactly the atom and parameter sorts")
+	}
 	if err := s.AddSort("Plain"); err == nil {
 		t.Error("duplicate sort accepted")
 	}

@@ -7,6 +7,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -122,6 +123,27 @@ func (s *Spec) Extensions() []*sig.Operation {
 	var out []*sig.Operation
 	for _, op := range s.Sig.Ops() {
 		if heads[op.Name] && !op.Native {
+			out = append(out, op)
+		}
+	}
+	return out
+}
+
+// Observable reports whether values of the sort can be compared directly
+// rather than through observer contexts: Bool, and the open (atom and
+// parameter) sorts. This is the one decision of what a checker observes.
+func (s *Spec) Observable(so sig.Sort) bool {
+	return so == sig.BoolSort || s.Sig.OpenSort(so)
+}
+
+// Observers returns the operations whose ground applications a checker
+// observes: the non-native, non-constructor operations whose range is
+// observable or one of the extra sorts (sorts a client declares it can
+// represent), in signature order.
+func (s *Spec) Observers(extra ...sig.Sort) []*sig.Operation {
+	var out []*sig.Operation
+	for _, op := range s.Extensions() {
+		if s.Observable(op.Range) || slices.Contains(extra, op.Range) {
 			out = append(out, op)
 		}
 	}

@@ -45,6 +45,30 @@ func TestConstructorsAndExtensions(t *testing.T) {
 	}
 }
 
+// TestObservers: the observed operations are the extensions with a Bool,
+// atom or parameter range, plus any extra sort, in signature order.
+func TestObservers(t *testing.T) {
+	sp := queue(t)
+	for so, want := range map[sig.Sort]bool{"Bool": true, "Item": true, "Queue": false} {
+		if sp.Observable(so) != want {
+			t.Errorf("Observable(%s) = %v, want %v", so, !want, want)
+		}
+	}
+	names := func(ops []*sig.Operation) string {
+		var out []string
+		for _, op := range ops {
+			out = append(out, op.Name)
+		}
+		return strings.Join(out, " ")
+	}
+	if got := names(sp.Observers()); got != "not and or front isEmpty?" {
+		t.Errorf("Observers() = %s", got)
+	}
+	if got := names(sp.Observers("Queue")); got != "not and or front remove isEmpty?" {
+		t.Errorf(`Observers("Queue") = %s`, got)
+	}
+}
+
 // IsConstructor runs at every node of every normal form the dynamic
 // completeness check classifies, so it must not allocate.
 func TestIsConstructorAllocFree(t *testing.T) {

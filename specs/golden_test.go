@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"algspec/internal/core"
-	"algspec/internal/loadgen"
+	"algspec/internal/corpus"
 	"algspec/internal/rewrite"
 )
 
@@ -85,8 +85,8 @@ func TestGoldenConformance(t *testing.T) {
 	env, _ := loadAll(t)
 
 	batteries := make(map[string][]string)
-	for _, spec := range loadgen.BatterySpecs() {
-		batteries[spec] = loadgen.Battery(spec)
+	for _, spec := range corpus.BatterySpecs() {
+		batteries[spec] = corpus.Battery(spec)
 	}
 	for spec, terms := range localBatteries {
 		batteries[spec] = terms
