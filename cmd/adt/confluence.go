@@ -23,7 +23,7 @@ func cmdConfluence(args []string, out io.Writer) error {
 	trace := fs.Bool("trace", false, "print each certificate's orientation trace and precedence (text mode)")
 	maxRules := fs.Int("max-rules", 0, "rule budget for completion (0 = 128)")
 	rounds := fs.Int("rounds", 0, "closure-round budget (0 = 8)")
-	fuel := fs.Int("fuel", 0, "per-round reduction budget (0 = 1<<18)")
+	fuel := fs.Int("fuel", 0, "reduction budget of each critical-pair contraction (0 = 1<<18)")
 	files, err := parseInterleaved(fs, args, out)
 	if err != nil {
 		return err

@@ -57,8 +57,9 @@ type Config struct {
 	// MaxRounds caps closure iterations (default 8). The library needs
 	// one; a spec still adding rules after eight rounds is diverging.
 	MaxRounds int
-	// Fuel is the per-round reduction budget shared by all critical-pair
-	// normalizations of that round (default 1<<18).
+	// Fuel is the reduction budget of each normalization of a
+	// critical-pair contraction (default 1<<18): the engine's fuel is per
+	// Normalize call, not shared by a round.
 	Fuel int
 }
 

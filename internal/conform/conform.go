@@ -21,6 +21,7 @@ import (
 
 	"algspec/internal/core"
 	"algspec/internal/gen"
+	"algspec/internal/rewrite"
 	"algspec/internal/sig"
 	"algspec/internal/spec"
 	"algspec/internal/subst"
@@ -186,7 +187,7 @@ func (p *Plan) compile(t *term.Term, axiom string, norm Normalizer) (*Program, b
 	if err != nil {
 		return nil, false, err
 	}
-	if !valueNF(p.sp, nf) {
+	if !rewrite.IsConstructorForm(p.sp, nf) {
 		return nil, true, nil
 	}
 	prog := &Program{
@@ -267,34 +268,6 @@ func ObserverContexts(sp *spec.Spec, g *gen.Generator, extra []sig.Sort, so sig.
 		}
 	}
 	return out
-}
-
-// IsValueNF reports whether a normal form is a constructor value the
-// oracle can adjudicate (see valueNF). Exported for the driverkit
-// generator, which bakes only pairs whose engine normal forms pass
-// this same filter.
-func IsValueNF(sp *spec.Spec, nf *term.Term) bool { return valueNF(sp, nf) }
-
-// valueNF reports whether a normal form is a constructor value — ground,
-// fully reduced, built from constructors, atoms and (at most) the
-// distinguished error. Anything else is a stuck term the oracle cannot
-// adjudicate.
-func valueNF(sp *spec.Spec, nf *term.Term) bool {
-	switch nf.Kind {
-	case term.Err, term.Atom:
-		return true
-	case term.Var:
-		return false
-	}
-	if nf.IsIf() || !sp.IsConstructor(nf.Sym) {
-		return false
-	}
-	for _, a := range nf.Args {
-		if !valueNF(sp, a) {
-			return false
-		}
-	}
-	return true
 }
 
 // Observation is a client's report for one program: either a surface-

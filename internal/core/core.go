@@ -50,6 +50,20 @@ func NewEnv() *Env {
 	}
 }
 
+// Extend returns a new environment holding this one's specifications
+// and no compiled systems, ready to load more specifications on top of
+// them without re-parsing this one's sources. Loaded specifications are
+// never mutated, so the two environments share them; each compiles its
+// own systems, and so hash-conses into its own interners.
+func (e *Env) Extend() *Env {
+	out := NewEnv()
+	for _, name := range e.order {
+		out.specs[name] = e.specs[name]
+	}
+	out.order = append(out.order, e.order...)
+	return out
+}
+
 // Load parses and checks every specification in the source text, in
 // order, adding each to the environment. It returns the specs added.
 func (e *Env) Load(src string) ([]*spec.Spec, error) {

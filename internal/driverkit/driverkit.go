@@ -28,6 +28,7 @@ import (
 	"algspec/internal/core"
 	"algspec/internal/driverkit/rt"
 	"algspec/internal/gen"
+	"algspec/internal/rewrite"
 	"algspec/internal/sig"
 	"algspec/internal/spec"
 	"algspec/internal/subst"
@@ -174,7 +175,7 @@ func Build(env *core.Env, sp *spec.Spec, cfg Config) (*Package, error) {
 				if err != nil {
 					return nil, fmt.Errorf("driverkit: normalizing %s: %w", b, err)
 				}
-				if !conform.IsValueNF(sp, nfa) || !conform.IsValueNF(sp, nfb) || !nfa.Equal(nfb) {
+				if !rewrite.IsConstructorForm(sp, nfa) || !rewrite.IsConstructorForm(sp, nfb) || !nfa.Equal(nfb) {
 					p.Skipped++
 					continue
 				}
@@ -219,7 +220,7 @@ func Build(env *core.Env, sp *spec.Spec, cfg Config) (*Package, error) {
 			if err != nil {
 				return nil, fmt.Errorf("driverkit: normalizing %s: %w", probe, err)
 			}
-			if !conform.IsValueNF(sp, nf) {
+			if !rewrite.IsConstructorForm(sp, nf) {
 				p.Skipped++
 				continue
 			}

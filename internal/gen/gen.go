@@ -329,21 +329,6 @@ func (g *Generator) RandomAssignment(vars []*term.Term, maxDepth int) (map[strin
 	return out, nil
 }
 
-// RandomMany returns n random ground terms of the sort.
-func (g *Generator) RandomMany(so sig.Sort, maxDepth, n int) ([]*term.Term, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]*term.Term, 0, n)
-	for i := 0; i < n; i++ {
-		t, err := g.random(so, maxDepth)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // Instantiations enumerates substitution-like assignments for a list of
 // variables (used to instantiate axiom instances): the result is the cross
 // product of Enumerate for each variable's sort, capped at limit
@@ -459,57 +444,4 @@ func apply(op *sig.Operation, vars []*term.Term, asn map[string]*term.Term) *ter
 		args[i] = asn[v.Sym]
 	}
 	return term.NewOp(op.Name, op.Range, args...)
-}
-
-// ObserverTerms wraps each of the given ground terms of sort so in every
-// observer context of the spec: for each operation taking so, the term is
-// placed in each so-position and the remaining positions are filled with
-// the smallest enumerated terms of their sorts. Used by dynamic
-// completeness checking and by observational equivalence.
-func (g *Generator) ObserverTerms(so sig.Sort, values []*term.Term, fillDepth int) []*term.Term {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var out []*term.Term
-	for _, op := range g.sp.Sig.OpsTaking(so) {
-		for pos, ds := range op.Domain {
-			if ds != so {
-				continue
-			}
-			fills := make([][]*term.Term, len(op.Domain))
-			ok := true
-			for i, fs := range op.Domain {
-				if i == pos {
-					continue
-				}
-				choice := g.enumCapped(fs, fillDepth)
-				if len(choice) == 0 {
-					ok = false
-					break
-				}
-				fills[i] = choice
-			}
-			if !ok {
-				continue
-			}
-			for _, v := range values {
-				args := make([]*term.Term, len(op.Domain))
-				feasible := true
-				for i := range op.Domain {
-					if i == pos {
-						args[i] = v
-						continue
-					}
-					if len(fills[i]) == 0 {
-						feasible = false
-						break
-					}
-					args[i] = fills[i][0]
-				}
-				if feasible {
-					out = append(out, term.NewOp(op.Name, op.Range, args...))
-				}
-			}
-		}
-	}
-	return out
 }

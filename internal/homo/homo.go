@@ -397,42 +397,7 @@ func (v *Verifier) verifyAxiom(ax *spec.Axiom, cfg Config) (*AxiomResult, error)
 	rhsI := v.Interpret(ax.RHS)
 	wrap := ax.LHS.Sort == v.rep.AbsSort
 
-	vars := lhsI.Vars()
-	insts := v.g.Instantiations(vars, cfg.Depth, cfg.MaxInstancesPerAxiom)
-	if len(vars) == 0 {
-		insts = []map[string]*term.Term{{}}
-	}
-
-	// Fast path: obligation (b) with no assumptions needs nothing but
-	// plain normalization of both sides, so the whole axiom becomes one
-	// batched NormalizeAll call (lhs and rhs interleaved, index-aligned).
-	if !wrap && len(v.assumptions) == 0 {
-		pairs := make([]*term.Term, 0, 2*len(insts))
-		for _, inst := range insts {
-			pairs = append(pairs, core.Instantiate(lhsI, inst), core.Instantiate(rhsI, inst))
-		}
-		nfs, errs := v.sys.NormalizeAll(pairs, cfg.Workers)
-		for i, inst := range insts {
-			if errs != nil {
-				if err := errs[2*i]; err != nil {
-					return nil, fmt.Errorf("homo: axiom [%s] lhs %s: %w", ax.Label, pairs[2*i], err)
-				}
-				if err := errs[2*i+1]; err != nil {
-					return nil, fmt.Errorf("homo: axiom [%s] rhs %s: %w", ax.Label, pairs[2*i+1], err)
-				}
-			}
-			res.Instances++
-			lv, rv := nfs[2*i], nfs[2*i+1]
-			if lv.Equal(rv) {
-				res.Passed++
-				continue
-			}
-			if len(res.Failures) < 32 {
-				res.Failures = append(res.Failures, Counterexample{Assignment: inst, LHS: lv, RHS: rv})
-			}
-		}
-		return res, nil
-	}
+	insts := v.g.Instantiations(lhsI.Vars(), cfg.Depth, cfg.MaxInstancesPerAxiom)
 
 	type outcome struct {
 		skipped bool
@@ -572,11 +537,7 @@ func (v *Verifier) obsEqual(absSys *rewrite.System, a, b *term.Term, depth int) 
 			if d != so {
 				continue
 			}
-			fills := v.g.Instantiations(fillVars(op, pos), 2, 32)
-			if len(fillVars(op, pos)) == 0 {
-				fills = []map[string]*term.Term{{}}
-			}
-			for _, fill := range fills {
+			for _, fill := range v.g.Instantiations(fillVars(op, pos), 2, 32) {
 				ca, cb := contextApply(op, pos, a, fill), contextApply(op, pos, b, fill)
 				na, err := absSys.Normalize(ca)
 				if err != nil {

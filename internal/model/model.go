@@ -33,6 +33,7 @@ import (
 	"algspec/internal/rewrite"
 	"algspec/internal/sig"
 	"algspec/internal/spec"
+	"algspec/internal/subst"
 	"algspec/internal/term"
 )
 
@@ -381,13 +382,9 @@ func CheckAxioms(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 	}
 	var items []item
 	for _, ax := range sp.Own {
-		vars := ax.LHS.Vars()
-		insts := h.g.Instantiations(vars, cfg.Depth, cfg.MaxInstancesPerAxiom)
-		if len(vars) == 0 {
-			insts = []map[string]*term.Term{{}}
-		}
-		for _, inst := range insts {
-			items = append(items, item{ax: ax, lhs: applyAssignment(ax.LHS, inst), rhs: applyAssignment(ax.RHS, inst)})
+		for _, inst := range h.g.Instantiations(ax.LHS.Vars(), cfg.Depth, cfg.MaxInstancesPerAxiom) {
+			sub := subst.Subst(inst)
+			items = append(items, item{ax: ax, lhs: sub.Apply(ax.LHS), rhs: sub.Apply(ax.RHS)})
 		}
 	}
 
@@ -436,24 +433,6 @@ func CheckAxioms(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 		}
 	}
 	return r
-}
-
-func applyAssignment(t *term.Term, inst map[string]*term.Term) *term.Term {
-	switch t.Kind {
-	case term.Var:
-		if b, ok := inst[t.Sym]; ok {
-			return b
-		}
-		return t
-	case term.Atom, term.Err:
-		return t
-	default:
-		args := make([]*term.Term, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = applyAssignment(a, inst)
-		}
-		return &term.Term{Kind: t.Kind, Sym: t.Sym, Sort: t.Sort, Args: args}
-	}
 }
 
 // CheckAgainstSpec compares the implementation with the symbolic

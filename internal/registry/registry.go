@@ -80,8 +80,7 @@ func (v *Version) Certified(name string) bool {
 // All methods are safe for concurrent use; versions are immutable once
 // returned.
 type Registry struct {
-	baseSources []string
-	base        *Version
+	base *Version
 
 	mu    sync.RWMutex
 	byID  map[string]*Version
@@ -116,9 +115,8 @@ func New(baseSources []string) (*Registry, error) {
 		Env:   env,
 	}
 	return &Registry{
-		baseSources: baseSources,
-		base:        base,
-		byID:        map[string]*Version{base.ID: base},
+		base: base,
+		byID: map[string]*Version{base.ID: base},
 	}, nil
 }
 
@@ -159,13 +157,10 @@ func (r *Registry) Register(source string) (v *Version, created bool, err error)
 
 	// Compile outside the lock: uploads are rare and compilation is the
 	// expensive part. A racing duplicate is resolved below — content
-	// addressing makes both compilations interchangeable.
-	env := core.NewEnv()
-	for _, src := range r.baseSources {
-		if _, err := env.Load(src); err != nil {
-			return nil, false, err
-		}
-	}
+	// addressing makes both compilations interchangeable. The upload's
+	// env shares the base library's checked specs but compiles its own
+	// systems.
+	env := r.base.Env.Extend()
 	added, err := env.Load(canon)
 	if err != nil {
 		return nil, false, err

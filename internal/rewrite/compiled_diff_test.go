@@ -135,20 +135,29 @@ func TestCompiledTierErrorParity(t *testing.T) {
 
 // edgeSrc gathers the matcher edge cases no library or shipped spec
 // exercises: a non-linear left-hand side (the machine's mEq check), an
-// overlap where the earlier, more specific axiom must win, and a
-// duplicate pattern that can never fire.
+// overlap where the earlier, more specific axiom must win, a duplicate
+// pattern that can never fire, and ground right-hand sides in tail
+// position, which the machine compiles to build nodes, not constants.
 const edgeSrc = `
 spec Edge
   uses Nat
   ops
     same : Nat, Nat -> Bool
     f    : Nat -> Nat
+    g    : Nat -> Nat
+    h    : Nat -> Nat
+    k    : Nat -> Bool
+    r    : Nat -> Nat
   vars n, m : Nat
   axioms
-    [refl] same(n, n) = true
-    [hit]  f(zero) = zero
-    [any]  f(m) = succ(m)
-    [dead] f(n) = zero
+    [refl]   same(n, n) = true
+    [hit]    f(zero) = zero
+    [any]    f(m) = succ(m)
+    [dead]   f(n) = zero
+    [tail]   g(n) = f(zero)
+    [tailif] h(n) = if same(zero, zero) then f(succ(zero)) else zero
+    [stuck]  k(n) = same(zero, succ(zero))
+    [symif]  r(n) = if same(zero, succ(zero)) then zero else succ(zero)
 end
 `
 
@@ -170,6 +179,10 @@ func TestMatcherEdgeCases(t *testing.T) {
 		{"priority/specific-first", "f(zero)", "zero", []string{"hit"}},
 		{"priority/general", "f(succ(zero))", "succ(succ(zero))", []string{"any"}},
 		{"duplicate-never-fires", "f(f(succ(zero)))", "succ(succ(succ(zero)))", []string{"any", "any"}},
+		{"ground-tail/ruled", "g(zero)", "zero", []string{"tail", "hit"}},
+		{"ground-tail/if", "h(zero)", "succ(succ(zero))", []string{"tailif", "refl", "any"}},
+		{"ground-tail/no-match", "k(zero)", "same(zero, succ(zero))", []string{"stuck"}},
+		{"ground-tail/symbolic-if", "r(zero)", "if same(zero, succ(zero)) then zero else succ(zero)", []string{"symif"}},
 	}
 	compiled := rewrite.New(sp)
 	interp := compiled.Fork(rewrite.WithoutCompiledTier())

@@ -108,7 +108,7 @@ const (
 	// bIf is a conditional anywhere in the right-hand side: evaluate the
 	// condition, charge one if-step, evaluate only the taken branch. The
 	// if term and the untaken branch are never materialized; a symbolic
-	// condition leaves the residual the interpreter's reduceIf would.
+	// condition leaves the residual the interpreter would.
 	bIf
 )
 
@@ -117,10 +117,12 @@ const (
 // match-frame registers and ground subtrees collapsed to constants.
 type buildNode struct {
 	op   bOpcode
-	a    int        // bReg: register index
-	sym  string     // bMk: head symbol
-	sort sig.Sort   // bMk/bIf: result sort (error/residual cases)
-	lit  *term.Term // bConst: interned RHS subtree
+	a    int      // bReg: register index
+	sym  string   // bMk: head symbol
+	sort sig.Sort // bMk/bIf: result sort (error/residual cases)
+	// lit is bConst's interned RHS subtree, and the subtree a ground tail
+	// bMk or bIf stands for (compileNode); nil on every other node.
+	lit *term.Term
 	// sid is bMk's precomputed dispatch index for the head symbol
 	// (machine.symID): the evaluator dispatches through the dense
 	// program.dispID table instead of the per-symbol map.
@@ -151,7 +153,7 @@ func compileMachine(rules []Rule) *machine {
 		groups[r.LHS.Sym] = append(groups[r.LHS.Sym], i)
 	}
 	for sym, idxs := range groups {
-		m.progs[sym] = compileMatchGroup(rules, idxs, m.builds)
+		m.progs[sym] = compileMatchGroup(rules, idxs, m.builds, groups)
 	}
 	m.symID = make(map[string]uint32)
 	id := func(sym string) uint32 {
@@ -179,8 +181,9 @@ func compileMachine(rules []Rule) *machine {
 
 // compileMatchGroup emits one rule group's match program and, as a side
 // effect, each rule's build tree (the register assignment produced
-// while walking a pattern is exactly the slot map its RHS needs).
-func compileMatchGroup(rules []Rule, idxs []int, builds []buildNode) *matchProg {
+// while walking a pattern is exactly the slot map its RHS needs). groups
+// holds every rule group, keyed by head symbol.
+func compileMatchGroup(rules []Rule, idxs []int, builds []buildNode, groups map[string][]int) *matchProg {
 	p := &matchProg{}
 	// The group shares one head symbol, and a symbol has one arity, so
 	// the root check-and-load runs once at pc 0 rather than per rule: a
@@ -233,7 +236,7 @@ func compileMatchGroup(rules []Rule, idxs []int, builds []buildNode) *matchProg 
 		if next > p.nregs {
 			p.nregs = next
 		}
-		builds[ri] = compileNode(rules[ri].RHS, regs)
+		builds[ri] = compileNode(rules[ri].RHS, regs, groups, true)
 	}
 	if p.nregs == 0 {
 		p.nregs = 1
@@ -244,32 +247,42 @@ func compileMatchGroup(rules []Rule, idxs []int, builds []buildNode) *matchProg 
 // compileNode lowers a right-hand side to its evaluation tree. Subtrees
 // containing no bound variable compile to constants holding the rule's
 // own interned nodes, preserving subst.Bindings.Build's sharing
-// behaviour. A conditional —
-// at the root or nested inside an operation argument — becomes a bIf
-// node: evaluation order, step charges and results are exactly the
-// interpreter's reduceIf on the materialized term.
-func compileNode(rhs *term.Term, regs map[string]int) buildNode {
+// behaviour — except in tail position (the root, and the branches of a
+// tail if), where a ground subtree rooted at a ruled head or an if stays
+// a build node, so that evalBuild continues a chain through it instead
+// of nesting a normalizeCompiled call per step. A conditional — at the
+// root or nested inside an operation argument — becomes a bIf node:
+// evaluation order, step charges and results are exactly the
+// interpreter's lazy if on the materialized term.
+func compileNode(rhs *term.Term, regs map[string]int, groups map[string][]int, tail bool) buildNode {
 	if rhs.Kind == term.Var {
 		if r, ok := regs[rhs.Sym]; ok {
 			return buildNode{op: bReg, a: r}
 		}
 		return buildNode{op: bConst, lit: rhs}
 	}
-	if !containsBound(rhs, regs) {
+	ground := !containsBound(rhs, regs)
+	if ground && !(tail && rhs.Kind == term.Op && (rhs.IsIf() || groups[rhs.Sym] != nil)) {
 		return buildNode{op: bConst, lit: rhs}
 	}
+	var n buildNode
 	if rhs.IsIf() && len(rhs.Args) == 3 {
-		return buildNode{op: bIf, sort: rhs.Sort, kids: []buildNode{
-			compileNode(rhs.Args[0], regs),
-			compileNode(rhs.Args[1], regs),
-			compileNode(rhs.Args[2], regs),
+		n = buildNode{op: bIf, sort: rhs.Sort, kids: []buildNode{
+			compileNode(rhs.Args[0], regs, groups, false),
+			compileNode(rhs.Args[1], regs, groups, tail),
+			compileNode(rhs.Args[2], regs, groups, tail),
 		}}
+	} else {
+		kids := make([]buildNode, len(rhs.Args))
+		for i, a := range rhs.Args {
+			kids[i] = compileNode(a, regs, groups, false)
+		}
+		n = buildNode{op: bMk, sym: rhs.Sym, sort: rhs.Sort, kids: kids}
 	}
-	kids := make([]buildNode, len(rhs.Args))
-	for i, a := range rhs.Args {
-		kids[i] = compileNode(a, regs)
+	if ground {
+		n.lit = rhs
 	}
-	return buildNode{op: bMk, sym: rhs.Sym, sort: rhs.Sort, kids: kids}
+	return n
 }
 
 // containsBound reports whether t contains a variable the pattern binds.
@@ -303,8 +316,8 @@ func (s *System) runMatch(p *matchProg, subject *term.Term, regs []*term.Term) i
 
 // runMatchLoaded runs a match program whose root children already sit
 // in registers 1..k, their count checked by the caller: runMatch loads
-// them from a subject node, applyRules evaluates a virtual root's
-// children there in place. Execution therefore starts past the mRoot
+// them from a subject node, evalBuild evaluates a virtual root's
+// children there. Execution therefore starts past the mRoot
 // instruction. Register 0 is never read: no instruction other than
 // mRoot addresses it (patterns are rooted at an operation, so the
 // subject is never re-inspected after its children are loaded), and
@@ -379,100 +392,137 @@ func setReg(regs []*term.Term, i int, v *term.Term) {
 // captured subterms pushed by bReg are already in normal form, so the
 // in-place writes below can only target nodes this call owns). Nothing
 // scratch survives the call: Normalize interns the result at the Canon
-// boundary before the arena is reset.
+// boundary before the arena is reset. A decided if and a native's
+// result continue the loop; a fired rule hands its build tree to
+// evalBuild, which runs the rest of the chain.
 func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
-	switch t.Kind {
-	case term.Var, term.Atom, term.Err:
-		return t, nil
-	}
-	if t.NormalTag() == s.gen {
-		return t, nil
-	}
-	if t.IsIf() {
-		return s.reduceIfCompiled(t)
-	}
-
-	cur := t
-	mutable := t.Scratch()
-	for i := 0; i < len(cur.Args); i++ {
-		a := cur.Args[i]
-		// Inline the already-normal fast paths (leaf kinds, token match)
-		// to skip a call per settled argument — the common case once the
-		// bottom of a spine has been rewritten. An error argument never
-		// takes the token shortcut: all errors share one canonical node,
-		// whose stamp must not bypass the strictness check below.
-		if a.Kind == term.Var || a.Kind == term.Atom || (a.Kind != term.Err && a.NormalTag() == s.gen) {
-			continue
+	for {
+		switch t.Kind {
+		case term.Var, term.Atom, term.Err:
+			return t, nil
 		}
-		na, err := s.normalizeCompiled(a)
-		if err != nil {
-			return nil, err
+		if t.NormalTag() == s.gen {
+			return t, nil
 		}
-		if na.IsErr() {
-			// Strictness: short-circuit the remaining arguments.
-			if err := s.spend(cur); err != nil {
-				return nil, err
-			}
-			return s.arena.Err(cur.Sort), nil
-		}
-		if na != a {
-			if !mutable {
-				cur = s.arena.CopyOp(cur)
-				mutable = true
-			}
-			cur.Args[i] = na
-		}
-	}
-
-	var d dispatch
-	if h := cur.Hint(); h != 0 {
-		d = s.prog.dispID[h]
-	} else {
-		d = s.prog.disp[cur.Sym]
-	}
-	if d.native != nil {
-		if out, applied := d.native(cur.Args); applied {
-			red, _, err := s.fireNative(cur, out)
+		if t.IsIf() {
+			cond, err := s.normalizeCompiled(t.Args[0])
 			if err != nil {
 				return nil, err
 			}
-			return s.normalizeCompiled(red)
+			var next *term.Term
+			switch {
+			case cond.IsTrue():
+				next = t.Args[1]
+			case cond.IsFalse():
+				next = t.Args[2]
+			case !cond.IsErr():
+				// Symbolic condition: normalize branches and keep the if.
+				then, err := s.normalizeCompiled(t.Args[1])
+				if err != nil {
+					return nil, err
+				}
+				els, err := s.normalizeCompiled(t.Args[2])
+				if err != nil {
+					return nil, err
+				}
+				if cond == t.Args[0] && then == t.Args[1] && els == t.Args[2] {
+					return t, nil
+				}
+				return s.arena.If(t.Sort, cond, then, els), nil
+			}
+			if err := s.spend(t); err != nil {
+				return nil, err
+			}
+			if next == nil {
+				return s.arena.Err(t.Sort), nil
+			}
+			t = next
+			continue
 		}
+
+		cur := t
+		mutable := t.Scratch()
+		for i := 0; i < len(cur.Args); i++ {
+			a := cur.Args[i]
+			// Inline the already-normal fast paths (leaf kinds, token match)
+			// to skip a call per settled argument — the common case once the
+			// bottom of a spine has been rewritten. An error argument never
+			// takes the token shortcut: all errors share one canonical node,
+			// whose stamp must not bypass the strictness check below.
+			if a.Kind == term.Var || a.Kind == term.Atom || (a.Kind != term.Err && a.NormalTag() == s.gen) {
+				continue
+			}
+			na, err := s.normalizeCompiled(a)
+			if err != nil {
+				return nil, err
+			}
+			if na.IsErr() {
+				// Strictness: short-circuit the remaining arguments.
+				if err := s.spend(cur); err != nil {
+					return nil, err
+				}
+				return s.arena.Err(cur.Sort), nil
+			}
+			if na != a {
+				if !mutable {
+					cur = s.arena.CopyOp(cur)
+					mutable = true
+				}
+				cur.Args[i] = na
+			}
+		}
+
+		var d dispatch
+		if h := cur.Hint(); h != 0 {
+			d = s.prog.dispID[h]
+		} else {
+			d = s.prog.disp[cur.Sym]
+		}
+		if d.native != nil {
+			if out, applied := d.native(cur.Args); applied {
+				red, _, err := s.fireNative(cur, out)
+				if err != nil {
+					return nil, err
+				}
+				t = red
+				continue
+			}
+		}
+		if d.mp == nil {
+			return cur, nil
+		}
+		base := s.regTop
+		need := base + d.mp.nregs
+		if len(s.regStack) < need {
+			s.growRegs(base, need)
+		}
+		regs := s.regStack[base:need]
+		ri := s.runMatch(d.mp, cur, regs)
+		if ri < 0 {
+			return cur, nil
+		}
+		if err := s.spend(cur); err != nil {
+			return nil, err
+		}
+		s.stats.RuleFires++
+		// The fired rule's build tree evaluates directly to a normal form;
+		// its evaluations run above this frame on the register stack, so
+		// the captures survive without copying.
+		s.regTop = need
+		red, err := s.evalBuild(&s.prog.mach.builds[ri], regs, cur)
+		s.regTop = base
+		return red, err
 	}
-	if d.mp == nil {
-		return cur, nil
-	}
-	base := s.regTop
-	need := base + d.mp.nregs
-	if len(s.regStack) < need {
-		s.growRegs(base, need)
-	}
-	regs := s.regStack[base:need]
-	ri := s.runMatch(d.mp, cur, regs)
-	if ri < 0 {
-		return cur, nil
-	}
-	if err := s.spend(cur); err != nil {
-		return nil, err
-	}
-	s.stats.RuleFires++
-	// The fired rule's build tree evaluates directly to a normal form;
-	// nested evaluations (conditions, argument redexes, chained fires)
-	// carve their own frames above this one on the register stack, so
-	// the captures survive without copying.
-	s.regTop = need
-	red, err := s.evalBuild(&s.prog.mach.builds[ri], regs, cur)
-	s.regTop = base
-	return red, err
 }
 
 // growRegs reallocates the register stack to hold at least need slots,
 // copying the live frames below base. Frames below base stay live in the
-// old array too (they are read-only once their match completed), so
-// in-flight builds keep valid captures across the copy. Growth is
-// geometric: a rewrite chain nests one frame per fired rule, and a
-// fixed increment would copy the whole live stack every few frames,
-// making a chain of depth d cost O(d²).
+// old array too (they are read-only while an evaluation above them
+// runs), so in-flight builds keep valid captures across the copy. Growth
+// is geometric: a divergence that builds a term, such as
+// f(x) = s(f(x)), nests one frame per fired rule, and a fixed increment
+// would copy the whole live stack every few frames, making a chain of
+// depth d cost O(d²).
 func (s *System) growRegs(base, need int) {
 	ns := make([]*term.Term, max(2*need, need+64))
 	copy(ns, s.regStack[:base])
@@ -484,199 +534,163 @@ func (s *System) growRegs(base, need int) {
 // The reduction sequence is exactly the interpreter's on the
 // materialized right-hand side — depth-first, left-to-right, innermost,
 // with the same strictness short-circuits and step charges — but redex
-// nodes are never constructed: a ruled operation dispatches straight
-// over its evaluated children (applyRules), and conditionals run lazily
-// as bIf nodes. The redex is threaded through only as the position reported by
-// fuel/cancellation errors; for virtual nodes that position is the
-// outer redex (the node a fuel error would otherwise name was never
-// built).
+// nodes are never constructed: a ruled operation's children are
+// evaluated straight into a match frame and its rules fire there, and
+// conditionals run lazily as bIf nodes. The redex is threaded through
+// only as the position reported by fuel/cancellation errors; for
+// virtual nodes that position is the outer redex, or the latest ground
+// subtree the evaluation passed through (the node a fuel error would
+// otherwise name was never built).
+//
+// A tail position — the taken branch of a decided bIf, or the build tree
+// of a rule fired at the root of the current node — continues the loop,
+// so a rewrite chain of any length runs in one Go frame and one register
+// frame. The first ruled link fills its frame at the stack top on entry.
+// Each later link still reads the live frame's captures, so it evaluates
+// its children in a frame above it and then moves them down onto it.
+// Every value return restores the stack top to its entry value; an error
+// return leaves it for Normalize to reset.
 func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (*term.Term, error) {
-	switch n.op {
-	case bReg:
-		// Captures are already normal and never the error value.
-		return frame[n.a], nil
-	case bConst:
-		// A ground RHS subtree may itself hold redexes; the stamp check
-		// skips re-normalizing one the outermost Canon already settled.
-		if n.lit.NormalTag() == s.gen {
-			return n.lit, nil
+	top := s.regTop
+	for {
+		if n.lit != nil {
+			// A ground subtree may itself hold redexes; the stamp check
+			// skips re-normalizing one the outermost Canon already settled.
+			// Otherwise it is the term the interpreter would be reducing,
+			// so fuel and cancellation errors name it.
+			if n.lit.NormalTag() == s.gen {
+				s.regTop = top
+				return n.lit, nil
+			}
+			redex = n.lit
 		}
-		return s.normalizeCompiled(n.lit)
-	case bIf:
-		cond, err := s.evalBuild(&n.kids[0], frame, redex)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case cond.IsErr():
-			if err := s.spend(redex); err != nil {
-				return nil, err
-			}
-			return s.arena.Err(n.sort), nil
-		case cond.IsTrue():
-			if err := s.spend(redex); err != nil {
-				return nil, err
-			}
-			return s.evalBuild(&n.kids[1], frame, redex)
-		case cond.IsFalse():
-			if err := s.spend(redex); err != nil {
-				return nil, err
-			}
-			return s.evalBuild(&n.kids[2], frame, redex)
-		default:
-			// Symbolic condition: normalize both branches, keep the if.
-			then, err := s.evalBuild(&n.kids[1], frame, redex)
+		switch n.op {
+		case bReg:
+			// Captures are already normal and never the error value.
+			s.regTop = top
+			return frame[n.a], nil
+		case bConst:
+			s.regTop = top
+			return s.normalizeCompiled(n.lit)
+		case bIf:
+			cond, err := s.evalBuild(&n.kids[0], frame, redex)
 			if err != nil {
 				return nil, err
 			}
-			els, err := s.evalBuild(&n.kids[2], frame, redex)
-			if err != nil {
-				return nil, err
+			var next *buildNode
+			switch {
+			case cond.IsTrue():
+				next = &n.kids[1]
+			case cond.IsFalse():
+				next = &n.kids[2]
+			case !cond.IsErr():
+				// Symbolic condition: normalize both branches, keep the if.
+				then, err := s.evalBuild(&n.kids[1], frame, redex)
+				if err != nil {
+					return nil, err
+				}
+				els, err := s.evalBuild(&n.kids[2], frame, redex)
+				if err != nil {
+					return nil, err
+				}
+				s.regTop = top
+				return s.arena.If(n.sort, cond, then, els), nil
 			}
-			return s.arena.If(n.sort, cond, then, els), nil
-		}
-	}
-	// bMk: dispatch on the head symbol. A ruled operation evaluates its
-	// children straight into the next match frame and fires there
-	// (applyRules); everything else — constructors, native-handled
-	// symbols, the never-in-practice arity mismatch — evaluates into a
-	// fresh arena vector and materializes. Both paths short-circuit on
-	// an error child exactly like the generic argument pass.
-	d := s.prog.dispID[n.sid]
-	if d.mp != nil && d.native == nil && d.mp.code[0].k == len(n.kids) {
-		return s.applyRules(n, d.mp, frame, redex)
-	}
-	args := s.arena.ArgSlice(len(n.kids))
-	for i := range n.kids {
-		// Register children are already normal and never the error value
-		// (strictness ran before their frame's match); loading them inline
-		// skips an evalBuild call per capture, the dominant child shape.
-		if k := &n.kids[i]; k.op == bReg {
-			setReg(args, i, frame[k.a])
-			continue
-		}
-		v, err := s.evalBuild(&n.kids[i], frame, redex)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsErr() {
-			// Strictness: skip the remaining children entirely.
 			if err := s.spend(redex); err != nil {
 				return nil, err
 			}
-			return s.arena.Err(n.sort), nil
-		}
-		setReg(args, i, v)
-	}
-	t := s.arena.Op(n.sym, n.sort, args)
-	t.SetHint(n.sid)
-	if d.native != nil || d.mp != nil {
-		// Native handlers want a real node with a stable argument
-		// vector; a root-arity mismatch just match-fails. The generic
-		// evaluator covers both with identical step accounting.
-		return s.normalizeCompiled(t)
-	}
-	return t, nil
-}
-
-// applyRules evaluates a ruled operation without materializing it: the
-// children land directly in registers 1..k of the operation's next
-// match frame (exactly where mRoot would have loaded them), the match
-// resumes past mRoot, and the winning rule's build tree fires over the
-// captures — a rewrite chain therefore allocates nothing per fired
-// rule. The frame is carved and the stack top bumped before the
-// children evaluate, so their nested matches run above the registers
-// being filled; a stack growth during child evaluation copies the
-// partially filled frame forward, which is why stores go through
-// s.regStack rather than a saved slice. When no rule applies the node
-// is its own normal form and is built once, from the arena.
-func (s *System) applyRules(n *buildNode, mp *matchProg, frame []*term.Term, redex *term.Term) (*term.Term, error) {
-	base := s.regTop
-	need := base + mp.nregs
-	if len(s.regStack) < need {
-		s.growRegs(base, need)
-	}
-	s.regTop = need
-	for i := range n.kids {
-		// Register children load inline: already normal, never the error
-		// value (strictness ran before their frame's match fired).
-		if k := &n.kids[i]; k.op == bReg {
-			setReg(s.regStack, base+1+i, frame[k.a])
+			if next == nil {
+				s.regTop = top
+				return s.arena.Err(n.sort), nil
+			}
+			n = next
 			continue
 		}
-		v, err := s.evalBuild(&n.kids[i], frame, redex)
-		if err != nil {
-			s.regTop = base
-			return nil, err
-		}
-		if v.IsErr() {
-			// Strictness: skip the remaining children entirely.
-			s.regTop = base
-			if err := s.spend(redex); err != nil {
-				return nil, err
+		// bMk: dispatch on the head symbol. A ruled operation evaluates its
+		// children straight into a match frame and fires there; everything
+		// else — constructors, native-handled symbols, the never-in-practice
+		// arity mismatch — evaluates into a fresh arena vector and
+		// materializes. Both short-circuit on an error child exactly like
+		// the generic argument pass. The frame is carved and the stack top
+		// bumped before the children evaluate, so their nested matches run
+		// above it; a stack growth during child evaluation copies the
+		// partially filled frame forward, which is why stores go through
+		// s.regStack rather than a saved slice.
+		d := s.prog.dispID[n.sid]
+		k := len(n.kids)
+		ruled := d.mp != nil && d.native == nil && d.mp.code[0].k == k
+		base := s.regTop
+		var args []*term.Term
+		if ruled {
+			need := base + d.mp.nregs
+			if len(s.regStack) < need {
+				s.growRegs(base, need)
 			}
-			return s.arena.Err(n.sort), nil
+			s.regTop = need
+		} else {
+			args = s.arena.ArgSlice(k)
 		}
-		setReg(s.regStack, base+1+i, v)
-	}
-	regs := s.regStack[base:need]
-	if ri := s.runMatchLoaded(mp, regs); ri >= 0 {
+		for i := range n.kids {
+			var v *term.Term
+			if kid := &n.kids[i]; kid.op == bReg {
+				// Register children are already normal and never the error
+				// value (strictness ran before their frame's match); loading
+				// them inline skips an evalBuild call per capture, the
+				// dominant child shape.
+				v = frame[kid.a]
+			} else {
+				var err error
+				if v, err = s.evalBuild(kid, frame, redex); err != nil {
+					return nil, err
+				}
+				if v.IsErr() {
+					// Strictness: skip the remaining children entirely.
+					if err := s.spend(redex); err != nil {
+						return nil, err
+					}
+					s.regTop = top
+					return s.arena.Err(n.sort), nil
+				}
+			}
+			if ruled {
+				setReg(s.regStack, base+1+i, v)
+			} else {
+				setReg(args, i, v)
+			}
+		}
+		s.regTop = top
+		if !ruled {
+			t := s.arena.Op(n.sym, n.sort, args)
+			t.SetHint(n.sid)
+			if d.native != nil || d.mp != nil {
+				// Native handlers want a real node with a stable argument
+				// vector; a root-arity mismatch just match-fails. The generic
+				// evaluator covers both with identical step accounting.
+				return s.normalizeCompiled(t)
+			}
+			return t, nil
+		}
+		// The live frame is dead once this link's children are evaluated:
+		// move them down onto it (the first link filled it in place).
+		if base != top {
+			loadArgs(s.regStack, top+1, s.regStack[base+1:base+1+k])
+		}
+		regs := s.regStack[top : top+d.mp.nregs]
+		ri := s.runMatchLoaded(d.mp, regs)
+		if ri < 0 {
+			// No rule applies: the node is its own normal form.
+			args = s.arena.ArgSlice(k)
+			loadArgs(args, 0, regs[1:1+k])
+			t := s.arena.Op(n.sym, n.sort, args)
+			t.SetHint(n.sid)
+			return t, nil
+		}
 		if err := s.spend(redex); err != nil {
-			s.regTop = base
 			return nil, err
 		}
 		s.stats.RuleFires++
-		red, err := s.evalBuild(&s.prog.mach.builds[ri], regs, redex)
-		s.regTop = base
-		return red, err
-	}
-	s.regTop = base
-	k := len(n.kids)
-	args := s.arena.ArgSlice(k)
-	loadArgs(args, 0, s.regStack[base+1:base+1+k])
-	t := s.arena.Op(n.sym, n.sort, args)
-	t.SetHint(n.sid)
-	return t, nil
-}
-
-// reduceIfCompiled is reduceIf on the machine tier: identical lazy
-// semantics and step accounting, scratch allocation for the error and
-// residual cases.
-func (s *System) reduceIfCompiled(t *term.Term) (*term.Term, error) {
-	cond, err := s.normalizeCompiled(t.Args[0])
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case cond.IsErr():
-		if err := s.spend(t); err != nil {
-			return nil, err
-		}
-		return s.arena.Err(t.Sort), nil
-	case cond.IsTrue():
-		if err := s.spend(t); err != nil {
-			return nil, err
-		}
-		return s.normalizeCompiled(t.Args[1])
-	case cond.IsFalse():
-		if err := s.spend(t); err != nil {
-			return nil, err
-		}
-		return s.normalizeCompiled(t.Args[2])
-	default:
-		// Symbolic condition: normalize branches and keep the if.
-		then, err := s.normalizeCompiled(t.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		els, err := s.normalizeCompiled(t.Args[2])
-		if err != nil {
-			return nil, err
-		}
-		if cond == t.Args[0] && then == t.Args[1] && els == t.Args[2] {
-			return t, nil
-		}
-		return s.arena.If(t.Sort, cond, then, els), nil
+		s.regTop = top + d.mp.nregs
+		n, frame = &s.prog.mach.builds[ri], regs
 	}
 }
 

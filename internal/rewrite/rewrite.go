@@ -273,22 +273,18 @@ type System struct {
 	// useCompiled, resolved by resolveTier, routes the Eval seam: true
 	// selects the machine tier, false the interpreter. regStack is the
 	// machine's register stack — each rule fire carves a frame at regTop
-	// and bumps it for the build tree's evaluation, so nested matches run
-	// above the live captures (a ruled operation's children are even
-	// evaluated directly into its frame — applyRules); arena is the
-	// scratch-term allocator, reset at every outermost Canon boundary.
+	// and bumps it while the frame's captures are live, so nested matches
+	// run above them (a ruled operation's children are even evaluated
+	// directly into its frame — evalBuild); arena is the scratch-term
+	// allocator, reset at every outermost Canon boundary.
 	useCompiled bool
 	plainSpend  bool
 	regStack    []*term.Term
 	regTop      int
 	arena       *term.Arena
 	canonCache  *term.CanonCache
-	// active and budget implement the per-call fuel limit: the budget is
-	// set when an outermost Normalize begins and left alone by the
-	// nested Normalize calls the conditional's lazy semantics makes
-	// (otherwise each nested call would refresh the fuel and a
-	// divergence threaded through conditionals could run forever).
-	active bool
+	// budget is the step count at which the current Normalize call runs
+	// out of fuel: its entry count plus maxSteps.
 	budget int
 }
 
@@ -441,13 +437,6 @@ func SameAtoms(args []*term.Term) (*term.Term, bool) {
 // Spec returns the specification the system was compiled from.
 func (s *System) Spec() *spec.Spec { return s.prog.sp }
 
-// Rules returns the compiled rules in priority order.
-func (s *System) Rules() []Rule {
-	out := make([]Rule, len(s.prog.rules))
-	copy(out, s.prog.rules)
-	return out
-}
-
 // Interner returns the interner this system hash-conses into (shared
 // across Forks).
 func (s *System) Interner() *term.Interner { return s.intern }
@@ -478,16 +467,11 @@ func (s *System) ResetSteps() { s.stats = Stats{} }
 // stamped normal before the arena's scratch terms are recycled, so no
 // engine-private term ever escapes.
 func (s *System) Normalize(t *term.Term) (*term.Term, error) {
-	if s.active {
-		// Nested call (the interpreter's lazy-if path re-enters through
-		// Normalize): stay on the current budget and tier.
-		return s.evalInterp(t)
-	}
-	s.active = true
 	s.budget = s.stats.Steps + s.maxSteps
-	defer func() { s.active = false }()
 	if s.useCompiled {
 		s.stats.CompiledEvals++
+		// An earlier call that failed left its frames on the stack.
+		s.regTop = 0
 		nf, err := s.normalizeCompiled(t)
 		if err != nil {
 			// The error value may reference scratch terms (ErrFuel.Last);
@@ -501,17 +485,10 @@ func (s *System) Normalize(t *term.Term) (*term.Term, error) {
 		return nf, nil
 	}
 	s.stats.InterpEvals++
-	return s.evalInterp(t)
-}
-
-// evalInterp dispatches to the interpreter tier's strategy.
-func (s *System) evalInterp(t *term.Term) (*term.Term, error) {
-	switch s.strategy {
-	case Outermost:
+	if s.strategy == Outermost {
 		return s.normalizeOutermost(t)
-	default:
-		return s.normalizeInnermost(t)
 	}
+	return s.normalizeInnermost(t)
 }
 
 // MustNormalize is Normalize for callers that treat failure as a bug.
@@ -559,66 +536,96 @@ func (s *System) spendSlow(last *term.Term) error {
 }
 
 // normalizeInnermost is call-by-value evaluation with lazy if and strict
-// error.
+// error. A tail position — the term a root step rewrote to, or the taken
+// branch of a decided if — continues the loop instead of recursing, so a
+// rewrite chain of any length runs in one Go frame; arguments and
+// conditions recurse only as deep as the term they belong to.
 func (s *System) normalizeInnermost(t *term.Term) (*term.Term, error) {
-	switch t.Kind {
-	case term.Var, term.Atom, term.Err:
-		return t, nil
-	}
-	if t.NormalTag() == s.gen {
-		return t, nil
-	}
-
-	if t.IsIf() {
-		return s.reduceIf(t)
-	}
-
-	// Normalize arguments first, copying the argument vector only when
-	// some argument actually changed.
-	var args []*term.Term
-	for i, a := range t.Args {
-		na, err := s.normalizeInnermost(a)
-		if err != nil {
-			return nil, err
+	for {
+		switch t.Kind {
+		case term.Var, term.Atom, term.Err:
+			return t, nil
 		}
-		if na.IsErr() {
-			// Strictness: short-circuit the remaining arguments.
+		if t.NormalTag() == s.gen {
+			return t, nil
+		}
+
+		if t.IsIf() {
+			cond, err := s.normalizeInnermost(t.Args[0])
+			if err != nil {
+				return nil, err
+			}
+			var next *term.Term
+			switch {
+			case cond.IsTrue():
+				next = t.Args[1]
+			case cond.IsFalse():
+				next = t.Args[2]
+			case !cond.IsErr():
+				// Symbolic condition: normalize branches and keep the if.
+				then, err := s.normalizeInnermost(t.Args[1])
+				if err != nil {
+					return nil, err
+				}
+				els, err := s.normalizeInnermost(t.Args[2])
+				if err != nil {
+					return nil, err
+				}
+				if cond == t.Args[0] && then == t.Args[1] && els == t.Args[2] {
+					return t, nil
+				}
+				out := term.NewIf(cond, then, els)
+				out.Sort = t.Sort
+				return out, nil
+			}
 			if err := s.spend(t); err != nil {
 				return nil, err
 			}
-			return term.NewErr(t.Sort), nil
+			if next == nil {
+				return term.NewErr(t.Sort), nil
+			}
+			t = next
+			continue
 		}
-		if args == nil && na != a {
-			args = make([]*term.Term, len(t.Args))
-			copy(args, t.Args[:i])
+
+		// Normalize arguments first, copying the argument vector only when
+		// some argument actually changed.
+		var args []*term.Term
+		for i, a := range t.Args {
+			na, err := s.normalizeInnermost(a)
+			if err != nil {
+				return nil, err
+			}
+			if na.IsErr() {
+				// Strictness: short-circuit the remaining arguments.
+				if err := s.spend(t); err != nil {
+					return nil, err
+				}
+				return term.NewErr(t.Sort), nil
+			}
+			if args == nil && na != a {
+				args = make([]*term.Term, len(t.Args))
+				copy(args, t.Args[:i])
+			}
+			if args != nil {
+				args[i] = na
+			}
 		}
+		cur := t
 		if args != nil {
-			args[i] = na
+			cur = &term.Term{Kind: term.Op, Sym: t.Sym, Sort: t.Sort, Args: args}
 		}
-	}
-	cur := t
-	if args != nil {
-		cur = &term.Term{Kind: term.Op, Sym: t.Sym, Sort: t.Sort, Args: args}
-	}
 
-	nf, err := s.rootThenRecurse(cur)
-	if err != nil {
-		return nil, err
+		red, ok, err := s.stepRoot(cur)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			cur.MarkNormalTag(s.gen)
+			return cur, nil
+		}
+		t = red
 	}
-	nf.MarkNormalTag(s.gen)
-	return nf, nil
-}
-
-// rootThenRecurse applies a rule or native at the root of a term whose
-// arguments are already in normal form; on success the result is
-// normalized again.
-func (s *System) rootThenRecurse(cur *term.Term) (*term.Term, error) {
-	if red, ok, err := s.stepRoot(cur); err != nil {
-		return nil, err
-	} else if ok {
-		return s.normalizeInnermost(red)
-	}
-	return cur, nil
 }
 
 // stepRoot tries native evaluation then rule matching at the root.
@@ -673,47 +680,6 @@ func (s *System) candidates(head string) []int {
 		return s.prog.allRules
 	}
 	return s.prog.index[head]
-}
-
-// reduceIf gives the conditional its lazy semantics.
-func (s *System) reduceIf(t *term.Term) (*term.Term, error) {
-	cond, err := s.Normalize(t.Args[0])
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case cond.IsErr():
-		if err := s.spend(t); err != nil {
-			return nil, err
-		}
-		return term.NewErr(t.Sort), nil
-	case cond.IsTrue():
-		if err := s.spend(t); err != nil {
-			return nil, err
-		}
-		return s.Normalize(t.Args[1])
-	case cond.IsFalse():
-		if err := s.spend(t); err != nil {
-			return nil, err
-		}
-		return s.Normalize(t.Args[2])
-	default:
-		// Symbolic condition: normalize branches and keep the if.
-		then, err := s.Normalize(t.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		els, err := s.Normalize(t.Args[2])
-		if err != nil {
-			return nil, err
-		}
-		if cond == t.Args[0] && then == t.Args[1] && els == t.Args[2] {
-			return t, nil
-		}
-		out := term.NewIf(cond, then, els)
-		out.Sort = t.Sort
-		return out, nil
-	}
 }
 
 // normalizeOutermost repeatedly contracts the leftmost-outermost redex.

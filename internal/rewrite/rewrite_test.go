@@ -291,21 +291,6 @@ func TestIsConstructorForm(t *testing.T) {
 	}
 }
 
-func TestRulesExposed(t *testing.T) {
-	e := env(t)
-	sys := rewrite.New(e.MustGet("Queue"))
-	rules := sys.Rules()
-	if len(rules) != 12 { // 6 Bool + 6 Queue
-		t.Errorf("rules = %d", len(rules))
-	}
-	if sys.Spec().Name != "Queue" {
-		t.Errorf("spec name = %s", sys.Spec().Name)
-	}
-	if rules[0].String() == "" {
-		t.Error("empty rule rendering")
-	}
-}
-
 // Property: every ground Queue observer term evaluates to a constructor
 // form or error (sufficient completeness, dynamically).
 func TestQuickGroundNormalForms(t *testing.T) {

@@ -101,11 +101,13 @@ func TestNormalTagOnlyOnInternedTerms(t *testing.T) {
 	for _, name := range speclib.Names {
 		sp := env.MustGet(name)
 		sys := rewrite.New(sp)
-		for _, r := range sys.Rules() {
-			for _, side := range []*term.Term{r.LHS, r.RHS} {
-				walkTerms(side, func(n *term.Term) {
+		for _, a := range sp.All {
+			// The rules are hash-consed on compilation, so Canon returns
+			// the system's own rule nodes.
+			for _, side := range []*term.Term{a.LHS, a.RHS} {
+				walkTerms(sys.Interner().Canon(side), func(n *term.Term) {
 					if n.NormalTag() != 0 && (n.Scratch() || !sys.Interner().Interned(n)) {
-						t.Errorf("%s: rule %s: stamped un-interned term %s", name, r.Label, n)
+						t.Errorf("%s: rule %s: stamped un-interned term %s", name, a.Label, n)
 					}
 				})
 			}

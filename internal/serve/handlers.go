@@ -15,7 +15,6 @@ import (
 
 	"algspec/internal/complete"
 	"algspec/internal/consist"
-	"algspec/internal/core"
 	"algspec/internal/faultinject"
 	"algspec/internal/lang"
 	"algspec/internal/rewrite"
@@ -438,16 +437,10 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	dynamic := req.Dynamic == nil || *req.Dynamic
 
-	// Uploaded specs are checked in a fresh environment rebuilt from the
-	// server's sources: the shared env must never grow request state,
-	// and two concurrent uploads must not see each other.
-	env := core.NewEnv()
-	for _, src := range s.sources {
-		if _, err := env.Load(src); err != nil {
-			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
-			return
-		}
-	}
+	// Uploaded specs are checked in a fresh extension of the base env:
+	// the shared env must never grow request state, and two concurrent
+	// uploads must not see each other.
+	env := s.env.Extend()
 	added, err := env.Load(req.Source)
 	if err != nil {
 		writeParseError(w, err)

@@ -98,9 +98,11 @@ func checkGolden(t *testing.T, name, got string) {
 
 // TestE2EEndpoints drives every endpoint through real HTTP: happy paths
 // against the shipped Queue/Stack/Symboltable/Array specs, and each
-// error path with its own status code and golden body.
+// error path with its own status code and golden body. The default fuel
+// is raised far beyond what the deadline case's 30 ms can spend, so only
+// its deadline can end spin(go); the fuel case sets its own fuel.
 func TestE2EEndpoints(t *testing.T) {
-	ts := newTestServer(t, serve.Config{Workers: 2, Timeout: 0}, loopSrc)
+	ts := newTestServer(t, serve.Config{Workers: 2, Timeout: 0, Fuel: 1 << 30}, loopSrc)
 	cases := []struct {
 		name     string
 		method   string

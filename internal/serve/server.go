@@ -76,18 +76,17 @@ const DefaultCacheSize = 1 << 16
 // Server is the spec-evaluation service. Create with New, mount
 // Handler on an http.Server, and Close on the way out.
 type Server struct {
-	cfg     Config
-	reg     *registry.Registry
-	env     *core.Env // the base version's environment
-	sources []string  // lib + extras, for rebuilding check environments
-	cache   *nfCache
-	parsed  *parseCache
-	pers    *persister
-	book    *metrics.Requests // per-(endpoint, code) counts and latency
-	rec     rewrite.StatsRecorder
-	slots   *slots
-	conf    *conformState
-	mux     *http.ServeMux
+	cfg    Config
+	reg    *registry.Registry
+	env    *core.Env // the base version's environment
+	cache  *nfCache
+	parsed *parseCache
+	pers   *persister
+	book   *metrics.Requests // per-(endpoint, code) counts and latency
+	rec    rewrite.StatsRecorder
+	slots  *slots
+	conf   *conformState
+	mux    *http.ServeMux
 
 	// certifiedBase counts the base-library specs carrying a confluence
 	// certificate (the adt_confluence_certified gauge); crossHits counts
@@ -130,13 +129,12 @@ func NewWithSources(cfg Config, sources []string) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:     cfg,
-		reg:     reg,
-		env:     reg.Base().Env,
-		sources: sources,
-		cache:   newNFCache(cfg.CacheSize),
-		parsed:  newParseCache(cfg.CacheSize),
-		book:    &metrics.Requests{},
+		cfg:    cfg,
+		reg:    reg,
+		env:    reg.Base().Env,
+		cache:  newNFCache(cfg.CacheSize),
+		parsed: newParseCache(cfg.CacheSize),
+		book:   &metrics.Requests{},
 	}
 	if cfg.PersistDir != "" {
 		persistCap := cfg.CacheSize
