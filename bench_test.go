@@ -360,31 +360,6 @@ func BenchmarkAblationStrategy(b *testing.B) {
 	}
 }
 
-// Head-symbol rule indexing vs linear scan, both on the interpreter
-// (the machine's match programs are themselves an index).
-func BenchmarkAblationRuleIndex(b *testing.B) {
-	env := speclib.BaseEnv()
-	// Use the biggest rule set: the merged symbol-table universe.
-	sp := env.MustGet("SymtabImpl")
-	tm, err := env.ParseTerm("SymtabImpl",
-		"retrieve'(add'(enterblock'(add'(init', 'x, 'a1)), 'y, 'a2), 'x)")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("indexed", func(b *testing.B) {
-		sys := rewrite.New(sp, rewrite.WithoutCompiledTier())
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
-		}
-	})
-	b.Run("linear", func(b *testing.B) {
-		sys := rewrite.New(sp, rewrite.WithoutRuleIndex())
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
-		}
-	})
-}
-
 // Stack-of-arrays vs flat-list symbol table under compiler load.
 func BenchmarkAblationSymtabRep(b *testing.B) {
 	src := compiler.GenProgram(compiler.GenConfig{
@@ -495,8 +470,7 @@ func batchEvalTerms(n int) []*term.Term {
 }
 
 // NormalizeAll over a term batch, sequential vs parallel. Each iteration
-// forks a fresh engine so per-call caches start cold for every worker
-// count alike.
+// forks a fresh engine, as a checker does for each batch.
 func BenchmarkBatchEval(b *testing.B) {
 	env := speclib.BaseEnv()
 	sp := env.MustGet("Queue")

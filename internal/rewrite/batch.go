@@ -16,10 +16,11 @@ import (
 // NormalizeAll normalizes every term in ts, using up to workers
 // goroutines (workers <= 0 means GOMAXPROCS). Each worker runs an
 // independent Fork of the system over the same compiled program and
-// shared interner. The result slice is index-aligned with ts; a term
-// that failed to normalize (fuel exhaustion) has a nil normal form and
-// its error in the same slot of errs. errs is nil when every term
-// normalized.
+// shared interner, holding one machine scratch set for its whole share
+// of the batch instead of borrowing one per term. The result slice is
+// index-aligned with ts; a term that failed to normalize (fuel
+// exhaustion) has a nil normal form and its error in the same slot of
+// errs. errs is nil when every term normalized.
 //
 // The workers' Stats are summed into the receiver in worker order, so
 // the merged counters — like the results — do not depend on scheduling.
@@ -31,7 +32,12 @@ func (s *System) NormalizeAll(ts []*term.Term, workers int) ([]*term.Term, []err
 	}
 	w := par.Workers(workers, len(ts))
 	if w == 1 {
-		// In-place fast path: no fork, accumulate stats directly.
+		// In-place fast path: no fork, accumulate stats directly, and hold
+		// one scratch set for the whole batch.
+		if s.useCompiled {
+			s.borrowScratch()
+			defer s.returnScratch()
+		}
 		for i, t := range ts {
 			nf, err := s.Normalize(t)
 			if err != nil {
@@ -52,6 +58,10 @@ func (s *System) NormalizeAll(ts []*term.Term, workers int) ([]*term.Term, []err
 	par.ForEach(len(ts), w, func(wi, lo, hi int) {
 		sys := s.Fork()
 		forks[wi] = sys
+		if sys.useCompiled {
+			sys.borrowScratch()
+			defer sys.returnScratch()
+		}
 		for i := lo; i < hi; i++ {
 			nf, err := sys.Normalize(ts[i])
 			if err != nil {

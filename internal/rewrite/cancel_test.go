@@ -105,10 +105,10 @@ func TestForkDropsStopFlag(t *testing.T) {
 }
 
 // A divergent rewrite chain runs in one machine frame, so its cost in
-// allocations is a fresh fork's fixed set-up, not a function of its
-// length: a chain that nested a frame per fired rule would grow the
-// register stack, and one that allocated per fired rule would make
-// 2^16 allocations here.
+// allocations is a fixed set-up (the fork, its error, the arena chunks
+// the failed call detaches), not a function of its length: a chain that
+// nested a frame per fired rule would grow the register stack, and one
+// that allocated per fired rule would make 2^16 allocations here.
 func TestDivergentChainAllocsBounded(t *testing.T) {
 	const fuel = 1 << 16
 	sys, work := loopSystem(t)
@@ -154,30 +154,50 @@ end
 
 // A rewrite chain runs in constant Go stack on every tier: with the
 // stack ceiling at 1 MiB, each chain still runs until its fuel ends it,
-// one step past the limit.
+// one step past the limit. The compiled tier names the same term in its
+// ErrFuel as the interpreter, although the machine never builds the
+// redexes of a chain: f(go) fails on f(go), not on the g(go) it passed
+// through, and the Nat term fails inside addN's right-hand side, on
+// addN(succ(zero), succ(zero)).
 func TestRewriteChainsRunInConstantStack(t *testing.T) {
 	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
 	const fuel = 1 << 16
 	env := core.NewEnv()
-	env.MustLoad(speclib.Bool, chainSrc)
+	env.MustLoad(speclib.Bool, speclib.Nat, chainSrc)
 	tiers := map[string][]rewrite.Option{
 		"compiled":  nil,
 		"interp":    {rewrite.WithoutCompiledTier()},
 		"outermost": {rewrite.WithStrategy(rewrite.Outermost)},
 	}
-	for _, src := range []string{"spin(go)", "still(go)", "f(go)", "h(go)"} {
-		work, err := env.ParseTerm("Chain", src)
+	cases := []struct {
+		spec, src string
+		fuel      int
+	}{
+		{"Chain", "spin(go)", fuel},
+		{"Chain", "still(go)", fuel},
+		{"Chain", "f(go)", fuel},
+		{"Chain", "h(go)", fuel},
+		{"Nat", "addN(succ(succ(succ(zero))), succ(zero))", 2},
+	}
+	for _, c := range cases {
+		work, err := env.ParseTerm(c.spec, c.src)
 		if err != nil {
 			t.Fatal(err)
 		}
+		last := map[string]string{}
 		for tier, opts := range tiers {
-			sys := rewrite.New(env.MustGet("Chain"), append(opts, rewrite.WithMaxSteps(fuel))...)
+			sys := rewrite.New(env.MustGet(c.spec), append(opts, rewrite.WithMaxSteps(c.fuel))...)
 			var fe *rewrite.ErrFuel
 			if _, err := sys.Normalize(work); !errors.As(err, &fe) {
-				t.Errorf("%s on %s: err = %v, want ErrFuel", src, tier, err)
-			} else if fe.Steps != fuel+1 || sys.Steps() != fuel+1 {
-				t.Errorf("%s on %s: ErrFuel after %d steps (counter %d), want %d", src, tier, fe.Steps, sys.Steps(), fuel+1)
+				t.Errorf("%s on %s: err = %v, want ErrFuel", c.src, tier, err)
+				continue
+			} else if fe.Steps != c.fuel+1 || sys.Steps() != c.fuel+1 {
+				t.Errorf("%s on %s: ErrFuel after %d steps (counter %d), want %d", c.src, tier, fe.Steps, sys.Steps(), c.fuel+1)
 			}
+			last[tier] = fe.Last.String()
+		}
+		if last["compiled"] != last["interp"] {
+			t.Errorf("%s: ErrFuel names %s on the compiled tier, %s on the interpreter", c.src, last["compiled"], last["interp"])
 		}
 	}
 }

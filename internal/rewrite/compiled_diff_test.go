@@ -1,6 +1,7 @@
 package rewrite_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -18,7 +19,9 @@ import (
 // Step-count identity is the strong claim — it proves the machine
 // performs the same reduction sequence (same strictness short-circuits,
 // same if-laziness, same rule priorities), not merely one that happens
-// to converge on the same answer.
+// to converge on the same answer. Cutting the fuel short at every step
+// of a term must then give the same ErrFuel on both tiers, naming the
+// same term, although the machine never builds most of its redexes.
 func TestCompiledTierMatchesInterpreter(t *testing.T) {
 	env := core.NewEnv()
 	env.MustLoad(speclib.Sources...)
@@ -75,6 +78,20 @@ func TestCompiledTierMatchesInterpreter(t *testing.T) {
 			if cSteps != iSteps {
 				t.Errorf("%s: %s: step counts differ: compiled %d, interp %d",
 					name, battery[j], cSteps, iSteps)
+			}
+			for fuel := 0; fuel < cSteps; fuel++ {
+				var cfe, ife *rewrite.ErrFuel
+				_, cerr := compiled.Fork(rewrite.WithMaxSteps(fuel)).Normalize(tm)
+				_, ierr := interp.Fork(rewrite.WithMaxSteps(fuel)).Normalize(tm)
+				if !errors.As(cerr, &cfe) || !errors.As(ierr, &ife) {
+					t.Errorf("%s: %s at fuel %d: compiled %v, interp %v, want ErrFuel from both",
+						name, battery[j], fuel, cerr, ierr)
+					continue
+				}
+				if cfe.Steps != ife.Steps || cfe.Last.String() != ife.Last.String() {
+					t.Errorf("%s: %s at fuel %d: compiled stuck after %d near %s, interp after %d near %s",
+						name, battery[j], fuel, cfe.Steps, cfe.Last, ife.Steps, ife.Last)
+				}
 			}
 		}
 		covered++

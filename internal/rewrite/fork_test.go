@@ -146,8 +146,9 @@ func TestStatsCountsNativeCalls(t *testing.T) {
 var forkSink *rewrite.System
 
 // Fork copies nothing the program owns: the natives and both dispatch
-// tables are built once per program, so a fork of a compiled System
-// allocates exactly the System, its Arena and its CanonCache.
+// tables are built once per program, and the machine's scratch is
+// borrowed per normalization, so a fork of a compiled System allocates
+// exactly the System.
 func TestForkAllocs(t *testing.T) {
 	env := speclib.BaseEnv()
 	for _, name := range []string{"Queue", "Symboltable", "Identifier", "SymtabImpl"} {
@@ -155,8 +156,8 @@ func TestForkAllocs(t *testing.T) {
 		if base.Tier() != "compiled" {
 			t.Fatalf("%s: tier = %s, want compiled", name, base.Tier())
 		}
-		if allocs := testing.AllocsPerRun(100, func() { forkSink = base.Fork() }); allocs != 3 {
-			t.Errorf("%s: Fork made %.0f allocations, want 3 (System, Arena, CanonCache)", name, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { forkSink = base.Fork() }); allocs != 1 {
+			t.Errorf("%s: Fork made %.0f allocations, want 1 (the System)", name, allocs)
 		}
 	}
 }

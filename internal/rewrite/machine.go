@@ -457,8 +457,10 @@ func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
 				return nil, err
 			}
 			if na.IsErr() {
-				// Strictness: short-circuit the remaining arguments.
-				if err := s.spend(cur); err != nil {
+				// Strictness: short-circuit the remaining arguments. The step
+				// names the node as it was before its arguments were
+				// normalized, as the interpreter's does.
+				if err := s.spend(t); err != nil {
 					return nil, err
 				}
 				return s.arena.Err(cur.Sort), nil
@@ -509,7 +511,7 @@ func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
 		// its evaluations run above this frame on the register stack, so
 		// the captures survive without copying.
 		s.regTop = need
-		red, err := s.evalBuild(&s.prog.mach.builds[ri], regs, cur)
+		red, err := s.evalBuild(&s.prog.mach.builds[ri], regs)
 		s.regTop = base
 		return red, err
 	}
@@ -536,11 +538,11 @@ func (s *System) growRegs(base, need int) {
 // with the same strictness short-circuits and step charges — but redex
 // nodes are never constructed: a ruled operation's children are
 // evaluated straight into a match frame and its rules fire there, and
-// conditionals run lazily as bIf nodes. The redex is threaded through
-// only as the position reported by fuel/cancellation errors; for
-// virtual nodes that position is the outer redex, or the latest ground
-// subtree the evaluation passed through (the node a fuel error would
-// otherwise name was never built).
+// conditionals run lazily as bIf nodes. A step that fails materializes
+// the term the interpreter would be reducing there, so fuel and
+// cancellation errors name the same term on both tiers: a ruled link is
+// its head over the children in its frame, and a strictness or if step
+// is its build node instantiated over the frame (instantiate).
 //
 // A tail position — the taken branch of a decided bIf, or the build tree
 // of a rule fired at the root of the current node — continues the loop,
@@ -550,19 +552,14 @@ func (s *System) growRegs(base, need int) {
 // its children in a frame above it and then moves them down onto it.
 // Every value return restores the stack top to its entry value; an error
 // return leaves it for Normalize to reset.
-func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (*term.Term, error) {
+func (s *System) evalBuild(n *buildNode, frame []*term.Term) (*term.Term, error) {
 	top := s.regTop
 	for {
-		if n.lit != nil {
+		if n.lit != nil && n.lit.NormalTag() == s.gen {
 			// A ground subtree may itself hold redexes; the stamp check
 			// skips re-normalizing one the outermost Canon already settled.
-			// Otherwise it is the term the interpreter would be reducing,
-			// so fuel and cancellation errors name it.
-			if n.lit.NormalTag() == s.gen {
-				s.regTop = top
-				return n.lit, nil
-			}
-			redex = n.lit
+			s.regTop = top
+			return n.lit, nil
 		}
 		switch n.op {
 		case bReg:
@@ -573,7 +570,7 @@ func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (
 			s.regTop = top
 			return s.normalizeCompiled(n.lit)
 		case bIf:
-			cond, err := s.evalBuild(&n.kids[0], frame, redex)
+			cond, err := s.evalBuild(&n.kids[0], frame)
 			if err != nil {
 				return nil, err
 			}
@@ -585,19 +582,19 @@ func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (
 				next = &n.kids[2]
 			case !cond.IsErr():
 				// Symbolic condition: normalize both branches, keep the if.
-				then, err := s.evalBuild(&n.kids[1], frame, redex)
+				then, err := s.evalBuild(&n.kids[1], frame)
 				if err != nil {
 					return nil, err
 				}
-				els, err := s.evalBuild(&n.kids[2], frame, redex)
+				els, err := s.evalBuild(&n.kids[2], frame)
 				if err != nil {
 					return nil, err
 				}
 				s.regTop = top
 				return s.arena.If(n.sort, cond, then, els), nil
 			}
-			if err := s.spend(redex); err != nil {
-				return nil, err
+			if err := s.spend(nil); err != nil {
+				return nil, s.failAt(err, n.instantiate(frame))
 			}
 			if next == nil {
 				s.regTop = top
@@ -640,13 +637,13 @@ func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (
 				v = frame[kid.a]
 			} else {
 				var err error
-				if v, err = s.evalBuild(kid, frame, redex); err != nil {
+				if v, err = s.evalBuild(kid, frame); err != nil {
 					return nil, err
 				}
 				if v.IsErr() {
 					// Strictness: skip the remaining children entirely.
-					if err := s.spend(redex); err != nil {
-						return nil, err
+					if err := s.spend(nil); err != nil {
+						return nil, s.failAt(err, n.instantiate(frame))
 					}
 					s.regTop = top
 					return s.arena.Err(n.sort), nil
@@ -685,13 +682,40 @@ func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (
 			t.SetHint(n.sid)
 			return t, nil
 		}
-		if err := s.spend(redex); err != nil {
-			return nil, err
+		if err := s.spend(nil); err != nil {
+			// The redex is the head over the children in its frame.
+			kids := append([]*term.Term(nil), regs[1:1+k]...)
+			return nil, s.failAt(err, term.NewOp(n.sym, n.sort, kids...))
 		}
 		s.stats.RuleFires++
 		s.regTop = top + d.mp.nregs
 		n, frame = &s.prog.mach.builds[ri], regs
 	}
+}
+
+// instantiate materializes a build tree over its frame: the subterm of
+// the rule's instantiated right-hand side that the interpreter holds at
+// this position. Only a failing step calls it, to name that term in its
+// error, so it builds on the heap: a failed chain that built nothing
+// would otherwise take a fresh arena chunk just for its error. The
+// frame's values may still be scratch nodes, which is why a failed
+// normalization's arena is detached rather than recycled.
+func (n *buildNode) instantiate(frame []*term.Term) *term.Term {
+	if n.lit != nil {
+		return n.lit
+	}
+	if n.op == bReg {
+		return frame[n.a]
+	}
+	args := make([]*term.Term, len(n.kids))
+	for i := range n.kids {
+		args[i] = n.kids[i].instantiate(frame)
+	}
+	sym := n.sym
+	if n.op == bIf {
+		sym = term.IfOp
+	}
+	return term.NewOp(sym, n.sort, args...)
 }
 
 // stampNormal marks an interned normal form (and all subterms) with the

@@ -172,12 +172,6 @@ func WithMaxSteps(n int) Option { return func(sys *System) { sys.maxSteps = n } 
 // benchmarks.
 func WithTrace(f func(TraceStep)) Option { return func(sys *System) { sys.trace = f } }
 
-// WithoutRuleIndex disables head-symbol indexing, forcing the
-// interpreter to scan all rules at every redex (it implies
-// WithoutCompiledTier — the machine's match programs are an index).
-// Exists only for the ablation benchmark.
-func WithoutRuleIndex() Option { return func(sys *System) { sys.noIndex = true } }
-
 // WithoutCompiledTier disables the machine tier (flat match/build
 // programs over arena scratch terms), so evaluation runs on the
 // interpreter: per-rule subst.MatchBind over the head-symbol index, the
@@ -215,10 +209,6 @@ type program struct {
 	sp    *spec.Spec
 	rules []Rule
 	index map[string][]int // head symbol -> rule indices, in priority order
-	// allRules is the 0..len(rules) identity list the WithoutRuleIndex
-	// ablation scans; precomputed once so the ablation measures indexing,
-	// not per-redex allocator pressure.
-	allRules []int
 	// mach is the machine tier: flat register-addressed match programs
 	// and arena-targeted build programs (machine.go).
 	mach *machine
@@ -240,7 +230,6 @@ type System struct {
 	prog       *program
 	strategy   Strategy
 	maxSteps   int
-	noIndex    bool
 	noCompiled bool
 	trace      func(TraceStep)
 
@@ -271,18 +260,16 @@ type System struct {
 	// bindBuf is the interpreter's reusable MatchBind binding buffer.
 	bindBuf subst.Bindings
 	// useCompiled, resolved by resolveTier, routes the Eval seam: true
-	// selects the machine tier, false the interpreter. regStack is the
-	// machine's register stack — each rule fire carves a frame at regTop
-	// and bumps it while the frame's captures are live, so nested matches
-	// run above them (a ruled operation's children are even evaluated
-	// directly into its frame — evalBuild); arena is the scratch-term
-	// allocator, reset at every outermost Canon boundary.
+	// selects the machine tier, false the interpreter.
 	useCompiled bool
 	plainSpend  bool
-	regStack    []*term.Term
-	regTop      int
-	arena       *term.Arena
-	canonCache  *term.CanonCache
+	// scratchSet is the machine tier's working memory, borrowed from the
+	// process-wide free list (scratch.go) for the length of a call and
+	// zero between calls. regTop is the register stack's top: each rule
+	// fire carves a frame there and bumps it while the frame's captures
+	// are live, so nested matches run above them.
+	scratchSet
+	regTop int
 	// budget is the step count at which the current Normalize call runs
 	// out of fuel: its entry count plus maxSteps.
 	budget int
@@ -316,10 +303,6 @@ func New(sp *spec.Spec, opts ...Option) *System {
 	for i, r := range prog.rules {
 		prog.index[r.LHS.Sym] = append(prog.index[r.LHS.Sym], i)
 	}
-	prog.allRules = make([]int, len(prog.rules))
-	for i := range prog.allRules {
-		prog.allRules[i] = i
-	}
 	prog.mach = compileMachine(prog.rules)
 	prog.disp = make(map[string]dispatch, len(prog.mach.progs))
 	for sym, mp := range prog.mach.progs {
@@ -352,22 +335,17 @@ type dispatch struct {
 
 // resolveTier settles what the options decided, once they are applied
 // (New and Fork): the normal-form token, the spend fast path and the
-// tier. The machine tier's private state is the only thing it
-// allocates.
+// tier. It allocates nothing: the machine tier's scratch is borrowed
+// per normalization (Normalize, NormalizeAll).
 func (s *System) resolveTier() {
 	s.gen = genCounter.Add(1)
 	s.plainSpend = s.ctx == nil && s.fault == nil
 	// Tier selection: the machine serves the default configuration —
-	// innermost strategy, no trace, indexed compiled matching. Everything
-	// else (tracing wants to see each step, outermost is a different
-	// strategy, the ablations exist to measure the interpreter) runs on
-	// the MatchBind interpreter behind the same Normalize seam.
-	s.useCompiled = !s.noCompiled && !s.noIndex &&
-		s.trace == nil && s.strategy == Innermost
-	if s.useCompiled {
-		s.arena = term.NewArena()
-		s.canonCache = term.NewCanonCache()
-	}
+	// innermost strategy, no trace, compiled matching. Everything else
+	// (tracing wants to see each step, outermost is a different strategy,
+	// the ablation exists to measure the interpreter) runs on the
+	// MatchBind interpreter behind the same Normalize seam.
+	s.useCompiled = !s.noCompiled && s.trace == nil && s.strategy == Innermost
 }
 
 // Tier reports which evaluation tier this system's configuration
@@ -389,14 +367,13 @@ var genCounter atomic.Uint32
 // the fork, e.g. WithStrategy for a different evaluation order. Fork is
 // how parallel checker drivers and serve's requests give each goroutine
 // its own engine without recompiling the specification: it copies
-// nothing the program owns, and on the machine tier allocates only the
-// System, its Arena and its CanonCache.
+// nothing the program owns and allocates only the System. Its scratch
+// comes from the process-wide free list when it normalizes.
 func (s *System) Fork(opts ...Option) *System {
 	ns := &System{
 		prog:       s.prog,
 		strategy:   s.strategy,
 		maxSteps:   s.maxSteps,
-		noIndex:    s.noIndex,
 		noCompiled: s.noCompiled,
 		intern:     s.intern,
 	}
@@ -463,32 +440,46 @@ func (s *System) ResetSteps() { s.stats = Stats{} }
 // point (NormalizeAll, the checkers, axtest's drivers, serve's
 // fork-per-request path) funnels through it, and the tier resolved at
 // construction — machine or interpreter — is chosen here. On the
-// machine tier the returned normal form is interned (Canon) and
-// stamped normal before the arena's scratch terms are recycled, so no
-// engine-private term ever escapes.
+// machine tier the call borrows a scratch set unless the System already
+// holds one (NormalizeAll holds one for a whole batch), and the
+// returned normal form is interned (Canon) and stamped normal before the
+// arena's scratch terms are recycled, so no engine-private term ever
+// escapes.
 func (s *System) Normalize(t *term.Term) (*term.Term, error) {
 	s.budget = s.stats.Steps + s.maxSteps
 	if s.useCompiled {
 		s.stats.CompiledEvals++
-		// An earlier call that failed left its frames on the stack.
-		s.regTop = 0
-		nf, err := s.normalizeCompiled(t)
-		if err != nil {
-			// The error value may reference scratch terms (ErrFuel.Last);
-			// surrender the chunks instead of recycling them.
-			s.arena.Detach()
-			return nil, err
+		if s.arena != nil {
+			return s.normalizeMachine(t)
 		}
-		nf = s.intern.CanonBatch(nf, s.canonCache)
-		stampNormal(nf, s.gen)
-		s.arena.Reset()
-		return nf, nil
+		s.borrowScratch()
+		nf, err := s.normalizeMachine(t)
+		s.returnScratch()
+		return nf, err
 	}
 	s.stats.InterpEvals++
 	if s.strategy == Outermost {
 		return s.normalizeOutermost(t)
 	}
 	return s.normalizeInnermost(t)
+}
+
+// normalizeMachine is one machine-tier normalization over the scratch
+// set the System holds.
+func (s *System) normalizeMachine(t *term.Term) (*term.Term, error) {
+	// An earlier call that failed left its frames on the stack.
+	s.regTop = 0
+	nf, err := s.normalizeCompiled(t)
+	if err != nil {
+		// The error value may reference scratch terms (ErrFuel.Last);
+		// surrender the chunks instead of recycling them.
+		s.arena.Detach()
+		return nil, err
+	}
+	nf = s.intern.CanonBatch(nf, s.canonCache)
+	stampNormal(nf, s.gen)
+	s.arena.Reset()
+	return nf, nil
 }
 
 // MustNormalize is Normalize for callers that treat failure as a bug.
@@ -510,29 +501,44 @@ func (s *System) spend(last *term.Term) error {
 	return s.spendSlow(last)
 }
 
+// spendSlow is spend's slow path. A nil last leaves the error's position
+// for the caller to fill in with failAt: evalBuild's redexes are virtual,
+// and it materializes one only once its step has failed.
 func (s *System) spendSlow(last *term.Term) error {
 	if s.ctx != nil && s.stats.Steps&stopCheckMask == 0 && s.ctx.Err() != nil {
-		return fmt.Errorf("%w near %s", ErrCanceled, clip(last))
+		return s.failAt(ErrCanceled, last)
 	}
 	if s.fault != nil {
 		if err := s.fault(); err != nil {
-			// An injected fuel error carries no engine state; fill in the
-			// real step count and position so it reads like the genuine
-			// article to every caller.
-			var fe *ErrFuel
-			if errors.As(err, &fe) && fe.Last == nil {
-				fe.Steps = s.stats.Steps - (s.budget - s.maxSteps)
-				fe.Last = last
-			}
-			return err
+			return s.failAt(err, last)
 		}
 	}
 	if s.stats.Steps > s.budget {
-		// Report the steps actually spent by this outermost call (the
-		// budget was set to the step counter at entry plus maxSteps).
-		return &ErrFuel{Steps: s.stats.Steps - (s.budget - s.maxSteps), Last: last}
+		return s.failAt(&ErrFuel{}, last)
 	}
 	return nil
+}
+
+// failAt completes a failed step's error with last, the term the step
+// reduces. The engine's cancellation is the bare ErrCanceled only until
+// its position is known, and is wrapped with it here. An ErrFuel without
+// a position — the engine's own, or an injected one, which carries no
+// engine state — gets last and the steps this outermost call actually
+// spent (the budget was set to the step counter at entry plus
+// maxSteps), so it reads like the genuine article to every caller.
+func (s *System) failAt(err error, last *term.Term) error {
+	if last == nil {
+		return err
+	}
+	if err == ErrCanceled {
+		return fmt.Errorf("%w near %s", ErrCanceled, clip(last))
+	}
+	var fe *ErrFuel
+	if errors.As(err, &fe) && fe.Last == nil {
+		fe.Steps = s.stats.Steps - (s.budget - s.maxSteps)
+		fe.Last = last
+	}
+	return err
 }
 
 // normalizeInnermost is call-by-value evaluation with lazy if and strict
@@ -653,9 +659,9 @@ func (s *System) fireNative(cur, out *term.Term) (*term.Term, bool, error) {
 // stepRootMatchBind is the interpreter's matcher, the axioms read
 // directly as rules: try each candidate rule in priority order with
 // one-way structural matching. The candidates are the head symbol's rule
-// group, or every rule under the WithoutRuleIndex ablation.
+// group.
 func (s *System) stepRootMatchBind(cur *term.Term) (*term.Term, bool, error) {
-	for _, ri := range s.candidates(cur.Sym) {
+	for _, ri := range s.prog.index[cur.Sym] {
 		r := &s.prog.rules[ri]
 		b, ok := subst.MatchBind(r.LHS, cur, s.bindBuf[:0])
 		s.bindBuf = b // keep the (possibly grown) buffer for reuse
@@ -673,13 +679,6 @@ func (s *System) stepRootMatchBind(cur *term.Term) (*term.Term, bool, error) {
 		return out, true, nil
 	}
 	return nil, false, nil
-}
-
-func (s *System) candidates(head string) []int {
-	if s.noIndex {
-		return s.prog.allRules
-	}
-	return s.prog.index[head]
 }
 
 // normalizeOutermost repeatedly contracts the leftmost-outermost redex.

@@ -225,17 +225,6 @@ func TestTrace(t *testing.T) {
 	}
 }
 
-func TestWithoutRuleIndex(t *testing.T) {
-	e := env(t)
-	sp := e.MustGet("Queue")
-	indexed := rewrite.New(sp)
-	linear := rewrite.New(sp, rewrite.WithoutRuleIndex())
-	tm := mustParse(t, e, "front(remove(add(add(add(new, 'x), 'y), 'z)))")
-	if !indexed.MustNormalize(tm).Equal(linear.MustNormalize(tm)) {
-		t.Error("rule indexing changes results")
-	}
-}
-
 // The fuel limit is per Normalize call, not per System lifetime: a
 // long-lived system must evaluate any number of terms even after the
 // cumulative step count passes maxSteps. (Regression: the benchmarks

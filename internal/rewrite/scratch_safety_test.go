@@ -10,34 +10,59 @@ import (
 	"algspec/internal/term"
 )
 
-// TestForkArenaNeverLeaksScratchTerms drives many Forks of one compiled
-// system concurrently over shared inputs (run under -race in CI) and
-// asserts the scratch/interned boundary: every term a Fork returns —
-// and every subterm of it — is interned in the shared interner, never
-// an arena-owned scratch node. A scratch leak here is a use-after-free
-// in waiting: the arena recycles its chunks on the next Normalize.
+// TestForkArenaNeverLeaksScratchTerms drives many Forks of several
+// compiled systems concurrently over shared inputs (run under -race in
+// CI) and asserts the scratch/interned boundary: every term a Fork
+// returns — and every subterm of it — is interned in its own system's
+// interner, never an arena-owned scratch node and never another
+// interner's node. A scratch leak here is a use-after-free in waiting:
+// the arena recycles its chunks on the next Normalize. The systems draw
+// their scratch sets, canon caches included, from one free list, and
+// Queue is compiled twice, so two interners hold a node for the same
+// leaf: a cache hit for one must never answer the other.
 func TestForkArenaNeverLeaksScratchTerms(t *testing.T) {
 	env := core.NewEnv()
 	env.MustLoad(speclib.Sources...)
-	sp := env.MustGet("Queue")
-	base := rewrite.New(sp)
-	if base.Tier() != "compiled" {
-		t.Fatalf("base system resolved to tier %q, want compiled", base.Tier())
+	srcs := map[string][]string{
+		"Queue": {
+			"front(add(add(new, 'a), 'b))",
+			"remove(add(add(add(new, 'a), 'b), 'c))",
+			"isEmpty?(remove(add(new, 'a)))",
+			"new",
+			"front(new)", // engine error: exercises the Detach path
+		},
+		"Nat": {
+			"addN(succ(succ(zero)), succ(zero))",
+			"zero",
+			"ltN(succ(zero), zero)",
+		},
+		"Symboltable": {
+			"retrieve(add(enterblock(add(init, 'x, 'a1)), 'y, 'a2), 'x)",
+			"leaveblock(enterblock(init))",
+		},
 	}
-
-	srcs := []string{
-		"front(add(add(new, 'a), 'b))",
-		"remove(add(add(add(new, 'a), 'b), 'c))",
-		"isEmpty?(remove(add(new, 'a)))",
-		"front(new)", // engine error: exercises the Detach path
+	type job struct {
+		base   *rewrite.System
+		srcs   []string
+		inputs []*term.Term
 	}
-	inputs := make([]*term.Term, len(srcs))
-	for i, s := range srcs {
-		tm, err := env.ParseTerm("Queue", s)
-		if err != nil {
-			t.Fatalf("parse %q: %v", s, err)
+	var jobs []job
+	for _, name := range []string{"Queue", "Queue", "Nat", "Symboltable"} {
+		base := rewrite.New(env.MustGet(name))
+		if base.Tier() != "compiled" {
+			t.Fatalf("%s resolved to tier %q, want compiled", name, base.Tier())
 		}
-		inputs[i] = base.Interner().Canon(tm)
+		j := job{base: base, srcs: srcs[name]}
+		for _, s := range j.srcs {
+			tm, err := env.ParseTerm(name, s)
+			if err != nil {
+				t.Fatalf("parse %q: %v", s, err)
+			}
+			// Both a plain term and its canonical twin: a plain leaf reaches
+			// the canon cache, the twin the already-interned path.
+			j.inputs = append(j.inputs, tm, base.Interner().Canon(tm))
+		}
+		jobs = append(jobs, j)
 	}
 
 	const workers = 8
@@ -50,30 +75,30 @@ func TestForkArenaNeverLeaksScratchTerms(t *testing.T) {
 	leaks := make(chan leak, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(j job) {
 			defer wg.Done()
-			sys := base.Fork()
+			sys := j.base.Fork()
 			for r := 0; r < rounds; r++ {
-				for i, in := range inputs {
+				for i, in := range j.inputs {
 					nf, err := sys.Normalize(in)
 					if err != nil {
 						continue // the error case is exercised on purpose
 					}
-					if !allInterned(nf, base.Interner()) {
+					if !allInterned(nf, j.base.Interner()) {
 						select {
-						case leaks <- leak{srcs[i], nf}:
+						case leaks <- leak{j.srcs[i/2], nf}:
 						default:
 						}
 						return
 					}
 				}
 			}
-		}()
+		}(jobs[w%len(jobs)])
 	}
 	wg.Wait()
 	close(leaks)
 	for l := range leaks {
-		t.Fatalf("normal form of %s leaked a scratch subterm: %s", l.src, l.nf)
+		t.Fatalf("normal form of %s leaked a scratch or foreign subterm: %s", l.src, l.nf)
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"algspec/internal/serve"
 )
@@ -30,29 +32,38 @@ func e1QueueOps64Term() string {
 	return "front(" + state + ")"
 }
 
-func benchNormalize(b *testing.B, cacheSize int, prime bool) {
+// e1Server starts a server whose normal-form cache holds cacheSize
+// entries (-1 disables it) and returns a function that sends it the E1
+// request once; with prime set, one request fills the cache first. The
+// server closes when the test or benchmark ends.
+func e1Server(tb testing.TB, cacheSize int, prime bool) (request func()) {
 	srv, err := serve.New(serve.Config{Workers: 2, CacheSize: cacheSize})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer srv.Close()
+	tb.Cleanup(srv.Close)
 	h := srv.Handler()
 	body := `{"spec":"Queue","term":` + jsonString(e1QueueOps64Term()) + `}`
-	request := func() string {
+	send := func() string {
 		req := httptest.NewRequest("POST", "/v1/normalize", strings.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			tb.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
 		return rec.Body.String()
 	}
 	if prime {
-		if resp := request(); !strings.Contains(resp, `"cached": false`) {
-			b.Fatalf("priming request was already cached: %s", resp)
+		if resp := send(); !strings.Contains(resp, `"cached": false`) {
+			tb.Fatalf("priming request was already cached: %s", resp)
 		}
 	}
+	return func() { send() }
+}
+
+func benchNormalize(b *testing.B, cacheSize int, prime bool) {
+	request := e1Server(b, cacheSize, prime)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -78,9 +89,22 @@ func BenchmarkServeNormalizeWarm(b *testing.B) {
 // normalization of it.
 const serveWarmFactor = 5
 
-// TestServeWarmBeatsCold is the timing-ratio gate over the two
-// benchmarks above. A ratio, not an absolute time, so it holds on any
-// machine that is not starved mid-run.
+// The gate takes serveWarmRounds rounds of serveWarmRoundTime each.
+// Within a round the cold and warm paths alternate request by request,
+// so both meet the machine in the same state, and the round's ratio is
+// the median cold request time over the median warm one; the gate reads
+// the median round. Means over whole blocks swing with whatever else the
+// machine runs: under a parallel go test ./... on a 2-vCPU VM, 100 ms
+// blocks of cold requests against blocks of warm ones gave median rounds
+// from 4.0x to 5.9x on one build, while these medians read 5.7x to 5.9x.
+const (
+	serveWarmRounds    = 7
+	serveWarmRoundTime = 200 * time.Millisecond
+)
+
+// TestServeWarmBeatsCold is the timing-ratio gate over the two request
+// paths the benchmarks above measure. A ratio, not an absolute time, so
+// it holds on any machine that is not starved for most of the run.
 func TestServeWarmBeatsCold(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation distorts the cold/warm ratio")
@@ -88,19 +112,31 @@ func TestServeWarmBeatsCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed gate skipped in -short mode")
 	}
-	cold := testing.Benchmark(BenchmarkServeNormalizeCold)
-	warm := testing.Benchmark(BenchmarkServeNormalizeWarm)
-	// testing.Benchmark discards a failed benchmark's output and returns
-	// a zero result, whose 0/0 ns/op would make the comparison below
-	// false and the gate pass.
-	if cold.N == 0 || warm.N == 0 {
-		t.Fatalf("a serve benchmark failed (cold N=%d, warm N=%d); run go test -run NONE -bench ServeNormalize ./internal/serve to see why", cold.N, warm.N)
+	arms := [2]func(){e1Server(t, -1, false), e1Server(t, serve.DefaultCacheSize, true)} // cold, warm
+	ratios := make([]float64, serveWarmRounds)
+	for i := range ratios {
+		var ns [2][]float64
+		for start := time.Now(); time.Since(start) < serveWarmRoundTime; {
+			for k, request := range arms {
+				t0 := time.Now()
+				request()
+				ns[k] = append(ns[k], float64(time.Since(t0)))
+			}
+		}
+		cold, warm := median(ns[0]), median(ns[1])
+		ratios[i] = cold / warm
+		t.Logf("round %d: cold %.0f ns, warm %.0f ns (medians of %d requests each): %.1fx",
+			i+1, cold, warm, len(ns[0]), ratios[i])
 	}
-	coldNs := float64(cold.T.Nanoseconds()) / float64(cold.N)
-	warmNs := float64(warm.T.Nanoseconds()) / float64(warm.N)
-	ratio := coldNs / warmNs
-	t.Logf("cold %.0f ns/op, warm %.0f ns/op: %.1fx", coldNs, warmNs, ratio)
+	ratio := median(ratios)
+	t.Logf("median round: %.1fx", ratio)
 	if ratio < serveWarmFactor {
-		t.Errorf("warm cache is only %.1fx faster than cold, want >= %dx", ratio, serveWarmFactor)
+		t.Errorf("warm cache is only %.1fx faster than cold in the median round, want >= %dx", ratio, serveWarmFactor)
 	}
+}
+
+// median sorts xs and returns its middle element.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
 }

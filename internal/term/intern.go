@@ -240,11 +240,11 @@ func (in *Interner) Canon(t *Term) *Term {
 }
 
 // CanonBatch is Canon for a whole engine result at once, through a
-// CanonCache private to one System (hence lock-free): repeat shapes
+// CanonCache held by one goroutine (hence lock-free): repeat shapes
 // short-circuit before touching the interner at all. The rewrite
 // engine's compiled tier rebuilds largely the same normal-form spines
 // every call, and a cache hit replaces lock + hash + bucket probe with
-// one indexed load and a structural verify.
+// one indexed load, an owner check and a structural verify.
 func (in *Interner) CanonBatch(t *Term, cc *CanonCache) *Term {
 	if t == nil || t.owner == in {
 		return t
@@ -260,10 +260,12 @@ func (in *Interner) CanonBatch(t *Term, cc *CanonCache) *Term {
 	args := cc.stack[base:]
 	idx := cacheIndex(t.Kind, t.Sym, t.Sort, args)
 	c := cc.tab[idx]
-	if c == nil || !nodeEq(c, t.Kind, t.Sym, t.Sort, args) {
+	if c == nil || c.owner != in || !nodeEq(c, t.Kind, t.Sym, t.Sort, args) {
 		// Miss: intern through the interner's own locked path (which
 		// copies args — the stack slice is reused) and remember the
-		// canonical node for next time.
+		// canonical node for next time. Another interner's node is a miss
+		// too: a leaf such as new carries no argument pointer that could
+		// tell the two apart.
 		c = in.node(t.Kind, t.Sym, t.Sort, args, false)
 		cc.tab[idx] = c
 	}
@@ -271,14 +273,22 @@ func (in *Interner) CanonBatch(t *Term, cc *CanonCache) *Term {
 	return c
 }
 
-// canonCacheSize is the entry count of a CanonCache (power of two).
-const canonCacheSize = 2048
+const (
+	// canonCacheSize is the entry count of a CanonCache (power of two).
+	canonCacheSize = 2048
+	// canonStackMax is the argument-stack capacity past which a cache
+	// reports Grown.
+	canonStackMax = 1 << 10
+)
 
 // CanonCache is a direct-mapped memo from node shape to canonical node,
-// owned by a single goroutine (one per System). Entries are verified
-// structurally on every hit, so a collision or stale slot can only cost
-// a probe, never correctness; canonical nodes are immortal, so a cached
-// pointer can never dangle.
+// used by one goroutine at a time. The rewrite engine pools its caches
+// across Systems, so one cache serves many interners in turn: a hit must
+// belong to the calling interner and match structurally, so a collision,
+// a stale slot or another interner's node can only cost a probe, never
+// correctness. Canonical nodes are immortal, so a cached pointer can
+// never dangle; it does keep its interner reachable until the slot is
+// overwritten.
 type CanonCache struct {
 	tab [canonCacheSize]*Term
 	// stack is the reusable canonical-argument scratch: each recursion
@@ -290,6 +300,11 @@ type CanonCache struct {
 
 // NewCanonCache returns an empty cache.
 func NewCanonCache() *CanonCache { return &CanonCache{} }
+
+// Grown reports whether the argument stack has grown past canonStackMax
+// entries, so that a pool of caches can drop one rather than keep a huge
+// term's high-water stack.
+func (cc *CanonCache) Grown() bool { return cap(cc.stack) > canonStackMax }
 
 // cacheIndex hashes a node shape to a cache slot. It mixes the sym
 // string's data pointer rather than its bytes: the engine passes the

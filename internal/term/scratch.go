@@ -11,7 +11,7 @@
 // Ownership discipline — the scratch/interned boundary:
 //
 //   - a scratch node (Term.Scratch() == true) belongs to exactly one
-//     Arena and therefore to exactly one System; it must never be
+//     Arena and therefore to exactly one normalization; it must never be
 //     returned to a caller, stored in a memo, or stamped with an nfTag;
 //   - scratch nodes may point at interned terms freely (the common case:
 //     captured subterms of a redex are already canonical or were
@@ -23,8 +23,8 @@
 //     garbage for referential safety on a path that is cold by
 //     definition.
 //
-// An Arena is not safe for concurrent use; like the System that owns
-// it, each goroutine forks its own.
+// An Arena is not safe for concurrent use: the rewrite engine lends
+// each one to a single normalization at a time.
 package term
 
 import "algspec/internal/sig"
@@ -170,6 +170,11 @@ func (a *Arena) Reset() {
 	a.nc, a.ni = 0, 0
 	a.ac, a.ai = 0, 0
 }
+
+// Grown reports whether the arena holds more than one chunk of either
+// kind, so that a pool of arenas can drop one rather than keep a large
+// normalization's high-water memory.
+func (a *Arena) Grown() bool { return len(a.nodeChunks) > 1 || len(a.argChunks) > 1 }
 
 // Detach abandons the current chunks instead of recycling them: terms
 // already handed out stay valid forever (ordinary GC memory), and the

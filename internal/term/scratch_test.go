@@ -157,6 +157,72 @@ func TestCanonCacheCollision(t *testing.T) {
 	}
 }
 
+// TestCanonCacheNeverCrossesInterners: the rewrite engine pools its
+// canon caches, so one cache serves many interners in turn. A leaf such
+// as new has no argument pointer that tells two interners' nodes apart,
+// so only the owner check keeps a hit from returning another
+// interner's node.
+func TestCanonCacheNeverCrossesInterners(t *testing.T) {
+	in1, in2 := NewInterner(), NewInterner()
+	cc := NewCanonCache()
+	leaf := NewOp("new", testSort)
+	for round := 0; round < 2; round++ {
+		for _, in := range []*Interner{in1, in2} {
+			got := in.CanonBatch(leaf, cc)
+			if !in.Interned(got) {
+				t.Fatalf("round %d: CanonBatch returned a node of another interner", round)
+			}
+			if want := in.Canon(leaf); got != want {
+				t.Fatalf("round %d: CanonBatch %p != Canon %p", round, got, want)
+			}
+			if f := in.CanonBatch(NewOp("f", testSort, leaf), cc); f.Args[0] != got {
+				t.Fatalf("round %d: f(new) holds another interner's new", round)
+			}
+		}
+	}
+}
+
+// Grown flags an arena past its first node chunk or first argument
+// chunk, and a canon cache whose argument stack outgrew its bound.
+func TestGrown(t *testing.T) {
+	a := NewArena()
+	x := NewAtom("x", testSort)
+	for i := 0; i < arenaNodeChunk; i++ {
+		a.Op("f", testSort, nil)
+	}
+	if a.Grown() {
+		t.Fatal("one full node chunk reported as grown")
+	}
+	a.Op("f", testSort, nil)
+	if !a.Grown() {
+		t.Fatal("a second node chunk not reported as grown")
+	}
+	a.Detach()
+	if a.Grown() {
+		t.Fatal("a detached arena reported as grown")
+	}
+	a.ArgSlice(arenaArgChunk)
+	a.ArgSlice(1)
+	if !a.Grown() {
+		t.Fatal("a second argument chunk not reported as grown")
+	}
+
+	in := NewInterner()
+	cc := NewCanonCache()
+	in.CanonBatch(NewOp("f", testSort, x, x), cc)
+	if cc.Grown() {
+		t.Fatal("a two-argument term grew the canon stack")
+	}
+	wide := make([]*Term, canonStackMax+1)
+	for i := range wide {
+		wide[i] = NewOp("g", testSort, x)
+	}
+	in.CanonBatch(NewOp("f", testSort, wide...), cc)
+	if !cc.Grown() {
+		t.Fatalf("a %d-argument term did not grow the canon stack past its bound", len(wide))
+	}
+}
+
 // cloneTerm deep-copies a term into plain heap nodes, so Canon sees a
 // fresh foreign spine (CanonBatch may have mutated nothing, but the
 // original spine's nodes could be arena memory a later Reset reuses).
