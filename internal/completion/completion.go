@@ -23,6 +23,7 @@ package completion
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -147,11 +148,24 @@ type Certificate struct {
 	Rounds int `json:"rounds"`
 	// Offender names the blocking pair for refuted and budget verdicts.
 	Offender *Offender `json:"offender,omitempty"`
+
+	// ownRules is CertifiesAxioms, decided once by Complete.
+	ownRules bool
 }
 
 // Certified reports whether the certificate proves confluence +
 // termination.
 func (c *Certificate) Certified() bool { return c.Verdict == Certified }
+
+// CertifiesAxioms reports whether the certificate proves the rules the
+// rewrite engine runs — the spec's own axioms, as stated — confluent
+// and terminating: the verdict is certified, and completion neither
+// derived a rule nor flipped an axiom. When it had to do either, the
+// certified system is not the one the engine runs, and the engine's
+// strategies may disagree. Everything that trusts strategies to agree
+// (serve's shared normal-form partition, the confluent flag of
+// /v1/specs, adt test's outermost engines) asks this, not Certified.
+func (c *Certificate) CertifiesAxioms() bool { return c.ownRules }
 
 // String renders the one-line human report `adt confluence` prints.
 func (c *Certificate) String() string {
@@ -269,6 +283,7 @@ func Complete(sp *spec.Spec, cfg Config) *Certificate {
 		if len(open) == 0 {
 			cert.Added = derived
 			cert.Rules = rules
+			cert.ownRules = !slices.ContainsFunc(rules, func(r *Rule) bool { return r.Derived || r.Flipped })
 			return cert
 		}
 

@@ -180,15 +180,7 @@ func (e *Env) Compiled() []*rewrite.System {
 // ParseTerm parses and sort-checks a ground term against the named
 // specification, without evaluating it.
 func (e *Env) ParseTerm(specName, src string) (*term.Term, error) {
-	sp, ok := e.specs[specName]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown specification %s", specName)
-	}
-	expr, err := lang.ParseExpr(src)
-	if err != nil {
-		return nil, err
-	}
-	return sema.CheckGroundExpr(sp, expr, "")
+	return e.readTerm(nil, specName, src, "")
 }
 
 // ParseTermAs parses and sort-checks a ground term against the named
@@ -197,15 +189,36 @@ func (e *Env) ParseTerm(specName, src string) (*term.Term, error) {
 // normal-form text (whose root sort was recorded at write time) be
 // parsed back into a term at boot.
 func (e *Env) ParseTermAs(specName, src string, expected sig.Sort) (*term.Term, error) {
+	return e.readTerm(nil, specName, src, expected)
+}
+
+// InternTerm is ParseTermAs read straight into an interner: it returns
+// the node in.Canon would return for ParseTermAs's tree, and builds no
+// tree on the way, so only the nodes in lacked are allocated. A rejected
+// term interns nothing.
+func (e *Env) InternTerm(in *term.Interner, specName, src string, expected sig.Sort) (*term.Term, error) {
+	return e.readTerm(in, specName, src, expected)
+}
+
+// readTerm reads a ground term with sema.ReadGround, into in when it is
+// not nil. A term the reader rejects is parsed again by the recovering
+// parser and the checker, for the error they report.
+func (e *Env) readTerm(in *term.Interner, specName, src string, expected sig.Sort) (*term.Term, error) {
 	sp, ok := e.specs[specName]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown specification %s", specName)
+	}
+	if t, ok := sema.ReadGround(sp, src, expected, in); ok {
+		return t, nil
 	}
 	expr, err := lang.ParseExpr(src)
 	if err != nil {
 		return nil, err
 	}
-	return sema.CheckGroundExpr(sp, expr, expected)
+	if _, err := sema.CheckGroundExpr(sp, expr, expected); err != nil {
+		return nil, err
+	}
+	return nil, fmt.Errorf("core: internal error: the ground-term reader rejected %q, which the checker accepts", src)
 }
 
 // ParseTermWithVars parses and sort-checks a term that may mention the

@@ -65,6 +65,9 @@ func (lx *lexer) peekRune() (rune, int) {
 	if lx.pos >= len(lx.src) {
 		return 0, 0
 	}
+	if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
 	return utf8.DecodeRuneInString(lx.src[lx.pos:])
 }
 
@@ -88,6 +91,42 @@ func isIdentPart(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.' || r == '?' || r == '\''
 }
 
+// isAtomPart admits an atom spelling's characters: an identifier's
+// without the quote and the question mark.
+func isAtomPart(r rune) bool {
+	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.'
+}
+
+// identASCII and atomASCII tabulate isIdentPart and isAtomPart on
+// single-byte runes, so the scanning loops decode only non-ASCII text.
+var identASCII, atomASCII = func() (id, at [utf8.RuneSelf]bool) {
+	for c := rune(0); c < utf8.RuneSelf; c++ {
+		id[c], at[c] = isIdentPart(c), isAtomPart(c)
+	}
+	return id, at
+}()
+
+// scanWhile advances over the longest run of runes that part admits
+// (ascii tabulates it on single-byte runes). The runs it scans never
+// hold a newline.
+func (lx *lexer) scanWhile(ascii *[utf8.RuneSelf]bool, part func(rune) bool) {
+	for lx.pos < len(lx.src) {
+		if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+			if !ascii[c] {
+				return
+			}
+			lx.pos++
+		} else {
+			r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
+			if !part(r) {
+				return
+			}
+			lx.pos += size
+		}
+		lx.col++
+	}
+}
+
 // next returns the next token, skipping whitespace and comments.
 func (lx *lexer) next() token {
 	for {
@@ -95,11 +134,15 @@ func (lx *lexer) next() token {
 		if size == 0 {
 			return token{kind: tokEOF, line: lx.line, col: lx.col}
 		}
-		switch {
-		case r == ' ' || r == '\t' || r == '\r' || r == '\n':
+		switch r {
+		case ' ', '\t', '\r':
+			lx.pos++
+			lx.col++
+			continue
+		case '\n':
 			lx.advance(r, size)
 			continue
-		case r == '-':
+		case '-':
 			// Either a comment "--" or the arrow "->".
 			if strings.HasPrefix(lx.src[lx.pos:], "--") {
 				for {
@@ -121,32 +164,31 @@ func (lx *lexer) next() token {
 			lx.errorf(lx.line, lx.col, "unexpected character %q (expected '--' comment or '->')", r)
 			lx.advance(r, size)
 			return lx.nextAfterError(t)
-		case r == '(':
+		case '(':
 			return lx.single(tokLParen, r, size)
-		case r == ')':
+		case ')':
 			return lx.single(tokRParen, r, size)
-		case r == ',':
+		case ',':
 			return lx.single(tokComma, r, size)
-		case r == ':':
+		case ':':
 			return lx.single(tokColon, r, size)
-		case r == '=':
+		case '=':
 			return lx.single(tokEquals, r, size)
-		case r == '[':
+		case '[':
 			return lx.single(tokLBrack, r, size)
-		case r == ']':
+		case ']':
 			return lx.single(tokRBrack, r, size)
-		case r == '\'':
+		case '\'':
 			return lx.atom()
-		case isIdentStart(r) || unicode.IsDigit(r):
+		}
+		if isIdentStart(r) || unicode.IsDigit(r) {
 			// Digit-initial tokens are legal identifiers: the language
 			// has no numeric literals, and the paper numbers its axioms
 			// ("[1] leaveblock(init) = error").
 			return lx.ident()
-		default:
-			lx.errorf(lx.line, lx.col, "unexpected character %q", r)
-			lx.advance(r, size)
-			continue
 		}
+		lx.errorf(lx.line, lx.col, "unexpected character %q", r)
+		lx.advance(r, size)
 	}
 }
 
@@ -155,7 +197,7 @@ func (lx *lexer) nextAfterError(t token) token {
 }
 
 func (lx *lexer) single(kind tokKind, r rune, size int) token {
-	t := token{kind: kind, text: string(r), line: lx.line, col: lx.col}
+	t := token{kind: kind, text: lx.src[lx.pos : lx.pos+size], line: lx.line, col: lx.col}
 	lx.advance(r, size)
 	return t
 }
@@ -163,15 +205,9 @@ func (lx *lexer) single(kind tokKind, r rune, size int) token {
 func (lx *lexer) ident() token {
 	start := lx.pos
 	line, col := lx.line, lx.col
-	for {
-		r, size := lx.peekRune()
-		if size == 0 || !isIdentPart(r) {
-			break
-		}
-		lx.advance(r, size)
-	}
+	lx.scanWhile(&identASCII, isIdentPart)
 	text := lx.src[start:lx.pos]
-	if kind, ok := keywords[text]; ok {
+	if kind, ok := keyword(text); ok {
 		return token{kind: kind, text: text, line: line, col: col}
 	}
 	return token{kind: tokIdent, text: text, line: line, col: col}
@@ -189,15 +225,6 @@ func (lx *lexer) atom() token {
 		return token{kind: tokAtom, text: "", line: line, col: col}
 	}
 	start := lx.pos
-	for {
-		r, size = lx.peekRune()
-		if size == 0 {
-			break
-		}
-		if !(unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.') {
-			break
-		}
-		lx.advance(r, size)
-	}
+	lx.scanWhile(&atomASCII, isAtomPart)
 	return token{kind: tokAtom, text: lx.src[start:lx.pos], line: line, col: col}
 }

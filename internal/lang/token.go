@@ -70,24 +70,40 @@ func (k tokKind) String() string {
 	return fmt.Sprintf("tokKind(%d)", int(k))
 }
 
-var keywords = map[string]tokKind{
-	"spec":   tokSpec,
-	"end":    tokEnd,
-	"uses":   tokUses,
-	"param":  tokParam,
-	"params": tokParam,
-	"atoms":  tokAtoms,
-	"sorts":  tokSorts,
-	"sort":   tokSorts,
-	"ops":    tokOps,
-	"vars":   tokVars,
-	"var":    tokVars,
-	"axioms": tokAxioms,
-	"if":     tokIf,
-	"then":   tokThen,
-	"else":   tokElse,
-	"error":  tokError,
-	"native": tokNative,
+// keyword returns the token kind of a reserved word. A switch, not a
+// map: the lexer asks about every identifier it scans.
+func keyword(text string) (tokKind, bool) {
+	switch text {
+	case "spec":
+		return tokSpec, true
+	case "end":
+		return tokEnd, true
+	case "uses":
+		return tokUses, true
+	case "param", "params":
+		return tokParam, true
+	case "atoms":
+		return tokAtoms, true
+	case "sorts", "sort":
+		return tokSorts, true
+	case "ops":
+		return tokOps, true
+	case "vars", "var":
+		return tokVars, true
+	case "axioms":
+		return tokAxioms, true
+	case "if":
+		return tokIf, true
+	case "then":
+		return tokThen, true
+	case "else":
+		return tokElse, true
+	case "error":
+		return tokError, true
+	case "native":
+		return tokNative, true
+	}
+	return 0, false
 }
 
 // token is one lexeme with its source position.

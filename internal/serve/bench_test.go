@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +83,37 @@ func BenchmarkServeNormalizeCold(b *testing.B) {
 // the shared cache (one priming request, then all hits).
 func BenchmarkServeNormalizeWarm(b *testing.B) {
 	benchNormalize(b, serve.DefaultCacheSize, true)
+}
+
+// BenchmarkServeNormalizeFresh measures requests the server has never
+// seen: every iteration sends the E1 term over atoms spelled for that
+// iteration alone, so the parse and normal-form caches miss and every
+// node above an atom is new to the interner. The cold benchmark, by
+// contrast, re-reads one term whose nodes are all interned.
+func BenchmarkServeNormalizeFresh(b *testing.B) {
+	srv, err := serve.New(serve.Config{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	h := srv.Handler()
+	bodies := make([]string, b.N)
+	for i := range bodies {
+		tm := strings.NewReplacer("'a", "'a"+strconv.Itoa(i), "'b", "'b"+strconv.Itoa(i),
+			"'c", "'c"+strconv.Itoa(i), "'d", "'d"+strconv.Itoa(i)).Replace(e1QueueOps64Term())
+		bodies[i] = `{"spec":"Queue","term":` + jsonString(tm) + `}`
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, body := range bodies {
+		req := httptest.NewRequest("POST", "/v1/normalize", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cached": false`) {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
 }
 
 // serveWarmFactor is the server's headline claim: a cache hit on the

@@ -141,9 +141,9 @@ type SpecUploadResponse struct {
 	Specs   []string `json:"specs"`
 }
 
-// encBufPool recycles the JSON encode buffers of writeJSON; together
-// with normRespPool it keeps the warm normalize path from allocating a
-// fresh output buffer per response (the serve_alloc_budget gate).
+// encBufPool recycles the encode buffers of writeJSON and
+// writeNormalizeResponse, so the warm normalize path allocates no
+// output buffer per response (the serve_alloc_budget gate).
 var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPooledBuf caps what goes back in the pool: one giant trace
@@ -159,22 +159,18 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		// v is one of our own response structs; this cannot fail.
 		panic(fmt.Sprintf("serve: marshaling %T: %v", v, err))
 	}
+	send(w, code, buf)
+}
+
+// send answers code with the JSON body in buf, a buffer from
+// encBufPool, and returns the buffer to the pool.
+func send(w http.ResponseWriter, code int, buf *bytes.Buffer) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(buf.Bytes())
 	if buf.Cap() <= maxPooledBuf {
 		encBufPool.Put(buf)
 	}
-}
-
-// normRespPool recycles NormalizeResponse structs on the normalize
-// path; writeJSON is synchronous, so the struct is free for reuse as
-// soon as it returns.
-var normRespPool = sync.Pool{New: func() any { return new(NormalizeResponse) }}
-
-func putNormResp(resp *NormalizeResponse) {
-	*resp = NormalizeResponse{}
-	normRespPool.Put(resp)
 }
 
 // maxBodyBytes caps POST bodies: a term or spec source that needs more
@@ -276,7 +272,7 @@ func (s *Server) handleNormalize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The parse cache short-circuits lexing/parsing/sort-checking for
-	// hot request strings; on a miss the term is canonicalized into the
+	// hot request strings; on a miss the term is read straight into the
 	// spec's shared interner, whose canonical pointer is the normal-form
 	// cache key (forks resolve it in O(1)). Keys carry the version's
 	// content address, so entries are never invalidated — a new upload
@@ -284,12 +280,11 @@ func (s *Server) handleNormalize(w http.ResponseWriter, r *http.Request) {
 	parseKey := ver.ID + "\x00" + sp.Name + "\x00" + req.Term
 	canon, ok := s.parsed.Get(parseKey)
 	if !ok {
-		t, err := ver.Env.ParseTerm(sp.Name, req.Term)
+		canon, err = ver.Env.InternTerm(base.Interner(), sp.Name, req.Term, "")
 		if err != nil {
 			writeParseError(w, err)
 			return
 		}
-		canon = base.Interner().Canon(t)
 		s.parsed.Put(parseKey, canon)
 	}
 
@@ -302,17 +297,12 @@ func (s *Server) handleNormalize(w http.ResponseWriter, r *http.Request) {
 				// paid for.
 				s.crossHits.Add(1)
 			}
-			resp := normRespPool.Get().(*NormalizeResponse)
-			*resp = NormalizeResponse{
-				Spec:       sp.Name,
-				Version:    echoVersion,
-				Input:      canon.String(),
-				NormalForm: hit.nf.String(),
-				Steps:      hit.steps,
-				Cached:     true,
-			}
-			writeJSON(w, http.StatusOK, resp)
-			putNormResp(resp)
+			writeNormalizeResponse(w, &NormalizeResponse{
+				Spec:    sp.Name,
+				Version: echoVersion,
+				Steps:   hit.steps,
+				Cached:  true,
+			}, canon, hit.nf)
 			return
 		}
 	}
@@ -378,18 +368,13 @@ func (s *Server) handleNormalize(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case err == nil:
-		resp := normRespPool.Get().(*NormalizeResponse)
-		*resp = NormalizeResponse{
-			Spec:       sp.Name,
-			Version:    echoVersion,
-			Input:      canon.String(),
-			NormalForm: nf.String(),
-			Steps:      st.Steps,
-			Cached:     false,
-			Trace:      trace,
-		}
-		writeJSON(w, http.StatusOK, resp)
-		putNormResp(resp)
+		writeNormalizeResponse(w, &NormalizeResponse{
+			Spec:    sp.Name,
+			Version: echoVersion,
+			Steps:   st.Steps,
+			Cached:  false,
+			Trace:   trace,
+		}, canon, nf)
 	case errors.Is(err, rewrite.ErrCanceled):
 		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "normalization exceeded the request deadline"})
 	default:
@@ -524,7 +509,7 @@ func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) {
 		// The base version caches one certificate per spec, computed at
 		// boot — this is a map lookup, not a completion run.
 		if c := s.reg.Base().Certificate(resp.Specs[i].Name); c != nil {
-			certified := c.Certified()
+			certified := c.CertifiesAxioms()
 			resp.Specs[i].Confluent = &certified
 		}
 	}

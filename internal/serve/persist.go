@@ -54,6 +54,13 @@ const (
 	specsDir = "specs"
 )
 
+// maxWALLine bounds one WAL line, newline excluded, for the writer and
+// the reader alike. A record holds a term and a normal form of up to
+// maxBodyBytes each, plus the digest, the other fields and the JSON
+// framing. The writer skips a record whose line would be longer, so
+// that every line it writes is one the next boot can read.
+const maxWALLine = 2*maxBodyBytes + 4<<10
+
 // persister owns the persist directory. A nil *persister (no
 // Config.PersistDir) is valid and makes every method a no-op, mirroring
 // the nil cache. seen holds the key of every entry in the log — seeded
@@ -97,7 +104,7 @@ func newPersister(dir string, cap int) (*persister, error) {
 // PersistDir has none.
 func (p *persister) declareMetrics(r *metrics.Registry) {
 	r.Counter("adt_persist_wal_records_total", "Normal-form entries appended to the WAL since boot.", p.walRecords.Load)
-	r.Counter("adt_persist_dropped_total", "Entries not persisted because the store hit its capacity bound.", p.dropped.Load)
+	r.Counter("adt_persist_dropped_total", "Entries not persisted because the store hit its capacity bound or their WAL line would exceed the line cap.", p.dropped.Load)
 	r.Counter("adt_persist_errors_total", "Persistence I/O or integrity errors (a nonzero value at boot means a corrupt store forced a cold start).", p.persistErrs.Load)
 	r.Counter("adt_persist_stale_skipped_total", "Persisted entries skipped because their version is unknown to this boot.", p.staleSkipped.Load)
 	r.Gauge("adt_warm_entries", "Cache entries installed warm at boot (persisted store plus corpus warming).", p.warmLoaded.Load)
@@ -109,7 +116,9 @@ func recordKey(rec walRecord) string {
 
 // append books one freshly computed entry and writes it to the WAL.
 // Called on the cold path only (the entry was just normalized), so the
-// write syscall hides behind a full normalization.
+// write syscall hides behind a full normalization. An entry whose line
+// would exceed maxWALLine is dropped, not written: the next boot could
+// not read it back.
 func (p *persister) append(rec walRecord) {
 	if p == nil {
 		return
@@ -120,17 +129,24 @@ func (p *persister) append(rec walRecord) {
 	if _, dup := p.seen[key]; dup {
 		return
 	}
-	if len(p.seen) >= p.cap {
+	// Encoding only lengthens the strings, so a record whose term and
+	// normal form alone pass the cap is dropped without being encoded.
+	if len(p.seen) >= p.cap || len(rec.Term)+len(rec.NF) > maxWALLine {
 		p.dropped.Add(1)
 		return
 	}
-	p.seen[key] = struct{}{}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		// rec is our own struct of strings and an int; cannot fail.
 		panic(fmt.Sprintf("serve: marshaling wal record: %v", err))
 	}
-	fmt.Fprintf(p.wal, "%s %s\n", lineDigest(line), line)
+	digest := lineDigest(line)
+	if len(digest)+1+len(line) > maxWALLine {
+		p.dropped.Add(1)
+		return
+	}
+	p.seen[key] = struct{}{}
+	fmt.Fprintf(p.wal, "%s %s\n", digest, line)
 	p.walRecords.Add(1)
 }
 
@@ -214,7 +230,8 @@ func loadNFStore(dir string) ([]walRecord, error) {
 func parseWAL(data []byte) ([]walRecord, error) {
 	var recs []walRecord
 	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	// The scanner's buffer must hold a line and its newline.
+	sc.Buffer(nil, maxWALLine+1)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -320,5 +321,91 @@ func TestWarmFromCorpus(t *testing.T) {
 	}
 	if !decodeNormalize(t, body).Cached {
 		t.Fatalf("corpus warming missed the golden battery: %s", body)
+	}
+}
+
+// dupSrc doubles its tree at every step: sq(succ^n(zero), leaf) takes
+// n+1 steps, and its normal form prints as 12·2^n - 8 bytes.
+const dupSrc = `
+spec Dup
+  uses Nat
+  sorts Tree
+  ops
+    leaf : -> Tree
+    pair : Tree, Tree -> Tree
+    sq   : Nat, Tree -> Tree
+  vars
+    n : Nat
+    x : Tree
+  axioms
+    [s0] sq(zero, x) = x
+    [s1] sq(succ(n), x) = sq(n, pair(x, x))
+end
+`
+
+func dupTerm(n int) string {
+	return "sq(" + strings.Repeat("succ(", n) + "zero" + strings.Repeat(")", n) + ", leaf)"
+}
+
+// TestWALLineCap: the WAL writer and reader share one line cap. An
+// answer longer than a megabyte (n = 17, 1.57 MB) is written and read
+// back; one past the cap (n = 18, 3.1 MB) is served and cached but not
+// appended, and counted once as dropped. Either way an unrelated entry
+// comes back warm and no persist error is counted.
+func TestWALLineCap(t *testing.T) {
+	dir := t.TempDir()
+	queue := "front(add(add(new, 'u), 'v))"
+	boot := func() (*serve.Server, *httptest.Server, string) {
+		srv, err := serve.New(serve.Config{Workers: 2, PersistDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newTestServerFrom(t, srv)
+		return srv, ts, uploadSpec(t, ts, dupSrc)
+	}
+	ask := func(ts *httptest.Server, spec, term, version string) serve.NormalizeResponse {
+		t.Helper()
+		code, body := do(t, ts, "POST", "/v1/normalize", normalizeBody(t, spec, term, version))
+		if code != http.StatusOK {
+			t.Fatalf("%s %.60s: status %d: %.200s", spec, term, code, body)
+		}
+		return decodeNormalize(t, body)
+	}
+
+	srv, ts, ver := boot()
+	ask(ts, "Queue", queue, "")
+	if got := ask(ts, "Dup", dupTerm(17), ver); got.Cached || len(got.NormalForm) != 12<<17-8 {
+		t.Fatalf("n = 17: cached %v, %d bytes", got.Cached, len(got.NormalForm))
+	}
+	ts.Close()
+	srv.Close()
+
+	srv, ts, ver = boot()
+	if !ask(ts, "Queue", queue, "").Cached || !ask(ts, "Dup", dupTerm(17), ver).Cached {
+		t.Fatal("an entry did not come back warm after a restart")
+	}
+	records := scrapeMetric(t, ts, "adt_persist_wal_records_total")
+	if got := ask(ts, "Dup", dupTerm(18), ver); got.Cached || len(got.NormalForm) != 12<<18-8 {
+		t.Fatalf("n = 18: cached %v, %d bytes", got.Cached, len(got.NormalForm))
+	}
+	if !ask(ts, "Dup", dupTerm(18), ver).Cached {
+		t.Fatal("n = 18 was not cached")
+	}
+	if n := scrapeMetric(t, ts, "adt_persist_wal_records_total"); n != records {
+		t.Errorf("n = 18 was appended: %d WAL records, was %d", n, records)
+	}
+	if n := scrapeMetric(t, ts, "adt_persist_dropped_total"); n != 1 {
+		t.Errorf("adt_persist_dropped_total = %d, want 1", n)
+	}
+	ts.Close()
+	srv.Close()
+
+	srv, ts, _ = boot()
+	defer func() { ts.Close(); srv.Close() }()
+	if !ask(ts, "Queue", queue, "").Cached {
+		t.Error("the unrelated entry came back cold")
+	}
+	if n := scrapeMetric(t, ts, "adt_persist_errors_total"); n != 0 {
+		t.Errorf("adt_persist_errors_total = %d, want 0", n)
 	}
 }

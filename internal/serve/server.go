@@ -215,21 +215,20 @@ func (s *Server) loadPersisted() {
 			s.pers.staleSkipped.Add(1)
 			continue
 		}
-		in, err := ver.Env.ParseTermAs(rec.Spec, rec.Term, sig.Sort(rec.Sort))
+		canon, err := ver.Env.InternTerm(sys.Interner(), rec.Spec, rec.Term, sig.Sort(rec.Sort))
 		if err != nil {
 			s.pers.persistErrs.Add(1)
 			continue
 		}
-		nf, err := ver.Env.ParseTermAs(rec.Spec, rec.NF, sig.Sort(rec.Sort))
+		nf, err := ver.Env.InternTerm(sys.Interner(), rec.Spec, rec.NF, sig.Sort(rec.Sort))
 		if err != nil {
 			s.pers.persistErrs.Add(1)
 			continue
 		}
-		canon := sys.Interner().Canon(in)
 		// Persisted entries reload into the shared partition: only
 		// shared-keyed results are ever written to the WAL, so this
 		// round-trips exactly.
-		s.cache.Put(nfKey{t: canon, strat: stratShared}, cacheEntry{nf: sys.Interner().Canon(nf), steps: rec.Steps})
+		s.cache.Put(nfKey{t: canon, strat: stratShared}, cacheEntry{nf: nf, steps: rec.Steps})
 		s.parsed.Put(ver.ID+"\x00"+rec.Spec+"\x00"+rec.Term, canon)
 		s.pers.warmLoaded.Add(1)
 	}
@@ -247,11 +246,10 @@ func (s *Server) warmFromCorpus() {
 			continue
 		}
 		for _, src := range corpus.Battery(name) {
-			t, err := base.Env.ParseTerm(name, src)
+			canon, err := base.Env.InternTerm(sys.Interner(), name, src, "")
 			if err != nil {
 				continue
 			}
-			canon := sys.Interner().Canon(t)
 			f := sys.Fork(rewrite.WithMaxSteps(s.cfg.Fuel))
 			nf, err := f.Normalize(canon)
 			if err != nil {

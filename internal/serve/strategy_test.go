@@ -219,3 +219,78 @@ func TestCrossStrategySoak(t *testing.T) {
 		t.Errorf("cross-strategy hits %d exceed total hits %d", cross, hits)
 	}
 }
+
+// cpSrc is certified only because completion adds a rule: [f1] and
+// [g1] overlap on f(g(a)), whose contractions f(b) and h(a) do not
+// join, so completion derives [cp1] f(b) -> h(a). The engine runs the
+// three axioms, under which innermost reaches f(b) and outermost h(a).
+const cpSrc = `
+spec CP
+  ops
+    a : -> CP
+    b : -> CP
+    h : CP -> CP
+    g : CP -> CP
+    f : CP -> CP
+  vars
+    x : CP
+  axioms
+    [g1] g(a) = b
+    [f1] f(g(x)) = h(x)
+    [f2] f(a) = a
+end
+`
+
+// uploadSpec registers src and returns its version id.
+func uploadSpec(t *testing.T, ts *httptest.Server, src string) string {
+	t.Helper()
+	b, _ := json.Marshal(map[string]string{"source": src})
+	code, body := do(t, ts, "POST", "/v1/specs", string(b))
+	if code != 201 && code != 200 {
+		t.Fatalf("upload: %d %s", code, body)
+	}
+	var up serve.SpecUploadResponse
+	if err := json.Unmarshal([]byte(body), &up); err != nil {
+		t.Fatal(err)
+	}
+	return up.Version
+}
+
+// TestCertificateGateNeedsOwnAxioms: a certificate that needed a
+// derived rule does not open the shared partition. Whichever strategy
+// asks first, and after a restart that replays the WAL, each answer is
+// its own strategy's uncached answer.
+func TestCertificateGateNeedsOwnAxioms(t *testing.T) {
+	want := map[string]string{"innermost": "f(b)", "outermost": "h(a)"}
+	for _, order := range [][]string{{"innermost", "outermost"}, {"outermost", "innermost"}} {
+		dir := t.TempDir()
+		for boot := 1; boot <= 2; boot++ {
+			srv, err := serve.New(serve.Config{Workers: 2, PersistDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := newTestServerFrom(t, srv)
+			ver := uploadSpec(t, ts, cpSrc)
+			v, _ := srv.Registry().Resolve(ver)
+			if c := v.Certificate("CP"); !c.Certified() || c.CertifiesAxioms() || v.Certified("CP") {
+				t.Fatalf("CP: %s; want certified with a derived rule, so not certifying its axioms", c)
+			}
+			for _, strat := range order {
+				if got := normalizeStrat(t, ts, "CP", ver, "f(g(a))", strat); got.NormalForm != want[strat] {
+					t.Errorf("order %v, boot %d: %s answered %s (cached %v), want %s",
+						order, boot, strat, got.NormalForm, got.Cached, want[strat])
+				}
+			}
+			if n := scrapeMetric(t, ts, "adt_cache_cross_strategy_hits_total"); n != 0 {
+				t.Errorf("order %v, boot %d: %d cross-strategy hits on CP", order, boot, n)
+			}
+			// The library derives and flips nothing: the gate passes
+			// the same 18 specs the verdict certifies.
+			if n := scrapeMetric(t, ts, "adt_confluence_certified"); n != 18 {
+				t.Errorf("adt_confluence_certified = %d, want 18", n)
+			}
+			ts.Close()
+			srv.Close()
+		}
+	}
+}

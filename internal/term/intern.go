@@ -11,6 +11,7 @@
 package term
 
 import (
+	"strings"
 	"sync"
 	"unsafe"
 
@@ -123,6 +124,12 @@ func (in *Interner) node(k Kind, sym string, sort sig.Sort, args []*Term, owned 
 		cp := make([]*Term, len(args))
 		copy(cp, args)
 		args = cp
+	}
+	if k == Atom {
+		// An atom's spelling usually arrives as a substring of the text
+		// it was read from, a whole request body; the node outlives that
+		// text, so it keeps a copy of just the spelling.
+		sym = strings.Clone(sym)
 	}
 	ground := k != Var
 	for _, a := range args {

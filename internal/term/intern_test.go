@@ -2,8 +2,10 @@ package term
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"algspec/internal/sig"
 )
@@ -145,5 +147,26 @@ func TestInternConcurrent(t *testing.T) {
 	}
 	if in.Size() != 1+17+17 { // new + 17 atoms + 17 adds
 		t.Fatalf("interner size = %d, want 35", in.Size())
+	}
+}
+
+// TestInternAtomOwnsSpelling pins that a freshly interned atom keeps a
+// copy of its spelling, not the larger text it was read from (a whole
+// request body, which the interner would otherwise keep alive), and
+// that interning it again allocates nothing.
+func TestInternAtomOwnsSpelling(t *testing.T) {
+	src := "front(add(new, 'spelling))" + strings.Repeat(" ", 1<<10)
+	spelling := src[strings.Index(src, "'")+1 : strings.Index(src, "))")]
+	in := NewInterner()
+	a := in.Atom(spelling, "Item")
+	if a.Sym != "spelling" {
+		t.Fatalf("atom spelled %q", a.Sym)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	if p := uintptr(unsafe.Pointer(unsafe.StringData(a.Sym))); p >= lo && p < lo+uintptr(len(src)) {
+		t.Errorf("the interned atom's spelling points into the %d-byte source", len(src))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { in.Atom(spelling, "Item") }); allocs != 0 {
+		t.Errorf("interning the atom again: %v allocs/op, want 0", allocs)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"algspec/internal/sig"
 )
@@ -456,43 +457,66 @@ func (t *Term) Rename(f func(string) string) *Term {
 // String renders the term in the surface syntax: f(a, b), 'atom, error,
 // variables bare, and conditionals as "if c then a else b".
 func (t *Term) String() string {
-	var b strings.Builder
-	t.write(&b)
-	return b.String()
+	n := t.printedLen()
+	if n == 0 {
+		return ""
+	}
+	b := t.AppendText(make([]byte, 0, n))
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-func (t *Term) write(b *strings.Builder) {
+// AppendText appends the term's String text to dst, so a caller that
+// writes the text into a larger buffer need not build the string.
+func (t *Term) AppendText(dst []byte) []byte {
 	switch t.Kind {
 	case Err:
-		b.WriteString(ErrName)
+		return append(dst, ErrName...)
 	case Var:
-		b.WriteString(t.Sym)
+		return append(dst, t.Sym...)
 	case Atom:
-		b.WriteByte('\'')
-		b.WriteString(t.Sym)
-	default:
-		if t.IsIf() && len(t.Args) == 3 {
-			b.WriteString("if ")
-			t.Args[0].write(b)
-			b.WriteString(" then ")
-			t.Args[1].write(b)
-			b.WriteString(" else ")
-			t.Args[2].write(b)
-			return
-		}
-		b.WriteString(t.Sym)
-		if len(t.Args) == 0 {
-			return
-		}
-		b.WriteByte('(')
-		for i, a := range t.Args {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			a.write(b)
-		}
-		b.WriteByte(')')
+		return append(append(dst, '\''), t.Sym...)
 	}
+	if t.IsIf() && len(t.Args) == 3 {
+		dst = t.Args[0].AppendText(append(dst, "if "...))
+		dst = t.Args[1].AppendText(append(dst, " then "...))
+		return t.Args[2].AppendText(append(dst, " else "...))
+	}
+	dst = append(dst, t.Sym...)
+	if len(t.Args) == 0 {
+		return dst
+	}
+	dst = append(dst, '(')
+	for i, a := range t.Args {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = a.AppendText(dst)
+	}
+	return append(dst, ')')
+}
+
+// printedLen is the length of the text AppendText produces, so String
+// allocates its bytes once.
+func (t *Term) printedLen() int {
+	switch t.Kind {
+	case Err:
+		return len(ErrName)
+	case Var:
+		return len(t.Sym)
+	case Atom:
+		return 1 + len(t.Sym)
+	}
+	if t.IsIf() && len(t.Args) == 3 {
+		return len("if  then  else ") + t.Args[0].printedLen() + t.Args[1].printedLen() + t.Args[2].printedLen()
+	}
+	n := len(t.Sym)
+	if len(t.Args) > 0 {
+		n += len("()") + len(", ")*(len(t.Args)-1)
+	}
+	for _, a := range t.Args {
+		n += a.printedLen()
+	}
+	return n
 }
 
 // GoString renders the term unambiguously for debugging, with sorts.
