@@ -32,6 +32,11 @@
 // (letters, digits, _, ., ?), so IS_EMPTY? and IS.NEWSTACK? are legal
 // spellings. Atom literals are written 'x, optionally sort-annotated as
 // 'x:Identifier. Comments run from "--" to end of line.
+//
+// An expression is not a tree of nodes but one flat run of them in
+// prefix order (Expr), the form the parser appends and the checker and
+// the formatter walk: one buffer per expression, which a reader of many
+// request terms can reuse.
 package ast
 
 import "fmt"
@@ -106,73 +111,41 @@ type Axiom struct {
 	Pos   Pos
 }
 
-// Expr is a surface expression; sema resolves names and sorts.
-type Expr interface {
-	ExprPos() Pos
-	String() string
-}
+// Expr is a surface expression laid out flat in prefix order: Expr[0]
+// is the root, and each node is followed by its children's subtrees,
+// first child first. sema resolves names and sorts.
+type Expr []Node
 
-// Call is an applied or bare name: add(q, i), new, q. Whether a bare name
-// is a variable or a nullary operation is decided by sema.
-type Call struct {
-	Name string
-	Args []Expr
-	// Parens records whether an (possibly empty) argument list was
-	// written, so "new()" is accepted and "q()" can be rejected.
+// Kind discriminates the four expression forms.
+type Kind uint8
+
+const (
+	// Call is an applied or bare name: add(q, i), new, q. Whether a
+	// bare name is a variable or a nullary operation is decided by sema.
+	Call Kind = iota
+	// Atom is an atom literal 'x, optionally annotated 'x:Sort.
+	Atom
+	// Error is the distinguished error value.
+	Error
+	// If is the conditional special form; its three children are the
+	// condition and the two branches.
+	If
+)
+
+// Node is one expression of an Expr.
+type Node struct {
+	Kind Kind
+	// Parens records whether a call's (possibly empty) argument list
+	// was written, so "new()" is accepted and "q()" can be rejected.
 	Parens bool
-	Pos    Pos
-}
-
-func (c *Call) ExprPos() Pos { return c.Pos }
-
-func (c *Call) String() string {
-	if !c.Parens && len(c.Args) == 0 {
-		return c.Name
-	}
-	s := c.Name + "("
-	for i, a := range c.Args {
-		if i > 0 {
-			s += ", "
-		}
-		s += a.String()
-	}
-	return s + ")"
-}
-
-// If is the conditional special form.
-type If struct {
-	Cond Expr
-	Then Expr
-	Else Expr
+	// Args counts the node's children.
+	Args int32
+	// End is the index one past the node's subtree.
+	End int32
+	// Text is a call's name or an atom's spelling, as a substring of
+	// the source.
+	Text string
+	// Anno is an atom's sort annotation, or "".
+	Anno string
 	Pos  Pos
 }
-
-func (e *If) ExprPos() Pos { return e.Pos }
-
-func (e *If) String() string {
-	return fmt.Sprintf("if %s then %s else %s", e.Cond, e.Then, e.Else)
-}
-
-// AtomLit is an atom literal 'x, optionally annotated 'x:Sort.
-type AtomLit struct {
-	Spelling string
-	SortAnno string // empty when unannotated
-	Pos      Pos
-}
-
-func (a *AtomLit) ExprPos() Pos { return a.Pos }
-
-func (a *AtomLit) String() string {
-	if a.SortAnno != "" {
-		return "'" + a.Spelling + ":" + a.SortAnno
-	}
-	return "'" + a.Spelling
-}
-
-// ErrorLit is the distinguished error value.
-type ErrorLit struct {
-	Pos Pos
-}
-
-func (e *ErrorLit) ExprPos() Pos   { return e.Pos }
-func (e *ErrorLit) String() string { return "error" }

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"sync"
 
-	"algspec/internal/ast"
 	"algspec/internal/lang"
 	"algspec/internal/rewrite"
 	"algspec/internal/sema"
@@ -201,24 +200,13 @@ func (e *Env) InternTerm(in *term.Interner, specName, src string, expected sig.S
 }
 
 // readTerm reads a ground term with sema.ReadGround, into in when it is
-// not nil. A term the reader rejects is parsed again by the recovering
-// parser and the checker, for the error they report.
+// not nil.
 func (e *Env) readTerm(in *term.Interner, specName, src string, expected sig.Sort) (*term.Term, error) {
 	sp, ok := e.specs[specName]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown specification %s", specName)
 	}
-	if t, ok := sema.ReadGround(sp, src, expected, in); ok {
-		return t, nil
-	}
-	expr, err := lang.ParseExpr(src)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := sema.CheckGroundExpr(sp, expr, expected); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("core: internal error: the ground-term reader rejected %q, which the checker accepts", src)
+	return sema.ReadGround(sp, src, expected, in)
 }
 
 // ParseTermWithVars parses and sort-checks a term that may mention the
@@ -228,11 +216,7 @@ func (e *Env) ParseTermWithVars(specName, src string, vars map[string]sig.Sort) 
 	if !ok {
 		return nil, fmt.Errorf("core: unknown specification %s", specName)
 	}
-	expr, err := lang.ParseExpr(src)
-	if err != nil {
-		return nil, err
-	}
-	return sema.CheckExprWithVars(sp, expr, vars, "")
+	return ParseAxiomSide(sp, src, vars, "")
 }
 
 // Eval parses a ground term and normalizes it in the named specification.
@@ -312,7 +296,3 @@ func Instantiate(t *term.Term, assignment map[string]*term.Term) *term.Term {
 	s := subst.Subst(assignment)
 	return s.Apply(t)
 }
-
-// ParseFile exposes parsing without checking (used by the CLI to report
-// syntax errors separately from semantic ones).
-func ParseFile(src string) (*ast.File, error) { return lang.Parse(src) }

@@ -179,13 +179,3 @@ func TestParseAxiomSide(t *testing.T) {
 		t.Error("sort mismatch accepted")
 	}
 }
-
-func TestParseFile(t *testing.T) {
-	f, err := core.ParseFile(speclib.Queue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Specs) != 1 || f.Specs[0].Name != "Queue" {
-		t.Errorf("specs = %v", f.Specs)
-	}
-}

@@ -81,8 +81,8 @@ type Tree struct {
 	Args []*Tree
 }
 
-// Op, At, Er and Vr are compact constructors the baked suite literals
-// are written in.
+// Op, At, Er and Vr are compact constructors of trees. The baked suite
+// is written as Tree literals instead, which compile to static data.
 func Op(sym, sort string, args ...*Tree) *Tree {
 	return &Tree{Kind: "op", Sym: sym, Sort: sort, Args: args}
 }

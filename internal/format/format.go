@@ -146,26 +146,48 @@ func writeAxioms(b *strings.Builder, axioms []*ast.Axiom) {
 // Expr formats one expression in canonical form: bare nullary calls,
 // single spaces after commas, the conditional spelled out.
 func Expr(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Call:
-		if len(e.Args) == 0 {
-			return e.Name
+	if len(e) == 0 {
+		return "<empty expression>"
+	}
+	var b strings.Builder
+	writeExpr(&b, e, 0)
+	return b.String()
+}
+
+// writeExpr writes the subtree at node i of e.
+func writeExpr(b *strings.Builder, e ast.Expr, i int32) {
+	switch n := &e[i]; n.Kind {
+	case ast.Call:
+		b.WriteString(n.Text)
+		if n.Args == 0 {
+			return
 		}
-		parts := make([]string, len(e.Args))
-		for i, a := range e.Args {
-			parts[i] = Expr(a)
+		b.WriteByte('(')
+		for k, c := int32(0), i+1; k < n.Args; k, c = k+1, e[c].End {
+			if k > 0 {
+				b.WriteString(", ")
+			}
+			writeExpr(b, e, c)
 		}
-		return e.Name + "(" + strings.Join(parts, ", ") + ")"
-	case *ast.If:
-		return fmt.Sprintf("if %s then %s else %s", Expr(e.Cond), Expr(e.Then), Expr(e.Else))
-	case *ast.AtomLit:
-		if e.SortAnno != "" {
-			return "'" + e.Spelling + ":" + e.SortAnno
+		b.WriteByte(')')
+	case ast.If:
+		then := e[i+1].End
+		b.WriteString("if ")
+		writeExpr(b, e, i+1)
+		b.WriteString(" then ")
+		writeExpr(b, e, then)
+		b.WriteString(" else ")
+		writeExpr(b, e, e[then].End)
+	case ast.Atom:
+		b.WriteByte('\'')
+		b.WriteString(n.Text)
+		if n.Anno != "" {
+			b.WriteByte(':')
+			b.WriteString(n.Anno)
 		}
-		return "'" + e.Spelling
-	case *ast.ErrorLit:
-		return "error"
+	case ast.Error:
+		b.WriteString("error")
 	default:
-		return fmt.Sprintf("<%T>", e)
+		fmt.Fprintf(b, "<expression kind %d>", n.Kind)
 	}
 }

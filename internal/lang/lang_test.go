@@ -162,12 +162,12 @@ func TestParseSpec(t *testing.T) {
 		t.Errorf("label = %q", sp.Axioms[0].Label)
 	}
 	// Axiom 4's RHS is a conditional.
-	if _, ok := sp.Axioms[3].RHS.(*ast.If); !ok {
-		t.Errorf("axiom 4 RHS = %T", sp.Axioms[3].RHS)
+	if k := sp.Axioms[3].RHS[0].Kind; k != ast.If {
+		t.Errorf("axiom 4 RHS kind = %d", k)
 	}
 	// Axiom 3's RHS is error.
-	if _, ok := sp.Axioms[2].RHS.(*ast.ErrorLit); !ok {
-		t.Errorf("axiom 3 RHS = %T", sp.Axioms[2].RHS)
+	if k := sp.Axioms[2].RHS[0].Kind; k != ast.Error {
+		t.Errorf("axiom 3 RHS kind = %d", k)
 	}
 }
 
@@ -227,39 +227,6 @@ func TestParseErrorsArePositioned(t *testing.T) {
 	}
 }
 
-func TestParseExpr(t *testing.T) {
-	e, err := ParseExpr("front(add(new, 'x))")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.String() != "front(add(new, 'x))" {
-		t.Errorf("expr = %s", e)
-	}
-	// Conditional with annotation.
-	e2, err := ParseExpr("if isEmpty?(q) then 'x:Item else front(q)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.String() != "if isEmpty?(q) then 'x:Item else front(q)" {
-		t.Errorf("expr = %s", e2)
-	}
-	// Nullary with parens.
-	e3, err := ParseExpr("new()")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := e3.(*ast.Call); !c.Parens {
-		t.Error("parens lost")
-	}
-	// Trailing garbage.
-	if _, err := ParseExpr("new) extra"); err == nil {
-		t.Error("trailing garbage accepted")
-	}
-	if _, err := ParseExpr(""); err == nil {
-		t.Error("empty expr accepted")
-	}
-}
-
 func TestParseRecoversAcrossSpecs(t *testing.T) {
 	// An error in the first spec does not prevent seeing the second.
 	src := "spec A ops ??? end\nspec B ops d : -> B end"
@@ -293,20 +260,5 @@ end
 	sp := f.Specs[0]
 	if len(sp.Params) != 1 || len(sp.Sorts) != 1 || len(sp.Vars) != 1 {
 		t.Errorf("sections = %v %v %v", sp.Params, sp.Sorts, sp.Vars)
-	}
-}
-
-func TestAstStringRendering(t *testing.T) {
-	e, err := ParseExpr("if same?(id, idl) then attrs else retrieve(symtab, idl)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "if same?(id, idl) then attrs else retrieve(symtab, idl)"
-	if e.String() != want {
-		t.Errorf("String = %q", e.String())
-	}
-	e2, _ := ParseExpr("error")
-	if e2.String() != "error" {
-		t.Errorf("String = %q", e2.String())
 	}
 }

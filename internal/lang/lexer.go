@@ -1,7 +1,9 @@
 // Package lang implements the lexer and parser of the specification
 // language described in package ast. Parse turns source text into an
-// *ast.File; ParseExpr parses a single expression (used by the CLI's eval
-// subcommand and by tests).
+// *ast.File; ParseExpr parses a single expression, and AppendExpr does
+// so into a reusable buffer (the request reader's entry). All three run
+// one recovering grammar, which appends every expression flat, in
+// prefix order, and reports every syntax error it finds.
 package lang
 
 import (
@@ -53,8 +55,8 @@ type lexer struct {
 	errs ErrorList
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
+func newLexer(src string) lexer {
+	return lexer{src: src, line: 1, col: 1}
 }
 
 func (lx *lexer) errorf(line, col int, format string, args ...any) {
@@ -160,10 +162,9 @@ func (lx *lexer) next() token {
 				lx.advance('>', 1)
 				return t
 			}
-			t := token{line: lx.line, col: lx.col}
 			lx.errorf(lx.line, lx.col, "unexpected character %q (expected '--' comment or '->')", r)
 			lx.advance(r, size)
-			return lx.nextAfterError(t)
+			continue
 		case '(':
 			return lx.single(tokLParen, r, size)
 		case ')':
@@ -190,10 +191,6 @@ func (lx *lexer) next() token {
 		lx.errorf(lx.line, lx.col, "unexpected character %q", r)
 		lx.advance(r, size)
 	}
-}
-
-func (lx *lexer) nextAfterError(t token) token {
-	return lx.next()
 }
 
 func (lx *lexer) single(kind tokKind, r rune, size int) token {

@@ -9,7 +9,7 @@ import (
 // Parse parses source text into a file of specifications. On failure it
 // returns all syntax errors found as an ErrorList.
 func Parse(src string) (*ast.File, error) {
-	p := newParser(src)
+	p := newParser(src, nil)
 	file := p.file()
 	if len(p.errs) > 0 {
 		return nil, p.errs
@@ -20,33 +20,52 @@ func Parse(src string) (*ast.File, error) {
 // ParseExpr parses a single expression, e.g. "front(add(new, 'x))".
 // Trailing input is an error.
 func ParseExpr(src string) (ast.Expr, error) {
-	p := newParser(src)
-	e := p.expr()
-	if p.tok.kind != tokEOF {
-		p.errorf("unexpected %s after expression", p.tok)
-	}
-	if len(p.errs) > 0 {
-		return nil, p.errs
+	e, err := AppendExpr(nil, src)
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
+// AppendExpr is ParseExpr into a buffer: it appends the nodes of src's
+// expression to buf, with End indices counted from len(buf), and
+// returns the extended buffer and ParseExpr's error. A caller reading
+// many expressions passes the previous buffer cut to length 0; then a
+// well-formed expression allocates nothing once the buffer is large
+// enough. After an error the appended nodes are a partial parse.
+func AppendExpr(buf ast.Expr, src string) (ast.Expr, error) {
+	p := newParser(src, buf)
+	p.expr()
+	if p.tok.kind != tokEOF {
+		p.errorf("unexpected %s after expression", p.tok)
+	}
+	if len(p.errs) > 0 {
+		return p.nodes, p.errs
+	}
+	return p.nodes, nil
+}
+
 type parser struct {
-	lx   *lexer
+	lx   lexer
 	tok  token
 	errs ErrorList
 	// depth tracks expression nesting so pathological inputs (deeply
 	// nested calls or conditionals, the kind fuzzing finds) report a
 	// syntax error instead of exhausting the stack.
 	depth int
+	// nodes receives every expression parsed, flat; base is the index
+	// of the current expression's root, from which its End indices
+	// count.
+	nodes ast.Expr
+	base  int
 }
 
 // maxNestingDepth bounds expression recursion. Hand-written specs stay in
 // the tens; the bound only exists to turn adversarial inputs into errors.
 const maxNestingDepth = 10000
 
-func newParser(src string) *parser {
-	p := &parser{lx: newLexer(src)}
+func newParser(src string, nodes ast.Expr) parser {
+	p := parser{lx: newLexer(src), nodes: nodes, base: len(nodes)}
 	p.tok = p.lx.next()
 	return p
 }
@@ -56,8 +75,10 @@ func (p *parser) pos() ast.Pos { return ast.Pos{Line: p.tok.line, Col: p.tok.col
 func (p *parser) next() {
 	p.tok = p.lx.next()
 	// Adopt any lexer errors as they are produced.
-	p.errs = append(p.errs, p.lx.errs...)
-	p.lx.errs = nil
+	if p.lx.errs != nil {
+		p.errs = append(p.errs, p.lx.errs...)
+		p.lx.errs = nil
+	}
 }
 
 func (p *parser) errorf(format string, args ...any) {
@@ -256,9 +277,9 @@ func (p *parser) axiomsSection(sp *ast.Spec) {
 			ax.Label = lbl.text
 			p.expect(tokRBrack)
 		}
-		ax.LHS = p.expr()
+		ax.LHS = p.side()
 		p.expect(tokEquals)
-		ax.RHS = p.expr()
+		ax.RHS = p.side()
 		sp.Axioms = append(sp.Axioms, ax)
 		if len(p.errs) > 0 && p.tok.kind == tokEOF {
 			return
@@ -266,67 +287,74 @@ func (p *parser) axiomsSection(sp *ast.Spec) {
 	}
 }
 
-// expr parses one expression, guarding against stack-exhausting nesting.
-func (p *parser) expr() ast.Expr {
-	if p.depth >= maxNestingDepth {
-		pos := p.pos()
-		p.errorf("expression nesting exceeds %d levels", maxNestingDepth)
-		p.next()
-		return &ast.Call{Name: "<error>", Pos: pos}
-	}
-	p.depth++
-	e := p.exprInner()
-	p.depth--
-	return e
+// side parses one side of an axiom as an expression of its own: its
+// End indices count from its root, and its capacity ends at its last
+// node, so the expressions parsed after it do not write into it.
+func (p *parser) side() ast.Expr {
+	p.base = len(p.nodes)
+	p.expr()
+	return p.nodes[p.base:len(p.nodes):len(p.nodes)]
 }
 
-func (p *parser) exprInner() ast.Expr {
-	pos := p.pos()
-	switch p.tok.kind {
-	case tokIf:
+// expr appends one expression to p.nodes. Nesting deeper than
+// maxNestingDepth is an error, so pathological inputs cannot exhaust
+// the stack; a node that fails to parse is appended as the
+// placeholder call "<error>", so parsing can continue.
+func (p *parser) expr() {
+	i := len(p.nodes)
+	p.nodes = append(p.nodes, ast.Node{Pos: p.pos()})
+	p.depth++
+	if p.depth > maxNestingDepth {
+		p.errorf("expression nesting exceeds %d levels", maxNestingDepth)
 		p.next()
-		cond := p.expr()
-		p.expect(tokThen)
-		then := p.expr()
-		p.expect(tokElse)
-		els := p.expr()
-		return &ast.If{Cond: cond, Then: then, Else: els, Pos: pos}
-	case tokError:
-		p.next()
-		return &ast.ErrorLit{Pos: pos}
-	case tokAtom:
-		spelling := p.tok.text
-		p.next()
-		lit := &ast.AtomLit{Spelling: spelling, Pos: pos}
-		// Optional sort annotation 'x:Sort.
-		if p.tok.kind == tokColon {
+		p.nodes[i].Text = "<error>"
+	} else {
+		switch p.tok.kind {
+		case tokIf:
+			p.nodes[i].Kind, p.nodes[i].Args = ast.If, 3
 			p.next()
-			s := p.expect(tokIdent)
-			lit.SortAnno = s.text
-		}
-		return lit
-	case tokIdent:
-		name := p.tok.text
-		p.next()
-		call := &ast.Call{Name: name, Pos: pos}
-		if p.tok.kind == tokLParen {
-			call.Parens = true
+			p.expr()
+			p.expect(tokThen)
+			p.expr()
+			p.expect(tokElse)
+			p.expr()
+		case tokError:
+			p.nodes[i].Kind = ast.Error
 			p.next()
-			if p.tok.kind != tokRParen {
-				for {
-					call.Args = append(call.Args, p.expr())
-					if _, ok := p.accept(tokComma); !ok {
-						break
+		case tokAtom:
+			p.nodes[i].Kind, p.nodes[i].Text = ast.Atom, p.tok.text
+			p.next()
+			// Optional sort annotation 'x:Sort.
+			if p.tok.kind == tokColon {
+				p.next()
+				p.nodes[i].Anno = p.expect(tokIdent).text
+			}
+		case tokIdent:
+			p.nodes[i].Text = p.tok.text
+			p.next()
+			if p.tok.kind == tokLParen {
+				p.nodes[i].Parens = true
+				p.next()
+				var args int32
+				if p.tok.kind != tokRParen {
+					for {
+						p.expr()
+						args++
+						if p.tok.kind != tokComma {
+							break
+						}
+						p.next()
 					}
 				}
+				p.nodes[i].Args = args
+				p.expect(tokRParen)
 			}
-			p.expect(tokRParen)
+		default:
+			p.errorf("expected expression, found %s", p.tok)
+			p.next()
+			p.nodes[i].Text = "<error>"
 		}
-		return call
-	default:
-		p.errorf("expected expression, found %s", p.tok)
-		// Synthesize a placeholder so parsing can continue.
-		p.next()
-		return &ast.Call{Name: "<error>", Pos: pos}
 	}
+	p.depth--
+	p.nodes[i].End = int32(len(p.nodes) - p.base)
 }

@@ -44,6 +44,8 @@ type checker struct {
 	resolve Resolver
 	out     *spec.Spec
 	vars    map[string]sig.Sort
+	// exprs checks and builds the axioms' sides.
+	exprs reader
 }
 
 func (c *checker) errf(pos ast.Pos, format string, args ...any) error {
@@ -152,6 +154,7 @@ func (c *checker) run() (*spec.Spec, error) {
 	}
 
 	// Check axioms.
+	c.exprs = reader{sp: out, vars: c.vars}
 	for i, axd := range sp.Axioms {
 		ax, err := c.axiom(axd, i+1)
 		if err != nil {
@@ -195,7 +198,9 @@ func (c *checker) axiom(axd *ast.Axiom, ordinal int) (*spec.Axiom, error) {
 	if label == "" {
 		label = strconv.Itoa(ordinal)
 	}
-	lhs, err := c.expr(axd.LHS, "", true)
+	r := &c.exprs
+	r.nodes, r.lhs = axd.LHS, true
+	lhs, err := r.term("")
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +210,8 @@ func (c *checker) axiom(axd *ast.Axiom, ordinal int) (*spec.Axiom, error) {
 	if op, _ := c.out.Sig.Op(lhs.Sym); op != nil && op.Native {
 		return nil, c.errf(axd.Pos, "axiom %s: cannot state axioms about native operation %s", label, lhs.Sym)
 	}
-	rhs, err := c.expr(axd.RHS, lhs.Sort, false)
+	r.nodes, r.lhs = axd.RHS, false
+	rhs, err := r.term(lhs.Sort)
 	if err != nil {
 		return nil, err
 	}
@@ -213,164 +219,11 @@ func (c *checker) axiom(axd *ast.Axiom, ordinal int) (*spec.Axiom, error) {
 	return ax, nil
 }
 
-// expr type-checks an expression. expected is the sort required by
-// context, or "" to infer; onLHS restricts the expression to pattern form
-// (no if, no error).
-func (c *checker) expr(e ast.Expr, expected sig.Sort, onLHS bool) (*term.Term, error) {
-	switch e := e.(type) {
-	case *ast.ErrorLit:
-		if onLHS {
-			return nil, c.errf(e.Pos, "error may not appear on the left-hand side of an axiom")
-		}
-		if expected == "" {
-			return nil, c.errf(e.Pos, "cannot infer the sort of error here; annotate the context")
-		}
-		return term.NewErr(expected), nil
-
-	case *ast.AtomLit:
-		so, err := c.atomSort(e, expected)
-		if err != nil {
-			return nil, err
-		}
-		return term.NewAtom(e.Spelling, so), nil
-
-	case *ast.If:
-		if onLHS {
-			return nil, c.errf(e.Pos, "conditionals may not appear on the left-hand side of an axiom")
-		}
-		cond, err := c.expr(e.Cond, sig.BoolSort, false)
-		if err != nil {
-			return nil, err
-		}
-		var then, els *term.Term
-		if expected != "" {
-			if then, err = c.expr(e.Then, expected, false); err != nil {
-				return nil, err
-			}
-			if els, err = c.expr(e.Else, expected, false); err != nil {
-				return nil, err
-			}
-		} else {
-			// Infer from whichever branch determines a sort.
-			then, err = c.expr(e.Then, "", false)
-			if err != nil {
-				if els, err = c.expr(e.Else, "", false); err != nil {
-					return nil, err
-				}
-				if then, err = c.expr(e.Then, els.Sort, false); err != nil {
-					return nil, err
-				}
-			} else {
-				if els, err = c.expr(e.Else, then.Sort, false); err != nil {
-					return nil, err
-				}
-			}
-		}
-		t := term.NewIf(cond, then, els)
-		if then.Kind == term.Err && els.Kind != term.Err {
-			t.Sort = els.Sort
-		}
-		return t, nil
-
-	case *ast.Call:
-		return c.call(e, expected, onLHS)
-
-	default:
-		return nil, c.errf(e.ExprPos(), "internal: unknown expression %T", e)
-	}
-}
-
-func (c *checker) atomSort(e *ast.AtomLit, expected sig.Sort) (sig.Sort, error) {
-	if e.SortAnno != "" {
-		so := sig.Sort(e.SortAnno)
-		if !c.out.Sig.OpenSort(so) {
-			return "", c.errf(e.Pos, "'%s: %s is not an atom or parameter sort", e.Spelling, e.SortAnno)
-		}
-		if expected != "" && expected != so {
-			return "", c.errf(e.Pos, "'%s has sort %s, but %s is required here", e.Spelling, so, expected)
-		}
-		return so, nil
-	}
-	if expected != "" {
-		if !c.out.Sig.OpenSort(expected) {
-			return "", c.errf(e.Pos, "'%s used where sort %s is required, but %s is not an atom or parameter sort", e.Spelling, expected, expected)
-		}
-		return expected, nil
-	}
-	var atomSorts []sig.Sort
-	for _, so := range c.out.Sig.Sorts() {
-		if c.out.Sig.OpenSort(so) {
-			atomSorts = append(atomSorts, so)
-		}
-	}
-	switch len(atomSorts) {
-	case 0:
-		return "", c.errf(e.Pos, "'%s used, but no atom sorts are in scope", e.Spelling)
-	case 1:
-		return atomSorts[0], nil
-	default:
-		return "", c.errf(e.Pos, "'%s is ambiguous (atom sorts in scope: %v); annotate as '%s:Sort", e.Spelling, atomSorts, e.Spelling)
-	}
-}
-
-func (c *checker) call(e *ast.Call, expected sig.Sort, onLHS bool) (*term.Term, error) {
-	// Bare name: variable first, then nullary operation.
-	if !e.Parens && len(e.Args) == 0 {
-		if so, ok := c.vars[e.Name]; ok {
-			if expected != "" && so != expected {
-				return nil, c.errf(e.Pos, "variable %s has sort %s, but %s is required here", e.Name, so, expected)
-			}
-			return term.NewVar(e.Name, so), nil
-		}
-	}
-	op, ok := c.out.Sig.Op(e.Name)
-	if !ok {
-		if _, isVar := c.vars[e.Name]; isVar {
-			return nil, c.errf(e.Pos, "variable %s cannot be applied to arguments", e.Name)
-		}
-		return nil, c.errf(e.Pos, "unknown operation %s", e.Name)
-	}
-	if len(e.Args) != op.Arity() {
-		return nil, c.errf(e.Pos, "operation %s applied to %d arguments, wants %d (%s)", e.Name, len(e.Args), op.Arity(), op)
-	}
-	args := make([]*term.Term, len(e.Args))
-	for i, a := range e.Args {
-		t, err := c.expr(a, op.Domain[i], onLHS)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = t
-	}
-	if expected != "" && op.Range != expected {
-		return nil, c.errf(e.Pos, "operation %s has range %s, but %s is required here", e.Name, op.Range, expected)
-	}
-	return term.NewOp(op.Name, op.Range, args...), nil
-}
-
-// CheckGroundExpr type-checks a standalone expression against a spec with
-// no variables in scope (used for evaluating ground terms from the CLI and
-// examples). The expected sort may be "" to infer.
-func CheckGroundExpr(sp *spec.Spec, e ast.Expr, expected sig.Sort) (*term.Term, error) {
-	c := &checker{
-		astSpec: &ast.Spec{Name: sp.Name},
-		out:     sp,
-		vars:    map[string]sig.Sort{},
-	}
-	t, err := c.expr(e, expected, false)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // CheckExprWithVars type-checks a standalone expression with the given
 // variable environment (used by the representation verifier to state
-// assumptions and Φ rules textually).
+// assumptions and Φ rules textually). The expected sort may be "" to
+// infer.
 func CheckExprWithVars(sp *spec.Spec, e ast.Expr, vars map[string]sig.Sort, expected sig.Sort) (*term.Term, error) {
-	c := &checker{
-		astSpec: &ast.Spec{Name: sp.Name},
-		out:     sp,
-		vars:    vars,
-	}
-	return c.expr(e, expected, false)
+	r := &reader{sp: sp, vars: vars, nodes: e}
+	return r.term(expected)
 }

@@ -20,9 +20,9 @@ import (
 //     they were spelled — land on the same pointer, and pointers from
 //     different specs can never collide (each spec's interner hands out
 //     distinct allocations);
-//   - the parse cache, keyed on (spec, term text), short-circuiting the
-//     lexer/parser/sort-checker for hot request strings straight to the
-//     canonical pointer.
+//   - the parse cache, keyed on (interner, term text), short-circuiting
+//     the lexer/parser/sort-checker for hot request strings straight to
+//     the canonical pointer.
 //
 // Entries are immutable values, which is what makes one cache safely
 // shared by every request goroutine: readers and writers only exchange
@@ -60,7 +60,8 @@ type lruNode[K comparable, V any] struct {
 
 // newLRU builds a cache holding about capacity entries in total
 // (rounded up to a multiple of the shard count); capacity <= 0 returns
-// the nil always-miss cache.
+// the nil always-miss cache. A shard's map grows with its entries, so a
+// cache costs the memory of the keys it holds, not of its capacity.
 func newLRU[K comparable, V any](capacity int, hash func(K) uintptr) *lruCache[K, V] {
 	if capacity <= 0 {
 		return nil
@@ -70,7 +71,7 @@ func newLRU[K comparable, V any](capacity int, hash func(K) uintptr) *lruCache[K
 	for i := range c.shards {
 		c.shards[i] = lruShard[K, V]{
 			cap:   per,
-			items: make(map[K]*list.Element, per),
+			items: make(map[K]*list.Element),
 			order: list.New(),
 		}
 	}
@@ -216,15 +217,24 @@ func newNFCache(capacity int) *nfCache {
 	return c
 }
 
-// parseCache maps (spec, term text) — joined with a NUL, which the
-// surface syntax cannot contain — to the canonical parsed term.
-type parseCache = lruCache[string, *term.Term]
+// parseKey keys the parse cache: a term's text and the interner its
+// canonical node lives in. Each registry version's environment compiles
+// its own System, and so its own interner, per spec, so the interner
+// names both the version and the spec — the generation the entry
+// belongs to — and a key is built without copying the text.
+type parseKey struct {
+	in   *term.Interner
+	text string
+}
+
+// parseCache maps a parseKey to the canonical parsed term.
+type parseCache = lruCache[parseKey, *term.Term]
 
 var parseSeed = maphash.MakeSeed()
 
 func newParseCache(capacity int) *parseCache {
-	c := newLRU[string, *term.Term](capacity, func(k string) uintptr {
-		return uintptr(maphash.String(parseSeed, k))
+	c := newLRU[parseKey, *term.Term](capacity, func(k parseKey) uintptr {
+		return uintptr(maphash.String(parseSeed, k.text)) ^ uintptr(unsafe.Pointer(k.in))
 	})
 	if c != nil {
 		c.evict = fpParseEvict

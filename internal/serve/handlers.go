@@ -274,18 +274,19 @@ func (s *Server) handleNormalize(w http.ResponseWriter, r *http.Request) {
 	// The parse cache short-circuits lexing/parsing/sort-checking for
 	// hot request strings; on a miss the term is read straight into the
 	// spec's shared interner, whose canonical pointer is the normal-form
-	// cache key (forks resolve it in O(1)). Keys carry the version's
-	// content address, so entries are never invalidated — a new upload
-	// mints new keys and the old version's entries idle out of the LRU.
-	parseKey := ver.ID + "\x00" + sp.Name + "\x00" + req.Term
-	canon, ok := s.parsed.Get(parseKey)
+	// cache key (forks resolve it in O(1)). Keys carry that interner,
+	// which belongs to this version's spec alone, so entries are never
+	// invalidated — a new upload mints new keys and the old version's
+	// entries idle out of the LRU.
+	pk := parseKey{in: base.Interner(), text: req.Term}
+	canon, ok := s.parsed.Get(pk)
 	if !ok {
-		canon, err = ver.Env.InternTerm(base.Interner(), sp.Name, req.Term, "")
+		canon, err = ver.Env.InternTerm(pk.in, sp.Name, req.Term, "")
 		if err != nil {
 			writeParseError(w, err)
 			return
 		}
-		s.parsed.Put(parseKey, canon)
+		s.parsed.Put(pk, canon)
 	}
 
 	useCache := !req.Trace

@@ -229,7 +229,7 @@ func (s *Server) loadPersisted() {
 		// shared-keyed results are ever written to the WAL, so this
 		// round-trips exactly.
 		s.cache.Put(nfKey{t: canon, strat: stratShared}, cacheEntry{nf: nf, steps: rec.Steps})
-		s.parsed.Put(ver.ID+"\x00"+rec.Spec+"\x00"+rec.Term, canon)
+		s.parsed.Put(parseKey{in: sys.Interner(), text: rec.Term}, canon)
 		s.pers.warmLoaded.Add(1)
 	}
 }
@@ -257,7 +257,7 @@ func (s *Server) warmFromCorpus() {
 			}
 			steps := f.Stats().Steps
 			s.cache.Put(nfKey{t: canon, strat: stratShared}, cacheEntry{nf: nf, steps: steps})
-			s.parsed.Put(base.ID+"\x00"+name+"\x00"+src, canon)
+			s.parsed.Put(parseKey{in: sys.Interner(), text: src}, canon)
 			s.pers.append(walRecord{
 				Version: base.ID, Spec: name, Sort: string(canon.Sort),
 				Term: canon.String(), NF: nf.String(), Steps: steps,
