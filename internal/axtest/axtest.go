@@ -315,9 +315,9 @@ func (c *checker) stillFails(ax *spec.Axiom, asn map[string]*term.Term) bool {
 }
 
 // shrink greedily minimizes a failing assignment: each bound term is
-// repeatedly replaced by the smallest candidates that keep the axiom
-// failing — the minimal ground term of the sort first, then proper
-// subterms of the binding with the same sort, smallest first. The loop
+// repeatedly replaced by the first of its shrink candidates (the minimal
+// ground term of the sort, then proper subterms of the binding with the
+// same sort, smallest first) that keeps the axiom failing. The loop
 // runs to a fixpoint (or the maxShrink probe budget), so the result is
 // locally minimal: no single replacement can shrink it further.
 func (c *checker) shrink(ax *spec.Axiom, asn map[string]*term.Term) (map[string]*term.Term, int) {
@@ -336,7 +336,7 @@ func (c *checker) shrink(ax *spec.Axiom, asn map[string]*term.Term) (map[string]
 	for improved := true; improved; {
 		improved = false
 		for _, name := range names {
-			for _, cand := range c.shrinkCandidates(cur[name]) {
+			for _, cand := range c.g.ShrinkCandidates(cur[name]) {
 				if budget <= 0 {
 					return cur, steps
 				}
@@ -353,32 +353,4 @@ func (c *checker) shrink(ax *spec.Axiom, asn map[string]*term.Term) (map[string]
 		}
 	}
 	return cur, steps
-}
-
-// shrinkCandidates lists strictly smaller replacements for a binding, in
-// preference order: the sort's minimal ground term, then proper subterms
-// of the binding with the same sort, by ascending size.
-func (c *checker) shrinkCandidates(t *term.Term) []*term.Term {
-	var out []*term.Term
-	if min, ok := c.g.Minimal(t.Sort); ok && min.Size() < t.Size() {
-		out = append(out, min)
-	}
-	var subs []*term.Term
-	for _, s := range t.Subterms() {
-		if s != t && s.Sort == t.Sort && s.Size() < t.Size() {
-			subs = append(subs, s)
-		}
-	}
-	sort.SliceStable(subs, func(i, j int) bool { return subs[i].Size() < subs[j].Size() })
-	seen := map[string]bool{}
-	if len(out) > 0 {
-		seen[out[0].String()] = true
-	}
-	for _, s := range subs {
-		if k := s.String(); !seen[k] {
-			seen[k] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

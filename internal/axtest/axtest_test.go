@@ -197,7 +197,7 @@ func TestEnginesAgreeAllSpecs(t *testing.T) {
 	for _, name := range names {
 		sp := env.MustGet(name)
 		t.Run(name, func(t *testing.T) {
-			rep := axtest.CheckEngines(sp, axtest.DiffConfig{PerOp: 40, RandomPerOp: 10})
+			rep := axtest.CheckEngines(sp, axtest.DiffConfig{})
 			if rep.Corpus == 0 {
 				t.Skipf("no ground corpus for %s", name)
 			}

@@ -15,10 +15,6 @@ type DiffConfig struct {
 	// Depth bounds the exhaustive part of the corpus (0 = 3); random
 	// extension terms are drawn one level deeper.
 	Depth int
-	// PerOp caps the exhaustive instantiations kept per extension
-	// operation (0 = 60), RandomPerOp the extra random ones (0 = 20).
-	PerOp       int
-	RandomPerOp int
 	// Seed seeds the random part of the corpus (0 = DefaultSeed).
 	Seed int64
 	// Workers is the N in the "workers 1/N" axis (<= 0 = 4).
@@ -35,12 +31,6 @@ type DiffConfig struct {
 func (c DiffConfig) withDefaults() DiffConfig {
 	if c.Depth == 0 {
 		c.Depth = 3
-	}
-	if c.PerOp == 0 {
-		c.PerOp = 60
-	}
-	if c.RandomPerOp == 0 {
-		c.RandomPerOp = 20
 	}
 	if c.Seed == 0 {
 		c.Seed = DefaultSeed
@@ -204,15 +194,22 @@ func CheckEngines(sp *spec.Spec, cfg DiffConfig) *DiffReport {
 	return rep
 }
 
+// perOp caps the exhaustive instantiations the corpus keeps per
+// extension operation; randomPerOp random deeper ones are added.
+const (
+	perOp       = 60
+	randomPerOp = 20
+)
+
 // buildCorpus applies every non-native, non-constructor operation of the
 // spec to exhaustive constructor instantiations (depth cfg.Depth, capped
-// at cfg.PerOp per operation) plus cfg.RandomPerOp random deeper ones.
+// at perOp per operation) plus randomPerOp random deeper ones.
 // The order is deterministic for a fixed seed.
 func buildCorpus(sp *spec.Spec, g *gen.Generator, cfg DiffConfig) []*term.Term {
 	var corpus []*term.Term
 	for _, op := range sp.Extensions() {
-		corpus = append(corpus, g.Applications(op, cfg.Depth, cfg.PerOp)...)
-		for k := 0; k < cfg.RandomPerOp; k++ {
+		corpus = append(corpus, g.Applications(op, cfg.Depth, perOp)...)
+		for k := 0; k < randomPerOp; k++ {
 			args := make([]*term.Term, len(op.Domain))
 			ok := true
 			for i, ds := range op.Domain {

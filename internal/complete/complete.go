@@ -393,12 +393,14 @@ func isProperSubterm(t, pat *term.Term) bool {
 	return found
 }
 
+// maxTermsPerOp caps the instances the dynamic check tries per
+// extension.
+const maxTermsPerOp = 2000
+
 // DynamicConfig configures the dynamic check.
 type DynamicConfig struct {
 	// Depth bounds the generated argument terms (default 4).
 	Depth int
-	// MaxTermsPerOp caps the instances tried per extension (default 2000).
-	MaxTermsPerOp int
 	// System, when non-nil, supplies an already-compiled rewrite system
 	// for the spec (e.g. from core.Env's cache); workers fork it rather
 	// than recompiling the axioms.
@@ -457,9 +459,6 @@ func CheckDynamic(sp *spec.Spec, cfg DynamicConfig) *DynamicReport {
 	if cfg.Depth == 0 {
 		cfg.Depth = 4
 	}
-	if cfg.MaxTermsPerOp == 0 {
-		cfg.MaxTermsPerOp = 2000
-	}
 	r := &DynamicReport{Spec: sp.Name}
 	g := gen.New(sp, gen.Config{})
 	sys := cfg.System
@@ -479,7 +478,7 @@ func CheckDynamic(sp *spec.Spec, cfg DynamicConfig) *DynamicReport {
 		if op.Native || sp.IsConstructor(opName) {
 			continue
 		}
-		items = append(items, g.Applications(op, cfg.Depth, cfg.MaxTermsPerOp)...)
+		items = append(items, g.Applications(op, cfg.Depth, maxTermsPerOp)...)
 	}
 	r.Checked = len(items)
 

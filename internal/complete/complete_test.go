@@ -25,7 +25,7 @@ func TestLibraryIsDynamicallyComplete(t *testing.T) {
 	env := speclib.BaseEnv()
 	for _, name := range speclib.Names {
 		sp := env.MustGet(name)
-		r := complete.CheckDynamic(sp, complete.DynamicConfig{Depth: 3, MaxTermsPerOp: 400})
+		r := complete.CheckDynamic(sp, complete.DynamicConfig{Depth: 3})
 		if !r.OK() {
 			t.Errorf("%s: %s", name, r)
 		}

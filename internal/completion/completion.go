@@ -153,10 +153,6 @@ type Certificate struct {
 	ownRules bool
 }
 
-// Certified reports whether the certificate proves confluence +
-// termination.
-func (c *Certificate) Certified() bool { return c.Verdict == Certified }
-
 // CertifiesAxioms reports whether the certificate proves the rules the
 // rewrite engine runs — the spec's own axioms, as stated — confluent
 // and terminating: the verdict is certified, and completion neither
@@ -181,26 +177,6 @@ func (c *Certificate) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Axioms returns the completed rule set as axioms, usable to build a
-// rewrite.System over the certified rules (the golden-corpus test
-// evaluates through exactly this).
-func (c *Certificate) Axioms() []*spec.Axiom {
-	out := make([]*spec.Axiom, len(c.Rules))
-	for i, r := range c.Rules {
-		out[i] = &spec.Axiom{Label: r.Label, Owner: c.Spec, LHS: r.LHS, RHS: r.RHS}
-	}
-	return out
-}
-
-// CompletedSpec returns a copy of sp whose axiom set is the completed
-// rule set, suitable for rewrite.New. Only meaningful on a certified
-// certificate.
-func (c *Certificate) CompletedSpec(sp *spec.Spec) *spec.Spec {
-	cp := *sp
-	cp.All = c.Axioms()
-	return &cp
 }
 
 // Complete runs the Knuth–Bendix-style completion pass on the spec's

@@ -42,7 +42,7 @@ func TestLibraryCertificates(t *testing.T) {
 	certified := 0
 	for _, name := range speclib.Names {
 		c := completion.Complete(env.MustGet(name), completion.Config{})
-		if c.Certified() {
+		if c.Verdict == completion.Certified {
 			certified++
 			if len(c.Rules) != len(env.MustGet(name).All)+c.Added {
 				t.Errorf("%s: %d rules from %d axioms + %d added", name, len(c.Rules), len(env.MustGet(name).All), c.Added)
@@ -88,7 +88,7 @@ func TestGoldenCorpusThroughCompletedRules(t *testing.T) {
 	for _, name := range corpus.BatterySpecs() {
 		sp := env.MustGet(name)
 		c := completion.Complete(sp, completion.Config{})
-		if !c.Certified() {
+		if c.Verdict != completion.Certified {
 			continue
 		}
 		sys := rewrite.New(c.CompletedSpec(sp))
@@ -225,7 +225,7 @@ end
 func TestIdempotenceJoins(t *testing.T) {
 	sp := load(t, idemSrc)
 	c := completion.Complete(sp, completion.Config{})
-	if !c.Certified() {
+	if c.Verdict != completion.Certified {
 		t.Fatalf("verdict %s, want certified: %s", c.Verdict, c)
 	}
 	if c.Pairs == 0 {
@@ -259,7 +259,7 @@ end
 func TestChainJoins(t *testing.T) {
 	sp := load(t, chainSrc)
 	c := completion.Complete(sp, completion.Config{})
-	if !c.Certified() {
+	if c.Verdict != completion.Certified {
 		t.Fatalf("verdict %s, want certified: %s", c.Verdict, c)
 	}
 	if c.Pairs == 0 {
@@ -307,7 +307,7 @@ func TestTraceReplays(t *testing.T) {
 	env := speclib.BaseEnv()
 	sp := env.MustGet("Queue")
 	c := completion.Complete(sp, completion.Config{})
-	if !c.Certified() {
+	if c.Verdict != completion.Certified {
 		t.Fatalf("Queue should certify: %s", c)
 	}
 	if len(c.Trace) != len(c.Rules) {
@@ -332,7 +332,7 @@ func TestCertifiedSpecsAgreeAcrossStrategies(t *testing.T) {
 	env := speclib.BaseEnv()
 	for _, name := range []string{"Queue", "Stack", "Set"} {
 		sp := env.MustGet(name)
-		if !completion.Complete(sp, completion.Config{}).Certified() {
+		if completion.Complete(sp, completion.Config{}).Verdict != completion.Certified {
 			t.Fatalf("%s should certify", name)
 		}
 		in := rewrite.New(sp, rewrite.WithStrategy(rewrite.Innermost))

@@ -337,16 +337,13 @@ type Session struct {
 }
 
 // NewSession starts a session on a plan. The first round's programs are
-// Current().
+// the plan's Programs.
 func NewSession(p *Plan) *Session {
 	return &Session{plan: p, round: 1, current: p.Programs, budget: maxShrink}
 }
 
 // Round is the round number Observe expects next (starting at 1).
 func (s *Session) Round() int { return s.round }
-
-// Current returns the programs of the current round.
-func (s *Session) Current() []*Program { return s.current }
 
 // Done reports whether the verdict is in.
 func (s *Session) Done() bool { return s.verdict != nil }
@@ -478,33 +475,23 @@ func smaller(prog *Program, than *Failure) bool {
 	return prog.Text < than.Program
 }
 
-// candidates builds the next shrink round: every strictly smaller
-// variant of the best failing program obtained by replacing one subtree
-// with the minimal ground term of its sort or with one of its own
-// same-sort proper subterms — the same move set axtest's assignment
-// shrinker uses, applied to whole programs. Candidates are compiled
-// (normalized, value-checked) and served smallest first.
+// candidates builds the next shrink round: every distinct variant of the
+// best failing program obtained by replacing the subtree at one position
+// with one of its gen.ShrinkCandidates — the move set axtest's
+// assignment shrinker uses, applied at every position of a whole
+// program. Candidates are compiled (normalized, value-checked) and
+// served smallest first, ties in text order.
 func (s *Session) candidates(norm Normalizer) ([]*Program, error) {
 	if s.budget <= 0 {
 		return nil, nil
 	}
 	best := s.best.tm
 	var reps []*term.Term
-	seen := map[string]bool{best.String(): true}
+	seen := map[string]bool{}
 	for _, pos := range best.Positions() {
-		sub := best.At(pos)
-		var cands []*term.Term
-		if min, ok := s.plan.g.Minimal(sub.Sort); ok && min.Size() < sub.Size() {
-			cands = append(cands, min)
-		}
-		for _, inner := range sub.Subterms() {
-			if inner != sub && inner.Sort == sub.Sort && inner.Size() < sub.Size() {
-				cands = append(cands, inner)
-			}
-		}
-		for _, c := range cands {
+		for _, c := range s.plan.g.ShrinkCandidates(best.At(pos)) {
 			rep := best.ReplaceAt(pos, c)
-			if key := rep.String(); !seen[key] && rep.Size() < best.Size() {
+			if key := rep.String(); !seen[key] {
 				seen[key] = true
 				reps = append(reps, rep)
 			}

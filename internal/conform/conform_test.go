@@ -64,7 +64,7 @@ func runSession(t *testing.T, env *core.Env, spec string, eval conform.Evaluator
 		t.Fatalf("%s: planner produced zero programs", spec)
 	}
 	sess := conform.NewSession(plan)
-	cur := sess.Current()
+	cur := plan.Programs
 	for rounds := 0; !sess.Done(); rounds++ {
 		if rounds > 200 {
 			t.Fatal("session did not converge")
@@ -235,8 +235,8 @@ func TestProtocolErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := make([]conform.Observation, 0, len(sess.Current()))
-	for _, p := range sess.Current() {
+	obs := make([]conform.Observation, 0, len(plan.Programs))
+	for _, p := range plan.Programs {
 		o, err := ec.Observe(conform.Msg(p))
 		if err != nil {
 			t.Fatal(err)

@@ -199,12 +199,14 @@ func judge(sp *spec.Spec, sys *rewrite.System, cp *CriticalPair) {
 	}
 }
 
+// maxTermsPerOp caps the instances the ground check tries per
+// observer.
+const maxTermsPerOp = 1500
+
 // GroundConfig configures the ground consistency check.
 type GroundConfig struct {
 	// Depth bounds generated argument terms (default 4).
 	Depth int
-	// MaxTermsPerOp caps instances per boolean observer (default 1500).
-	MaxTermsPerOp int
 	// System, when non-nil, supplies an already-compiled rewrite system
 	// for the spec; workers fork it (with per-strategy options) instead
 	// of recompiling the axioms.
@@ -258,9 +260,6 @@ func CheckGround(sp *spec.Spec, cfg GroundConfig) *GroundReport {
 	if cfg.Depth == 0 {
 		cfg.Depth = 4
 	}
-	if cfg.MaxTermsPerOp == 0 {
-		cfg.MaxTermsPerOp = 1500
-	}
 	r := &GroundReport{Spec: sp.Name}
 	g := gen.New(sp, gen.Config{})
 	base := cfg.System
@@ -271,7 +270,7 @@ func CheckGround(sp *spec.Spec, cfg GroundConfig) *GroundReport {
 	// Deterministic observation list.
 	var items []*term.Term
 	for _, op := range sp.Observers() {
-		items = append(items, g.Applications(op, cfg.Depth, cfg.MaxTermsPerOp)...)
+		items = append(items, g.Applications(op, cfg.Depth, maxTermsPerOp)...)
 	}
 	r.Checked = len(items)
 

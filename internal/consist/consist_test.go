@@ -25,7 +25,7 @@ func TestLibraryIsGroundConsistent(t *testing.T) {
 	env := speclib.BaseEnv()
 	for _, name := range speclib.Names {
 		sp := env.MustGet(name)
-		r := consist.CheckGround(sp, consist.GroundConfig{Depth: 3, MaxTermsPerOp: 300})
+		r := consist.CheckGround(sp, consist.GroundConfig{Depth: 3})
 		if !r.OK() {
 			t.Errorf("%s: %s", name, r)
 		}

@@ -15,8 +15,8 @@ func TestCheckGroundParallelDeterministic(t *testing.T) {
 	env := speclib.BaseEnv()
 	for _, name := range []string{"Queue", "Stack", "Nat"} {
 		sp := env.MustGet(name)
-		seq := consist.CheckGround(sp, consist.GroundConfig{Depth: 3, MaxTermsPerOp: 300, Workers: 1})
-		parl := consist.CheckGround(sp, consist.GroundConfig{Depth: 3, MaxTermsPerOp: 300, Workers: 4})
+		seq := consist.CheckGround(sp, consist.GroundConfig{Depth: 3, Workers: 1})
+		parl := consist.CheckGround(sp, consist.GroundConfig{Depth: 3, Workers: 4})
 		if seq.String() != parl.String() {
 			t.Errorf("%s: reports differ between 1 and 4 workers:\n%s\nvs\n%s", name, seq, parl)
 		}

@@ -209,16 +209,6 @@ func (e *Env) readTerm(in *term.Interner, specName, src string, expected sig.Sor
 	return sema.ReadGround(sp, src, expected, in)
 }
 
-// ParseTermWithVars parses and sort-checks a term that may mention the
-// given variables (name -> sort).
-func (e *Env) ParseTermWithVars(specName, src string, vars map[string]sig.Sort) (*term.Term, error) {
-	sp, ok := e.specs[specName]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown specification %s", specName)
-	}
-	return ParseAxiomSide(sp, src, vars, "")
-}
-
 // Eval parses a ground term and normalizes it in the named specification.
 func (e *Env) Eval(specName, src string) (*term.Term, error) {
 	t, err := e.ParseTerm(specName, src)

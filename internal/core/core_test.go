@@ -132,10 +132,10 @@ func TestTraceProducesSteps(t *testing.T) {
 	}
 }
 
-func TestParseTermWithVarsAndEvalTerm(t *testing.T) {
+func TestParseAxiomSideAndEvalTerm(t *testing.T) {
 	env := speclib.BaseEnv()
-	open, err := env.ParseTermWithVars("Queue", "front(add(q, 'x))",
-		map[string]sig.Sort{"q": "Queue"})
+	open, err := core.ParseAxiomSide(env.MustGet("Queue"), "front(add(q, 'x))",
+		map[string]sig.Sort{"q": "Queue"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +149,6 @@ func TestParseTermWithVarsAndEvalTerm(t *testing.T) {
 	}
 	if nf.String() != "'x" {
 		t.Errorf("nf = %s", nf)
-	}
-	// Unknown spec paths.
-	if _, err := env.ParseTermWithVars("Ghost", "x", nil); err == nil {
-		t.Error("ghost spec accepted")
 	}
 	if _, err := env.EvalTerm("Ghost", ground); err == nil {
 		t.Error("ghost spec accepted by EvalTerm")

@@ -39,14 +39,6 @@ type Report struct {
 // Covered reports whether every own axiom fired at least once.
 func (r *Report) Covered() bool { return len(r.Unfired) == 0 }
 
-// Ratio returns fired-own-axioms / own-axioms in [0,1].
-func (r *Report) Ratio(sp *spec.Spec) float64 {
-	if len(sp.Own) == 0 {
-		return 1
-	}
-	return float64(len(sp.Own)-len(r.Unfired)) / float64(len(sp.Own))
-}
-
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "axiom coverage of %s: %d term(s), %d rule application(s)", r.Spec, r.Terms, r.Steps)

@@ -56,16 +56,12 @@ type Counts struct {
 // Point is one registered fault seam. Obtain with Register at package
 // init; call Fire at the seam.
 type Point struct {
-	name string
 	rule atomic.Pointer[Rule]
 	// hits counts only armed traversals, so a fire schedule replays
 	// exactly: hit k fires iff k is a multiple of Rule.Every.
 	hits  atomic.Uint64
 	fires atomic.Uint64
 }
-
-// Name returns the point's registered name.
-func (p *Point) Name() string { return p.name }
 
 var (
 	// armed is the global fast-path switch: Fire loads it first and
@@ -84,7 +80,7 @@ func Register(name string) *Point {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("faultinject: duplicate fault point %q", name))
 	}
-	p := &Point{name: name}
+	p := &Point{}
 	registry[name] = p
 	return p
 }

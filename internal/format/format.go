@@ -35,13 +35,6 @@ func File(f *ast.File) string {
 	return b.String()
 }
 
-// Spec formats one specification.
-func Spec(sp *ast.Spec) string {
-	var b strings.Builder
-	writeSpec(&b, sp)
-	return b.String()
-}
-
 func writeSpec(b *strings.Builder, sp *ast.Spec) {
 	fmt.Fprintf(b, "spec %s\n", sp.Name)
 	if len(sp.Uses) > 0 {

@@ -19,6 +19,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 
 	"algspec/internal/sig"
@@ -121,10 +122,6 @@ func (g *Generator) computeMinDepths() {
 func (g *Generator) constructorsOf(so sig.Sort) []*sig.Operation {
 	return g.sp.Constructors(so)
 }
-
-// Interner returns the interner generated terms are built in (nil when the
-// generator builds plain terms).
-func (g *Generator) Interner() *term.Interner { return g.in }
 
 // atom and op build terms through the interner when one is configured.
 func (g *Generator) atom(name string, so sig.Sort) *term.Term {
@@ -296,6 +293,36 @@ func (g *Generator) Minimal(so sig.Sort) (*term.Term, bool) {
 		return nil, false
 	}
 	return ts[0], true
+}
+
+// ShrinkCandidates lists strictly smaller replacements for a term, in
+// preference order: the Minimal term of its sort, then its distinct
+// proper subterms of the same sort, smallest first. It is the one shrink
+// move set: the axiom oracle tries it on each bound term of a failing
+// assignment, and the conformance session at each position of a failing
+// program.
+func (g *Generator) ShrinkCandidates(t *term.Term) []*term.Term {
+	var out []*term.Term
+	seen := map[string]bool{}
+	size := t.Size()
+	if min, ok := g.Minimal(t.Sort); ok && min.Size() < size {
+		out = append(out, min)
+		seen[min.String()] = true
+	}
+	var subs []*term.Term
+	for _, s := range t.Subterms() {
+		if s.Sort == t.Sort && s.Size() < size {
+			subs = append(subs, s)
+		}
+	}
+	sort.SliceStable(subs, func(i, j int) bool { return subs[i].Size() < subs[j].Size() })
+	for _, s := range subs {
+		if k := s.String(); !seen[k] {
+			seen[k] = true
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // MinimalAssignment binds every variable to the Minimal term of its sort.

@@ -1,6 +1,7 @@
 package gen_test
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -80,13 +81,12 @@ func TestEnumerateDeterministic(t *testing.T) {
 
 func TestEnumerateNoDuplicates(t *testing.T) {
 	got := gQueue(t).Enumerate("Queue", 4)
-	seen := map[uint64]*term.Term{}
+	seen := map[string]bool{}
 	for _, tm := range got {
-		h := tm.Hash()
-		if prev, ok := seen[h]; ok && prev.Equal(tm) {
+		if seen[tm.String()] {
 			t.Fatalf("duplicate term %s", tm)
 		}
-		seen[h] = tm
+		seen[tm.String()] = true
 	}
 }
 
@@ -300,12 +300,12 @@ func TestQuickEnumerateMonotone(t *testing.T) {
 	f := func(d uint8) bool {
 		depth := int(d%3) + 1
 		small := g.Enumerate("Queue", depth)
-		bigSet := map[uint64]bool{}
+		bigSet := map[string]bool{}
 		for _, tm := range g.Enumerate("Queue", depth+1) {
-			bigSet[tm.Hash()] = true
+			bigSet[tm.String()] = true
 		}
 		for _, tm := range small {
-			if !bigSet[tm.Hash()] {
+			if !bigSet[tm.String()] {
 				return false
 			}
 		}
@@ -313,5 +313,36 @@ func TestQuickEnumerateMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestShrinkCandidatesOrder pins the one shrink move set: the sort's
+// minimal term first, then the distinct same-sort proper subterms,
+// smallest first. The BST term repeats node(emptyt, zero, emptyt) and
+// emptyt; each is offered once, and the larger left subtree comes after
+// the smaller subtree it contains.
+func TestShrinkCandidatesOrder(t *testing.T) {
+	env := speclib.BaseEnv()
+	g := gen.New(env.MustGet("BST"), gen.Config{})
+	for _, c := range []struct {
+		src  string
+		want []string
+	}{
+		{"node(node(node(emptyt, zero, emptyt), succ(zero), emptyt), zero, node(emptyt, zero, emptyt))",
+			[]string{"emptyt", "node(emptyt, zero, emptyt)", "node(node(emptyt, zero, emptyt), succ(zero), emptyt)"}},
+		{"succ(succ(zero))", []string{"zero", "succ(zero)"}},
+		{"emptyt", nil},
+	} {
+		tm, err := env.ParseTerm("BST", c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, cand := range g.ShrinkCandidates(tm) {
+			got = append(got, cand.String())
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ShrinkCandidates(%s) = %q, want %q", c.src, got, c.want)
+		}
 	}
 }

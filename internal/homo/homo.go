@@ -265,12 +265,6 @@ func (v *Verifier) Interpret(t *term.Term) *term.Term {
 	return term.NewOp(name, mapSort(t.Sort), args...)
 }
 
-// PhiImage computes Φ of a concrete ground term: the abstract normal form
-// of phi(t).
-func (v *Verifier) PhiImage(t *term.Term) (*term.Term, error) {
-	return phiImage(v.sys, v.rep.AbsSort, t)
-}
-
 func phiImage(sys *rewrite.System, absSort sig.Sort, t *term.Term) (*term.Term, error) {
 	return sys.Normalize(term.NewOp(PhiOpName, absSort, t))
 }
@@ -324,16 +318,6 @@ func (r *Report) OK() bool {
 		}
 	}
 	return true
-}
-
-// Result returns the row for the axiom with the given label.
-func (r *Report) Result(label string) (*AxiomResult, bool) {
-	for _, res := range r.Results {
-		if res.Axiom.Label == label {
-			return res, true
-		}
-	}
-	return nil, false
 }
 
 func (r *Report) String() string {

@@ -166,9 +166,9 @@ func TestInterpret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	abs, err := env.ParseTermWithVars("Symboltable",
+	abs, err := core.ParseAxiomSide(env.MustGet("Symboltable"),
 		"retrieve(add(symtab, id, attrs), idl)",
-		map[string]sig.Sort{"symtab": "Symboltable", "id": "Identifier", "idl": "Identifier", "attrs": "Attrs"})
+		map[string]sig.Sort{"symtab": "Symboltable", "id": "Identifier", "idl": "Identifier", "attrs": "Attrs"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,7 @@ package induct
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"algspec/internal/core"
@@ -130,13 +131,6 @@ type Prover struct {
 // New returns a prover for the specification.
 func New(sp *spec.Spec) *Prover {
 	return &Prover{sp: sp, maxSteps: 1 << 18}
-}
-
-// Lemmas returns the equations learned so far.
-func (p *Prover) Lemmas() []Equation {
-	out := make([]Equation, len(p.lemmas))
-	copy(out, p.lemmas)
-	return out
 }
 
 // Learn registers an equation as a rewrite lemma (oriented left to
@@ -283,17 +277,16 @@ func (p *Prover) splitProves(sys *rewrite.System, l, r *term.Term, depth int) bo
 }
 
 // residualConditions collects the distinct boolean conditions of the
-// conditionals remaining in the two terms, outermost first.
+// conditionals remaining in the two terms, outermost first. A proof
+// splits on only a few, so each new one is compared with those already
+// collected.
 func residualConditions(l, r *term.Term) []*term.Term {
 	var out []*term.Term
-	seen := map[uint64]bool{}
 	add := func(t *term.Term) {
 		t.Walk(func(u *term.Term) bool {
 			if u.IsIf() {
 				cond := u.Args[0]
-				h := cond.Hash()
-				if !seen[h] {
-					seen[h] = true
+				if !slices.ContainsFunc(out, cond.Equal) {
 					out = append(out, cond)
 				}
 			}

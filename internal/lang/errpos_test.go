@@ -1,10 +1,12 @@
 package lang_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"algspec/internal/lang"
+	"algspec/internal/speclib"
 )
 
 // TestParseErrorPositions pins the line/column reporting of the parser:
@@ -78,5 +80,21 @@ func TestParseErrorPositions(t *testing.T) {
 				t.Errorf("message %q missing %q", first.Msg, tc.msgHas)
 			}
 		})
+	}
+}
+
+// TestStrayTokenReportedOnce: a token no section accepts is reported
+// once, and parsing resumes at the next section keyword. ListSymtabImpl
+// without its axioms keyword puts every axiom in the vars section's
+// way; the parser used to report each of their tokens in turn.
+func TestStrayTokenReportedOnce(t *testing.T) {
+	src := strings.Replace(speclib.ListSymtabImpl, "axioms", "", 1)
+	_, err := lang.Parse(src)
+	var el lang.ErrorList
+	if !errors.As(err, &el) || len(el) != 1 {
+		t.Fatalf("want one error, got %v", err)
+	}
+	if !strings.Contains(el[0].Msg, "unexpected '['") {
+		t.Errorf("error = %v", el[0])
 	}
 }

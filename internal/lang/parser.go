@@ -165,10 +165,23 @@ func (p *parser) spec() *ast.Spec {
 			p.errorf("unexpected end of input: spec %s is missing 'end'", sp.Name)
 			return sp
 		default:
+			// Report the stray token once, then resume at the next
+			// section: the tokens up to it would only echo the error.
 			p.errorf("unexpected %s in spec %s", p.tok, sp.Name)
-			p.next()
+			for p.next(); !startsSection(p.tok.kind); p.next() {
+			}
 		}
 	}
+}
+
+// startsSection reports whether a token ends the skip after a stray
+// token in a spec body: a section keyword, 'end' or the end of input.
+func startsSection(k tokKind) bool {
+	switch k {
+	case tokUses, tokParam, tokAtoms, tokSorts, tokOps, tokVars, tokAxioms, tokEnd, tokEOF:
+		return true
+	}
+	return false
 }
 
 func (p *parser) useList(sp *ast.Spec) {

@@ -41,12 +41,6 @@ type Config struct {
 	// retryable outcomes (503, 504, transport errors) before it is
 	// accounted retry-exhausted. Default 3.
 	RetryBudget int
-	// Timeout bounds one HTTP attempt. It is a transport-level guard
-	// against a hung server, set well above the server's own request
-	// deadline — if it ever fires, exact reconciliation is impossible
-	// (the server may still count the aborted request) and the report
-	// says so. Default 30s.
-	Timeout time.Duration
 	// FaultsArmed tells the classifier that fault-shaped responses
 	// (422 mid-normalization, 5xx) are expected chaos, not regressions.
 	FaultsArmed bool
@@ -74,6 +68,12 @@ type Config struct {
 	Record bool
 }
 
+// attemptTimeout bounds one HTTP attempt. It is a transport-level guard
+// against a hung server, set well above the server's own request
+// deadline — if it ever fires, exact reconciliation is impossible (the
+// server may still count the aborted request) and the report says so.
+const attemptTimeout = 30 * time.Second
+
 // Run executes the workload and returns the reconciled report. The
 // error return covers harness failures (cannot build the generator,
 // cannot reach /metrics); a misbehaving server is reported in the
@@ -84,9 +84,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = 3
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
 	}
 	if cfg.Mix == (Mix{}) {
 		cfg.Mix = DefaultMix
@@ -121,7 +118,7 @@ func Run(cfg Config) (*Report, error) {
 		// more workers than that, every third request redials and the
 		// dial swamps a warm-cache response. Idle as many as we run.
 		client: &http.Client{
-			Timeout: cfg.Timeout,
+			Timeout: attemptTimeout,
 			Transport: &http.Transport{
 				MaxIdleConns:        cfg.Workers * 2,
 				MaxIdleConnsPerHost: cfg.Workers * 2,

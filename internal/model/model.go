@@ -85,10 +85,6 @@ type Config struct {
 	Depth int
 	// MaxInstancesPerAxiom caps instantiations per axiom (default 2000).
 	MaxInstancesPerAxiom int
-	// System, when non-nil, supplies an already-compiled rewrite system
-	// for the spec (used by CheckAgainstSpec); workers fork it instead
-	// of recompiling the axioms.
-	System *rewrite.System
 	// Workers sets the number of checking goroutines (<= 0 means
 	// GOMAXPROCS). The report is identical for any worker count; see
 	// Impl for the concurrency contract. Set 1 to force sequential
@@ -162,31 +158,22 @@ type harness struct {
 
 // Harness is the exported face of the evaluator the checks run on: it
 // evaluates ground terms through an implementation with the paper's
-// error strictness and lazy conditional, and compares values with the
-// same reified-or-observational equality CheckAxioms uses. The
-// conformance subsystem (internal/conform, driverkit) reuses it so a
-// driver, a wire session and the model checker all agree on semantics.
+// error strictness and lazy conditional. The conformance subsystem
+// (internal/conform, driverkit) reuses it so a driver, a wire session
+// and the model checker all agree on semantics.
 type Harness struct {
 	h *harness
 }
 
-// NewHarness builds a harness over the implementation. It compares
-// hidden-sort values observationally exactly as CheckAxioms does.
+// NewHarness builds a harness over the implementation.
 func NewHarness(sp *spec.Spec, impl *Impl) *Harness {
-	return &Harness{h: &harness{sp: sp, impl: impl, g: gen.New(sp, gen.Config{})}}
+	return &Harness{h: &harness{sp: sp, impl: impl}}
 }
 
 // Eval evaluates a ground term through the implementation (lazy if,
 // strict error). The error return means the adapter itself misbehaved,
 // not a domain error — those come back as ErrValue.
 func (h *Harness) Eval(t *term.Term) (Value, error) { return h.h.Eval(t) }
-
-// Equal compares two implementation values at a sort: reified for
-// observable sorts, observational (obsDepth operations deep) for hidden
-// ones.
-func (h *Harness) Equal(so sig.Sort, a, b Value) (bool, error) {
-	return h.h.equal(so, a, b, obsDepth)
-}
 
 // errStop aborts a check when the implementation adapter itself fails.
 var errStop = errors.New("model: implementation adapter error")
@@ -447,13 +434,7 @@ func CheckAgainstSpec(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 	cfg.fill()
 	r := &Report{Spec: sp.Name}
 	h := &harness{sp: sp, impl: impl, g: gen.New(sp, gen.Config{})}
-	base := cfg.System
-	if base == nil {
-		base = rewrite.New(sp)
-	} else {
-		// Batch through a fork so a shared supplied system stays untouched.
-		base = base.Fork()
-	}
+	base := rewrite.New(sp)
 
 	var items []*term.Term
 	for _, op := range sp.Observers() {

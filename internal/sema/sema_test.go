@@ -261,14 +261,13 @@ func TestCheckGroundExpr(t *testing.T) {
 		t.Error("free variable accepted in ground term")
 	}
 	// With explicit vars it works.
-	tm2, err := env.ParseTermWithVars("Queue", "front(q)", map[string]sig.Sort{"q": "Queue"})
+	tm2, err := core.ParseAxiomSide(sp, "front(q)", map[string]sig.Sort{"q": "Queue"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tm2.Vars()) != 1 {
 		t.Errorf("vars = %v", tm2.Vars())
 	}
-	_ = sp
 }
 
 func TestPrincipalSortOnlyWhenMentioned(t *testing.T) {

@@ -53,9 +53,6 @@ type Operation struct {
 // Arity returns the number of arguments the operation takes.
 func (o *Operation) Arity() int { return len(o.Domain) }
 
-// IsConstant reports whether the operation is nullary.
-func (o *Operation) IsConstant() bool { return len(o.Domain) == 0 }
-
 // String renders the operation in the paper's arrow notation,
 // e.g. "add : Queue, Item -> Queue".
 func (o *Operation) String() string {
@@ -91,9 +88,6 @@ func New(name string) *Signature {
 		ops:       make(map[string]*Operation),
 	}
 }
-
-// Name returns the owning specification's name.
-func (s *Signature) Name() string { return s.name }
 
 // AddSort introduces an ordinary sort. Adding a sort twice is an error so
 // that merged signatures surface accidental collisions.
@@ -157,17 +151,6 @@ func (s *Signature) OpenSort(name Sort) bool { return s.atomSorts[name] || s.par
 func (s *Signature) Sorts() []Sort {
 	out := make([]Sort, len(s.sortOrder))
 	copy(out, s.sortOrder)
-	return out
-}
-
-// AtomSorts returns the atom-bearing sorts in declaration order.
-func (s *Signature) AtomSorts() []Sort {
-	var out []Sort
-	for _, so := range s.sortOrder {
-		if s.atomSorts[so] {
-			out = append(out, so)
-		}
-	}
 	return out
 }
 

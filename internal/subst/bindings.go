@@ -93,13 +93,3 @@ func (b Bindings) Build(t *term.Term) *term.Term {
 		return &term.Term{Kind: t.Kind, Sym: t.Sym, Sort: t.Sort, Args: args}
 	}
 }
-
-// Subst converts the bindings to a map-backed substitution (for callers
-// off the hot path that want the richer Subst API).
-func (b Bindings) Subst() Subst {
-	s := make(Subst, len(b))
-	for i := range b {
-		s[b[i].Name] = b[i].Term
-	}
-	return s
-}

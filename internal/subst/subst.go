@@ -28,15 +28,6 @@ type Subst map[string]*term.Term
 // New returns an empty substitution.
 func New() Subst { return make(Subst) }
 
-// Clone returns a copy of the substitution.
-func (s Subst) Clone() Subst {
-	out := make(Subst, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 // Bind records v ↦ t, failing if v is already bound to a different term.
 func (s Subst) Bind(v string, t *term.Term) error {
 	if old, ok := s[v]; ok {
@@ -83,21 +74,6 @@ func (s Subst) ApplyIn(in *term.Interner, t *term.Term) *term.Term {
 		}
 		return &term.Term{Kind: t.Kind, Sym: t.Sym, Sort: t.Sort, Args: args}
 	}
-}
-
-// Compose returns the substitution equivalent to applying s then u:
-// (s.Compose(u)).Apply(t) == u.Apply(s.Apply(t)).
-func (s Subst) Compose(u Subst) Subst {
-	out := make(Subst, len(s)+len(u))
-	for k, v := range s {
-		out[k] = u.Apply(v)
-	}
-	for k, v := range u {
-		if _, shadowed := s[k]; !shadowed {
-			out[k] = v
-		}
-	}
-	return out
 }
 
 // Domain returns the bound variable names, sorted.

@@ -212,19 +212,6 @@ func (in *Interner) Err(sort sig.Sort) *Term {
 	return in.node(Err, ErrName, sort, nil, true)
 }
 
-// If interns a conditional; its sort is the sort of the then-branch.
-func (in *Interner) If(cond, then, els *Term) *Term {
-	return in.Op(IfOp, then.Sort, cond, then, els)
-}
-
-// Bool interns the boolean constant for b.
-func (in *Interner) Bool(b bool) *Term {
-	if b {
-		return in.node(Op, TrueOp, sig.BoolSort, nil, true)
-	}
-	return in.node(Op, FalseOp, sig.BoolSort, nil, true)
-}
-
 // Canon returns the canonical interned equivalent of t, interning every
 // subterm. Terms already owned by this interner are returned unchanged in
 // O(1); that makes Canon cheap on rewrite hot paths where results are

@@ -100,10 +100,7 @@ func TestInternGroundCache(t *testing.T) {
 	if v.IsGround() {
 		t.Fatal("open interned term reported ground")
 	}
-	if in.Bool(true) != in.Bool(true) || in.Bool(true) == in.Bool(false) {
-		t.Fatal("Bool interning broken")
-	}
-	iff := in.If(in.Bool(true), g, g)
+	iff := in.Canon(NewIf(Bool(true), g, g))
 	if !iff.IsIf() || iff.Sort != "Queue" {
 		t.Fatalf("If interned wrongly: %#v", iff)
 	}

@@ -13,9 +13,6 @@ package term
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"unsafe"
@@ -205,13 +202,6 @@ func (t *Term) Equal(u *Term) bool {
 	}
 }
 
-// Hash returns a structural hash consistent with Equal.
-func (t *Term) Hash() uint64 {
-	h := fnv.New64a()
-	t.hashInto(h)
-	return h.Sum64()
-}
-
 // StableHash returns a structural hash consistent with Equal that is
 // stable across processes and executions: it mixes only the node's own
 // bytes (kind, symbol, and — for variables and atoms — sort) with its
@@ -229,8 +219,8 @@ func (t *Term) StableHash() uint64 {
 }
 
 // stableHashNode combines a node's own bytes with already-computed
-// child hashes. Mirrors hashInto's structure (Err nodes all hash alike;
-// Op nodes ignore sort, like Equal does) with an FNV-1a-style mix.
+// child hashes with an FNV-1a-style mix. Err nodes all hash alike and
+// Op nodes ignore sort, like Equal does.
 func stableHashNode(k Kind, sym string, sort sig.Sort, childHashes []uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -268,28 +258,6 @@ func stableHashTerm(t *Term) uint64 {
 		}
 	}
 	return stableHashNode(t.Kind, t.Sym, t.Sort, childHashes)
-}
-
-type hashWriter interface{ Write([]byte) (int, error) }
-
-func (t *Term) hashInto(h hashWriter) {
-	var kind [1]byte
-	kind[0] = byte(t.Kind)
-	h.Write(kind[:])
-	switch t.Kind {
-	case Err:
-		// All errors hash alike.
-	case Var, Atom:
-		h.Write([]byte(t.Sym))
-		h.Write([]byte{0})
-		h.Write([]byte(t.Sort))
-	default:
-		h.Write([]byte(t.Sym))
-		h.Write([]byte{0, byte(len(t.Args))})
-		for _, a := range t.Args {
-			a.hashInto(h)
-		}
-	}
 }
 
 // Size returns the number of nodes in the term.
@@ -562,32 +530,4 @@ func Compare(a, b *Term) int {
 		}
 	}
 	return strings.Compare(string(a.Sort), string(b.Sort))
-}
-
-// SortTerms sorts a slice of terms in Compare order, in place.
-func SortTerms(ts []*Term) {
-	sort.Slice(ts, func(i, j int) bool { return Compare(ts[i], ts[j]) < 0 })
-}
-
-// FreshName returns a variable name not used in any of the given terms,
-// derived from base (base, base1, base2, ...).
-func FreshName(base string, avoid ...*Term) string {
-	used := make(map[string]bool)
-	for _, t := range avoid {
-		t.Walk(func(u *Term) bool {
-			if u.Kind == Var {
-				used[u.Sym] = true
-			}
-			return true
-		})
-	}
-	if !used[base] {
-		return base
-	}
-	for i := 1; ; i++ {
-		name := base + strconv.Itoa(i)
-		if !used[name] {
-			return name
-		}
-	}
 }
