@@ -185,8 +185,7 @@ end
 // distinct ground constructor forms true and false, which no amount of
 // added rules can reconcile — completion must name exactly that pair.
 func TestInjectedContradictionRefuted(t *testing.T) {
-	src := strings.Replace(speclib.Queue, "end\n", "    [bad] isEmpty?(add(q, i)) = true\nend\n", 1)
-	sp := load(t, src, speclib.Bool, speclib.Nat, speclib.Identifier, speclib.Attrs, speclib.Elem)
+	sp := load(t, queueBadSrc, speclib.Bool, speclib.Nat, speclib.Identifier, speclib.Attrs, speclib.Elem)
 	c := completion.Complete(sp, completion.Config{})
 	if c.Verdict != completion.Refuted {
 		t.Fatalf("verdict %s, want refuted: %s", c.Verdict, c)

@@ -20,17 +20,7 @@ func FuzzCompletion(f *testing.F) {
 	f.Add(commutativeSrc)
 	f.Add(chainSrc)
 	f.Add(idemSrc)
-	f.Add(`
-spec T
-  ops
-    c : -> T
-    f : T, T -> T
-  vars
-    x, y : T
-  axioms
-    [p] f(x, y) = f(y, x)
-end
-`)
+	f.Add(permutativeSrc)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {
 			return
