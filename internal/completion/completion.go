@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strings"
 
-	"algspec/internal/consist"
 	"algspec/internal/rewrite"
 	"algspec/internal/spec"
 	"algspec/internal/term"
@@ -219,43 +218,28 @@ func Complete(sp *spec.Spec, cfg Config) *Certificate {
 			return cert
 		}
 		cert.Rounds = round
-		sys := rewrite.New(specWith(sp, rules), rewrite.WithMaxSteps(cfg.Fuel))
-
-		type divergent struct {
-			outer, inner string
-			overlap      *term.Term
-			left, right  *term.Term // normal forms of the two contractions
-		}
-		var open []divergent
-		pairs := 0
-		for i, outer := range rules {
-			oax := &spec.Axiom{Label: outer.Label, LHS: outer.LHS, RHS: outer.RHS}
-			for j, inner := range rules {
-				iax := &spec.Axiom{Label: inner.Label, LHS: inner.LHS, RHS: inner.RHS}
-				for _, cp := range consist.Overlaps(oax, iax, i == j) {
-					pairs++
-					lnf, lerr := sys.Normalize(cp.Left)
-					rnf, rerr := sys.Normalize(cp.Right)
-					if lerr != nil || rerr != nil {
-						cert.Verdict = Budget
-						cert.Offender = &Offender{
-							Reason: "budget", Outer: outer.Label, Inner: inner.Label,
-							Left: cp.Left.String(), Right: cp.Right.String(),
-							Witness: cp.Overlap.String(),
-						}
-						return cert
+		rs := specWith(sp, rules)
+		pairs := Pairs(rs.All)
+		var open []*Pair
+		if len(pairs) > 0 {
+			sys := rewrite.New(rs, rewrite.WithMaxSteps(cfg.Fuel))
+			for _, cp := range pairs {
+				cp.Judge(sp, sys)
+				if cp.Err != nil {
+					cert.Verdict = Budget
+					cert.Offender = &Offender{
+						Reason: "budget", Outer: cp.Outer.Label, Inner: cp.Inner.Label,
+						Left: cp.Left.String(), Right: cp.Right.String(),
+						Witness: cp.Overlap.String(),
 					}
-					if lnf.Equal(rnf) {
-						continue
-					}
-					open = append(open, divergent{
-						outer: outer.Label, inner: inner.Label,
-						overlap: cp.Overlap, left: lnf, right: rnf,
-					})
+					return cert
+				}
+				if !cp.Joinable {
+					open = append(open, cp)
 				}
 			}
 		}
-		cert.Pairs = pairs
+		cert.Pairs = len(pairs)
 		if len(open) == 0 {
 			cert.Added = derived
 			cert.Rules = rules
@@ -267,31 +251,30 @@ func Complete(sp *spec.Spec, cfg Config) *Certificate {
 		// offender reported is minimal (by overlap size, then the
 		// canonical term order).
 		sort.SliceStable(open, func(a, b int) bool {
-			if sa, sb := open[a].overlap.Size(), open[b].overlap.Size(); sa != sb {
+			if sa, sb := open[a].Overlap.Size(), open[b].Overlap.Size(); sa != sb {
 				return sa < sb
 			}
-			return term.Compare(open[a].overlap, open[b].overlap) < 0
+			return term.Compare(open[a].Overlap, open[b].Overlap) < 0
 		})
 		for _, d := range open {
 			// Two distinct ground constructor forms cannot be
 			// reconciled by more rules: the axioms themselves disagree.
-			if d.left.IsGround() && d.right.IsGround() &&
-				rewrite.IsConstructorForm(sp, d.left) && rewrite.IsConstructorForm(sp, d.right) {
+			if d.Fatal {
 				cert.Verdict = Refuted
 				cert.Offender = &Offender{
-					Reason: "contradiction", Outer: d.outer, Inner: d.inner,
-					Left: d.left.String(), Right: d.right.String(),
-					Witness: d.overlap.String(),
+					Reason: "contradiction", Outer: d.Outer.Label, Inner: d.Inner.Label,
+					Left: d.LeftNF.String(), Right: d.RightNF.String(),
+					Witness: d.Overlap.String(),
 				}
 				return cert
 			}
 			derived++
 			label := fmt.Sprintf("cp%d", derived)
-			r, off := orient(ord, label, d.left, d.right, true)
+			r, off := orient(ord, label, d.LeftNF, d.RightNF, true)
 			if off != nil {
-				off.Outer, off.Inner = d.outer, d.inner
+				off.Outer, off.Inner = d.Outer.Label, d.Inner.Label
 				off.Reason = "un-orientable critical pair"
-				off.Witness = d.overlap.String()
+				off.Witness = d.Overlap.String()
 				cert.Verdict = Refuted
 				cert.Offender = off
 				return cert
@@ -307,9 +290,9 @@ func Complete(sp *spec.Spec, cfg Config) *Certificate {
 			if len(rules) > cfg.MaxRules {
 				cert.Verdict = Budget
 				cert.Offender = &Offender{
-					Reason: "budget", Outer: d.outer, Inner: d.inner,
-					Left: d.left.String(), Right: d.right.String(),
-					Witness: fmt.Sprintf("rule budget (%d) exhausted at %s", cfg.MaxRules, d.overlap),
+					Reason: "budget", Outer: d.Outer.Label, Inner: d.Inner.Label,
+					Left: d.LeftNF.String(), Right: d.RightNF.String(),
+					Witness: fmt.Sprintf("rule budget (%d) exhausted at %s", cfg.MaxRules, d.Overlap),
 				}
 				return cert
 			}

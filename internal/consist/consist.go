@@ -2,15 +2,17 @@
 // paper's requirement that no two of the "individual statements of fact"
 // contradict one another (§3). Two complementary checks are provided:
 //
-//   - Check computes critical pairs: wherever one axiom's left-hand side
+//   - Check judges critical pairs: wherever one axiom's left-hand side
 //     unifies with a (non-variable) subterm of another's, the two ways of
 //     rewriting the overlapped term are compared. A pair whose two sides
-//     do not rewrite to a common term is reported. Joinable critical
-//     pairs together with termination imply confluence (Knuth–Bendix),
-//     hence unique normal forms; an unjoinable pair is either a genuine
+//     do not rewrite to a common term is reported. The pairs and their
+//     judgement come from the critical-pair pass Knuth–Bendix completion
+//     runs too (completion.Pairs, Pair.Judge). Joinable critical pairs
+//     together with termination imply confluence (Knuth–Bendix), hence
+//     unique normal forms; an unjoinable pair is either a genuine
 //     contradiction or a benign ambiguity the engine resolves by rule
-//     priority — the report distinguishes the fatal case where one side
-//     is true and the other false.
+//     priority — the report distinguishes the fatal case where the two
+//     sides reach distinct ground constructor forms (true vs false).
 //
 //   - CheckGround evaluates every ground boolean observation up to a
 //     depth bound under multiple strategies (innermost, outermost) and
@@ -22,48 +24,16 @@ import (
 	"fmt"
 	"strings"
 
+	"algspec/internal/completion"
 	"algspec/internal/gen"
 	"algspec/internal/rewrite"
 	"algspec/internal/spec"
-	"algspec/internal/subst"
 	"algspec/internal/term"
 )
 
-// CriticalPair records one overlap between two axioms.
-type CriticalPair struct {
-	Outer *spec.Axiom
-	Inner *spec.Axiom
-	// Overlap is the superposed term (the instance of Outer.LHS whose
-	// subterm at Path is an instance of Inner.LHS).
-	Overlap *term.Term
-	Path    term.Path
-	// Left and Right are the two one-step contractions of Overlap.
-	Left  *term.Term
-	Right *term.Term
-	// LeftNF and RightNF are their normal forms (nil when normalization
-	// failed, e.g. fuel exhaustion).
-	LeftNF  *term.Term
-	RightNF *term.Term
-	// Joinable reports whether the normal forms coincide.
-	Joinable bool
-	// Fatal reports a direct contradiction: the normal forms are
-	// distinct constructor forms of an observable sort (e.g. true vs
-	// false, or error vs a proper value).
-	Fatal bool
-	Err   error
-}
-
-func (cp *CriticalPair) String() string {
-	status := "joinable"
-	if !cp.Joinable {
-		status = "NOT joinable"
-		if cp.Fatal {
-			status = "CONTRADICTION"
-		}
-	}
-	return fmt.Sprintf("[%s]/[%s] overlap %s at %v: %s -> %s vs %s (%s)",
-		cp.Outer.Label, cp.Inner.Label, cp.Overlap, cp.Path, cp.LeftNF, cp.RightNF, status, status)
-}
+// CriticalPair is one overlap between two axioms, as the shared
+// critical-pair pass of internal/completion finds and judges it.
+type CriticalPair = completion.Pair
 
 // Report is the outcome of the critical-pair analysis.
 type Report struct {
@@ -99,104 +69,24 @@ func (r *Report) String() string {
 
 // Check computes and judges all critical pairs among the spec's axioms
 // (its own and inherited ones, since an inconsistency may straddle
-// layers).
+// layers). The spec's rewrite system is compiled only when there is a
+// pair to judge.
 func Check(sp *spec.Spec) *Report {
-	r := &Report{Spec: sp.Name}
+	r := &Report{Spec: sp.Name, Pairs: completion.Pairs(sp.All)}
+	if len(r.Pairs) == 0 {
+		return r
+	}
 	sys := rewrite.New(sp)
-	axioms := sp.All
-	for i, outer := range axioms {
-		for j, inner := range axioms {
-			pairs := Overlaps(outer, inner, i == j)
-			for _, cp := range pairs {
-				judge(sp, sys, cp)
-				r.Pairs = append(r.Pairs, cp)
-				if !cp.Joinable {
-					r.Unjoinable = append(r.Unjoinable, cp)
-					if cp.Fatal {
-						r.Fatal = append(r.Fatal, cp)
-					}
-				}
+	for _, cp := range r.Pairs {
+		cp.Judge(sp, sys)
+		if !cp.Joinable {
+			r.Unjoinable = append(r.Unjoinable, cp)
+			if cp.Fatal {
+				r.Fatal = append(r.Fatal, cp)
 			}
 		}
 	}
 	return r
-}
-
-// Overlaps superposes inner's LHS on every non-variable subterm of
-// outer's LHS and returns the resulting critical pairs, unjudged (only
-// the Overlap/Path/Left/Right fields are filled). For self-overlap
-// (same == true), the root position is skipped (it is trivially
-// joinable). Exported because the Knuth–Bendix completion pass
-// (internal/completion) reuses exactly this superposition machinery
-// over its evolving rule set.
-func Overlaps(outer, inner *spec.Axiom, same bool) []*CriticalPair {
-	var out []*CriticalPair
-	// Rename the two axioms apart.
-	oLHS := subst.RenameApart(outer.LHS, 1)
-	oRHS := subst.RenameApart(outer.RHS, 1)
-	iLHS := subst.RenameApart(inner.LHS, 2)
-	iRHS := subst.RenameApart(inner.RHS, 2)
-
-	for _, p := range oLHS.Positions() {
-		if same && len(p) == 0 {
-			continue
-		}
-		sub := oLHS.At(p)
-		if sub.Kind != term.Op || sub.IsIf() {
-			continue
-		}
-		if sub.Sym != iLHS.Sym {
-			continue
-		}
-		u, ok := subst.Unify(sub, iLHS)
-		if !ok {
-			continue
-		}
-		overlap := u.Apply(oLHS)
-		left := u.Apply(oRHS)
-		right := overlap.ReplaceAt(p, u.Apply(iRHS))
-		if right == nil {
-			continue
-		}
-		out = append(out, &CriticalPair{
-			Outer:   outer,
-			Inner:   inner,
-			Overlap: overlap,
-			Path:    append(term.Path(nil), p...),
-			Left:    left,
-			Right:   right,
-		})
-	}
-	return out
-}
-
-// judge normalizes both contractions and classifies the pair.
-func judge(sp *spec.Spec, sys *rewrite.System, cp *CriticalPair) {
-	var err error
-	cp.LeftNF, err = sys.Normalize(cp.Left)
-	if err != nil {
-		cp.Err = err
-		return
-	}
-	cp.RightNF, err = sys.Normalize(cp.Right)
-	if err != nil {
-		cp.Err = err
-		return
-	}
-	cp.Joinable = cp.LeftNF.Equal(cp.RightNF)
-	if cp.Joinable {
-		return
-	}
-	// Distinct ground constructor forms are a genuine semantic
-	// disagreement; distinct open terms may just be unreduced symbolic
-	// residue, which rule priority resolves deterministically.
-	lGround := cp.LeftNF.IsGround()
-	rGround := cp.RightNF.IsGround()
-	if lGround && rGround &&
-		rewrite.IsConstructorForm(sp, cp.LeftNF) &&
-		rewrite.IsConstructorForm(sp, cp.RightNF) {
-		cp.Fatal = true
-	}
 }
 
 // maxTermsPerOp caps the instances the ground check tries per

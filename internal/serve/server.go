@@ -103,8 +103,8 @@ type Server struct {
 
 // New builds a server over the embedded specification library plus any
 // extra specification sources (each one full source text, as a file's
-// contents). Every spec is compiled eagerly so a bad source fails here,
-// not on the first request that touches it.
+// contents). A source that fails to parse or check fails here; each
+// spec's rewrite system is compiled on the first request that needs it.
 func New(cfg Config, extraSources ...string) (*Server, error) {
 	return NewWithSources(cfg, append(append([]string{}, speclib.Sources...), extraSources...))
 }
