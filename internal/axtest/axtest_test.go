@@ -258,3 +258,16 @@ end
 		t.Fatalf("empty mutant set reported OK:\n%s", rep)
 	}
 }
+
+// TestEachInstanceCheckedOnce: the draw repeats small assignments, and
+// the oracle checks each distinct one once. Bool's two constant axioms
+// have one assignment each and its four axioms over one Bool variable
+// two each, so 49 draws per axiom check 10 instances in all.
+func TestEachInstanceCheckedOnce(t *testing.T) {
+	env := core.NewEnv()
+	env.MustLoad(speclib.Bool)
+	rep := axtest.CheckAxioms(env.MustGet("Bool"), axtest.Config{Seed: 7})
+	if rep.Instances != 10 {
+		t.Errorf("Bool checked %d instance(s), want 10 distinct", rep.Instances)
+	}
+}
