@@ -98,3 +98,25 @@ func TestStrayTokenReportedOnce(t *testing.T) {
 		t.Errorf("error = %v", el[0])
 	}
 }
+
+// TestOneErrorPerPosition: recovery after a broken declaration or axiom
+// trips over the same token again, and the parser reports the token
+// once. A declaration cut short before 'end' used to report "expected
+// ':'", "expected '->'" and "expected identifier" at one position.
+func TestOneErrorPerPosition(t *testing.T) {
+	for _, src := range []string{
+		"spec Q\n  ops\n    f\nend\n",
+		"spec Q\n  uses Bool\n  ops\n    f : -> Q\n  axioms\n    f\nend\n",
+	} {
+		_, err := lang.Parse(src)
+		var el lang.ErrorList
+		if !errors.As(err, &el) || len(el) == 0 {
+			t.Fatalf("%q: want syntax errors, got %v", src, err)
+		}
+		for i := 1; i < len(el); i++ {
+			if el[i].Line == el[i-1].Line && el[i].Col == el[i-1].Col {
+				t.Errorf("%q: errors %d and %d both at %d:%d:\n%v", src, i, i+1, el[i].Line, el[i].Col, err)
+			}
+		}
+	}
+}
