@@ -487,12 +487,13 @@ func CheckDynamic(sp *spec.Spec, cfg DynamicConfig) *DynamicReport {
 	nfs, errs := sys.NormalizeAll(items, cfg.Workers)
 
 	// Phase 3: classify in item order.
+	isValue := rewrite.ConstructorForms(sp)
 	for i, t := range items {
 		if errs != nil && errs[i] != nil {
 			r.Failures = append(r.Failures, DynamicFailure{Term: t, Err: errs[i]})
 			continue
 		}
-		if !rewrite.IsConstructorForm(sp, nfs[i]) {
+		if !isValue(nfs[i]) {
 			r.Failures = append(r.Failures, DynamicFailure{Term: t, Normal: nfs[i]})
 		}
 	}

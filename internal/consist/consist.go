@@ -14,10 +14,10 @@
 //     priority — the report distinguishes the fatal case where the two
 //     sides reach distinct ground constructor forms (true vs false).
 //
-//   - CheckGround evaluates every ground boolean observation up to a
-//     depth bound under multiple strategies (innermost, outermost) and
-//     reports any term whose value differs across strategies, plus any
-//     term reducing to both true and false (a direct contradiction).
+//   - CheckGround applies every observer (an operation of observable
+//     range: Bool, an atom or a parameter sort) to every ground argument
+//     list up to a depth bound, normalizes each observation innermost
+//     and outermost, and reports any whose two values differ.
 package consist
 
 import (

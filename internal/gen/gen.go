@@ -19,6 +19,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -184,47 +185,44 @@ func (g *Generator) enumerate(so sig.Sort, maxDepth int) []*term.Term {
 			continue
 		}
 		argChoices := make([][]*term.Term, len(op.Domain))
-		feasible := true
 		for i, ds := range op.Domain {
 			argChoices[i] = g.enumerate(ds, maxDepth-1)
-			if len(argChoices[i]) == 0 {
-				feasible = false
-				break
-			}
 		}
-		if !feasible {
-			continue
-		}
-		out = g.appendProducts(out, op, argChoices, g.cfg.MaxTerms+1)
+		walk(argChoices, g.cfg.MaxTerms+1-len(out), func(picks []*term.Term) {
+			out = append(out, g.op(op.Name, op.Range, slices.Clone(picks)))
+		})
 	}
 	g.memo[key] = out
 	return out
 }
 
-// appendProducts appends op applied to every combination of argument
-// choices, stopping once limit terms have been accumulated.
-func (g *Generator) appendProducts(out []*term.Term, op *sig.Operation, choices [][]*term.Term, limit int) []*term.Term {
+// walk is the generator's one cross-product walker. It visits the
+// combinations of choices in odometer order, the last position turning
+// fastest, and stops after limit of them; there are none when some
+// position has no choice, and one, empty, when there are no positions.
+// visit gets the current combination in a buffer walk reuses.
+func walk(choices [][]*term.Term, limit int, visit func(picks []*term.Term)) {
+	picks := make([]*term.Term, len(choices))
+	for i, c := range choices {
+		if len(c) == 0 {
+			return
+		}
+		picks[i] = c[0]
+	}
 	idx := make([]int, len(choices))
-	for {
-		if len(out) >= limit {
-			return out
-		}
-		args := make([]*term.Term, len(choices))
-		for i, c := range choices {
-			args[i] = c[idx[i]]
-		}
-		out = append(out, g.op(op.Name, op.Range, args))
-		// Odometer increment.
+	for n := 0; n < limit; n++ {
+		visit(picks)
 		i := len(idx) - 1
 		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(choices[i]) {
+			if idx[i]++; idx[i] < len(choices[i]) {
+				picks[i] = choices[i][idx[i]]
 				break
 			}
 			idx[i] = 0
+			picks[i] = choices[i][0]
 		}
 		if i < 0 {
-			return out
+			return
 		}
 	}
 }
@@ -361,54 +359,67 @@ func (g *Generator) RandomAssignment(vars []*term.Term, maxDepth int) (map[strin
 // product of Enumerate for each variable's sort, capped at limit
 // assignments. Each assignment maps variable name to ground term.
 func (g *Generator) Instantiations(vars []*term.Term, maxDepth, limit int) []map[string]*term.Term {
+	sorts := make([]sig.Sort, len(vars))
+	for i, v := range vars {
+		sorts[i] = v.Sort
+	}
+	choices, limit := g.enumSorts(sorts, maxDepth, limit)
+	var out []map[string]*term.Term
+	walk(choices, limit, func(picks []*term.Term) {
+		m := make(map[string]*term.Term, len(vars))
+		for i, v := range vars {
+			m[v.Sym] = picks[i]
+		}
+		out = append(out, m)
+	})
+	return out
+}
+
+// enumSorts enumerates each sort at depth <= maxDepth and resolves the
+// planners' limit (<= 0 means Config.MaxTerms).
+func (g *Generator) enumSorts(sorts []sig.Sort, maxDepth, limit int) ([][]*term.Term, int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if limit <= 0 {
 		limit = g.cfg.MaxTerms
 	}
-	choices := make([][]*term.Term, len(vars))
-	for i, v := range vars {
-		choices[i] = g.enumCapped(v.Sort, maxDepth)
-		if len(choices[i]) == 0 {
-			return nil
-		}
+	out := make([][]*term.Term, len(sorts))
+	for i, so := range sorts {
+		out[i] = g.enumCapped(so, maxDepth)
 	}
-	var out []map[string]*term.Term
-	idx := make([]int, len(vars))
-	for {
-		if len(out) >= limit {
-			return out
-		}
-		m := make(map[string]*term.Term, len(vars))
-		for i, v := range vars {
-			m[v.Sym] = choices[i][idx[i]]
-		}
-		out = append(out, m)
-		i := len(idx) - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(choices[i]) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			return out
-		}
-	}
+	return out, limit
 }
 
-// Applications returns op applied to every instantiation of fresh
-// argument variables x0…xn with ground terms of depth <= depth, capped
-// at limit terms, in Instantiations order: the exhaustive probe list of
-// the completeness, consistency and model checkers.
+// Applications returns op applied to every combination of ground
+// arguments of depth <= depth, capped at limit terms, in the order
+// Instantiations lists fresh argument variables x0…xn: the exhaustive
+// probe list of the completeness, consistency and model checkers. The
+// probes are built in two slabs, one of nodes and one of argument
+// vectors, so a call allocates the same few times however many probes
+// it makes. The arguments are enumerated (interned when Config.Intern
+// is set); the probe nodes themselves are plain, never interned.
 func (g *Generator) Applications(op *sig.Operation, depth, limit int) []*term.Term {
-	vars := argVars(op)
-	insts := g.Instantiations(vars, depth, limit)
-	out := make([]*term.Term, len(insts))
-	for i, inst := range insts {
-		out[i] = apply(op, vars, inst)
+	choices, limit := g.enumSorts(op.Domain, depth, limit)
+	n := 1 // the number of combinations, capped at limit
+	for _, c := range choices {
+		if len(c) > 0 && n > limit/len(c) {
+			n = limit
+		} else {
+			n *= len(c)
+		}
 	}
+	k := len(choices)
+	nodes := make([]term.Term, n)
+	argv := make([]*term.Term, n*k)
+	out := make([]*term.Term, n)
+	i := 0
+	walk(choices, n, func(picks []*term.Term) {
+		args := argv[i*k : (i+1)*k : (i+1)*k]
+		copy(args, picks)
+		nodes[i] = term.Term{Kind: term.Op, Sym: op.Name, Sort: op.Range, Args: args}
+		out[i] = &nodes[i]
+		i++
+	})
 	return out
 }
 

@@ -1,6 +1,7 @@
 package gen_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -170,27 +171,85 @@ func TestInstantiations(t *testing.T) {
 	}
 }
 
-// TestApplications: an operation applied to every instantiation of
-// fresh variables x0…xn, in Instantiations order, capped at the limit.
+// TestApplications: for every operation of every library spec, at
+// depths 1–4 and a range of limits, Applications is the operation
+// applied to Instantiations of fresh variables x0…xn, term by term (the
+// very argument terms) and in order.
 func TestApplications(t *testing.T) {
-	g := gQueue(t)
-	sp := speclib.BaseEnv().MustGet("Queue")
-	add := sp.Sig.MustOp("add")
-	got := g.Applications(add, 2, 0)
-	insts := g.Instantiations([]*term.Term{term.NewVar("x0", "Queue"), term.NewVar("x1", "Item")}, 2, 0)
-	if len(got) != 12 || len(insts) != 12 {
-		t.Fatalf("applications = %d, instantiations = %d, want 12", len(got), len(insts))
-	}
-	for i, inst := range insts {
-		if want := term.NewOp("add", "Queue", inst["x0"], inst["x1"]); !got[i].Equal(want) {
-			t.Errorf("application %d = %s, want %s", i, got[i], want)
+	env := speclib.BaseEnv()
+	for _, name := range speclib.Names {
+		sp := env.MustGet(name)
+		g := gen.New(sp, gen.Config{})
+		for _, op := range sp.Sig.Ops() {
+			vars := make([]*term.Term, len(op.Domain))
+			for i, d := range op.Domain {
+				vars[i] = term.NewVar(fmt.Sprintf("x%d", i), d)
+			}
+			for depth := 1; depth <= 4; depth++ {
+				for _, limit := range []int{0, 1, 7, 1500, 2000} {
+					got := g.Applications(op, depth, limit)
+					insts := g.Instantiations(vars, depth, limit)
+					if len(got) != len(insts) {
+						t.Errorf("%s %s depth %d limit %d: %d applications, %d instantiations",
+							name, op.Name, depth, limit, len(got), len(insts))
+						continue
+					}
+					for i, inst := range insts {
+						if !appliedTo(got[i], op, vars, inst) {
+							t.Errorf("%s %s depth %d limit %d: application %d = %s, want it applied to %v",
+								name, op.Name, depth, limit, i, got[i], inst)
+							break
+						}
+					}
+				}
+			}
 		}
 	}
-	if n := len(g.Applications(add, 2, 5)); n != 5 {
-		t.Errorf("limited applications = %d, want 5", n)
+}
+
+// appliedTo reports whether p is op applied to exactly the terms inst
+// binds to vars.
+func appliedTo(p *term.Term, op *sig.Operation, vars []*term.Term, inst map[string]*term.Term) bool {
+	if p.Kind != term.Op || p.Sym != op.Name || p.Sort != op.Range || len(p.Args) != len(vars) {
+		return false
 	}
-	if c := g.Applications(sp.Sig.MustOp("new"), 2, 0); len(c) != 1 || c[0].String() != "new" {
-		t.Errorf("constant applications = %v", c)
+	for i, v := range vars {
+		if p.Args[i] != inst[v.Sym] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestApplicationsInterned: with an interner configured the arguments
+// are its canonical terms, while the probe nodes stay plain.
+func TestApplicationsInterned(t *testing.T) {
+	sp := speclib.BaseEnv().MustGet("Queue")
+	in := term.NewInterner()
+	for _, p := range gen.New(sp, gen.Config{Intern: in}).Applications(sp.Sig.MustOp("add"), 3, 0) {
+		if in.Canon(p.Args[0]) != p.Args[0] || in.Canon(p.Args[1]) != p.Args[1] {
+			t.Fatalf("%s: arguments not interned", p)
+		}
+		if in.Canon(p) == p {
+			t.Fatalf("%s: probe node interned", p)
+		}
+	}
+}
+
+// TestApplicationsAllocations: Applications builds its probes in slabs,
+// so it allocates as often for 2000 probes as for 7.
+func TestApplicationsAllocations(t *testing.T) {
+	sp := speclib.BaseEnv().MustGet("Symboltable")
+	g := gen.New(sp, gen.Config{})
+	op := sp.Sig.MustOp("retrieve")
+	if n := len(g.Applications(op, 4, 2000)); n != 2000 {
+		t.Fatalf("%d probes, want 2000", n)
+	}
+	allocs := func(limit int) float64 {
+		return testing.AllocsPerRun(20, func() { g.Applications(op, 4, limit) })
+	}
+	if few, many := allocs(7), allocs(2000); many != few {
+		t.Errorf("Applications allocates %v times for 7 probes, %v for 2000", few, many)
 	}
 }
 

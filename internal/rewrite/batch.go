@@ -9,6 +9,8 @@
 package rewrite
 
 import (
+	"sync"
+
 	"algspec/internal/par"
 	"algspec/internal/term"
 )
@@ -53,8 +55,7 @@ func (s *System) NormalizeAll(ts []*term.Term, workers int) ([]*term.Term, []err
 	}
 
 	forks := make([]*System, w)
-	failed := make([]bool, w)
-	perItemErr := make([]error, len(ts))
+	var mu sync.Mutex // guards errs, made at the first failure
 	par.ForEach(len(ts), w, func(wi, lo, hi int) {
 		sys := s.Fork()
 		forks[wi] = sys
@@ -65,19 +66,20 @@ func (s *System) NormalizeAll(ts []*term.Term, workers int) ([]*term.Term, []err
 		for i := lo; i < hi; i++ {
 			nf, err := sys.Normalize(ts[i])
 			if err != nil {
-				perItemErr[i] = err
-				failed[wi] = true
+				mu.Lock()
+				if errs == nil {
+					errs = make([]error, len(ts))
+				}
+				errs[i] = err
+				mu.Unlock()
 				continue
 			}
 			nfs[i] = nf
 		}
 	})
-	for wi, f := range forks {
+	for _, f := range forks {
 		if f != nil {
 			s.stats = s.stats.Add(f.Stats())
-		}
-		if failed[wi] {
-			errs = perItemErr
 		}
 	}
 	return nfs, errs

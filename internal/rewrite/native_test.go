@@ -46,3 +46,31 @@ end`); err != nil {
 		t.Error("outermost fuel not enforced")
 	}
 }
+
+// SameAtoms returns one of two shared constants, and no evaluator
+// (machine, innermost interpreter, outermost interpreter) stamps or
+// otherwise changes them when a native call's result is the normal form.
+func TestSameAtomsSharedConstants(t *testing.T) {
+	x, y := term.NewAtom("x", "Identifier"), term.NewAtom("y", "Identifier")
+	yes, _ := rewrite.SameAtoms([]*term.Term{x, x})
+	no, _ := rewrite.SameAtoms([]*term.Term{x, y})
+	if again, _ := rewrite.SameAtoms([]*term.Term{y, y}); again != yes || !yes.IsTrue() || !no.IsFalse() {
+		t.Fatalf("SameAtoms = %v, %v, %v; want one shared true and a false", yes, again, no)
+	}
+	sp := speclib.BaseEnv().MustGet("Identifier")
+	for _, sys := range []*rewrite.System{
+		rewrite.New(sp),
+		rewrite.New(sp, rewrite.WithoutCompiledTier()),
+		rewrite.New(sp, rewrite.WithStrategy(rewrite.Outermost)),
+	} {
+		for _, pair := range [][2]*term.Term{{x, x}, {x, y}} {
+			nf := sys.MustNormalize(term.NewOp("same?", "Bool", pair[0], pair[1]))
+			if nf.IsTrue() != (pair[0] == pair[1]) {
+				t.Errorf("%s tier: same?(%s, %s) = %s", sys.Tier(), pair[0], pair[1], nf)
+			}
+		}
+		if yes.NormalTag() != 0 || no.NormalTag() != 0 {
+			t.Fatalf("%s tier stamped a shared constant", sys.Tier())
+		}
+	}
+}

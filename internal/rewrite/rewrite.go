@@ -400,6 +400,8 @@ func defaultNative(name string) (NativeFunc, bool) {
 
 // SameAtoms is the native equality on atoms: same?('x,'y) = false,
 // same?('x,'x) = true. Non-atom arguments leave the term unevaluated.
+// Every call returns one of two shared constants, which nothing mutates:
+// the interpreter does not stamp them normal (normalizeInnermost).
 func SameAtoms(args []*term.Term) (*term.Term, bool) {
 	if len(args) != 2 {
 		return nil, false
@@ -408,8 +410,14 @@ func SameAtoms(args []*term.Term) (*term.Term, bool) {
 	if a.Kind != term.Atom || b.Kind != term.Atom {
 		return nil, false
 	}
-	return term.Bool(a.Sym == b.Sym && a.Sort == b.Sort), true
+	if a.Sym == b.Sym && a.Sort == b.Sort {
+		return sameTrue, true
+	}
+	return sameFalse, true
 }
+
+// sameTrue and sameFalse are SameAtoms' results.
+var sameTrue, sameFalse = term.True(), term.False()
 
 // Spec returns the specification the system was compiled from.
 func (s *System) Spec() *spec.Spec { return s.prog.sp }
@@ -627,7 +635,11 @@ func (s *System) normalizeInnermost(t *term.Term) (*term.Term, error) {
 			return nil, err
 		}
 		if !ok {
-			cur.MarkNormalTag(s.gen)
+			// SameAtoms' shared results stay unstamped: every system
+			// would overwrite the others' token on them.
+			if cur != sameTrue && cur != sameFalse {
+				cur.MarkNormalTag(s.gen)
+			}
 			return cur, nil
 		}
 		t = red
@@ -761,24 +773,40 @@ func (s *System) stepOutermost(t *term.Term) (*term.Term, bool, error) {
 }
 
 // IsConstructorForm reports whether a ground term is built solely from
-// constructors, atoms and error — i.e. whether it is a value. The dynamic
-// half of the sufficient-completeness check asks exactly this of every
-// normal form.
+// constructors, atoms and error — i.e. whether it is a value.
 func IsConstructorForm(sp *spec.Spec, t *term.Term) bool {
+	return builtFrom(t, sp.IsConstructor)
+}
+
+// ConstructorForms returns IsConstructorForm for sp as a predicate that
+// looks each node up in sp's constructor set, built once, instead of
+// scanning sp's axioms at every node. The dynamic half of the
+// sufficient-completeness check asks it of every normal form.
+func ConstructorForms(sp *spec.Spec) func(*term.Term) bool {
+	ctors := make(map[string]bool)
+	for _, op := range sp.Sig.Ops() {
+		if sp.IsConstructor(op.Name) {
+			ctors[op.Name] = true
+		}
+	}
+	isCtor := func(name string) bool { return ctors[name] }
+	return func(t *term.Term) bool { return builtFrom(t, isCtor) }
+}
+
+// builtFrom reports whether t is built solely from atoms, error and the
+// operations isCtor accepts, conditionals excluded.
+func builtFrom(t *term.Term, isCtor func(string) bool) bool {
 	switch t.Kind {
 	case term.Err, term.Atom:
 		return true
 	case term.Var:
 		return false
 	}
-	if t.IsIf() {
-		return false
-	}
-	if !sp.IsConstructor(t.Sym) {
+	if t.IsIf() || !isCtor(t.Sym) {
 		return false
 	}
 	for _, a := range t.Args {
-		if !IsConstructorForm(sp, a) {
+		if !builtFrom(a, isCtor) {
 			return false
 		}
 	}

@@ -152,8 +152,9 @@ func (s *Spec) Observers(extra ...sig.Sort) []*sig.Operation {
 
 // IsConstructor reports whether the named operation is a constructor
 // (heads no axiom and is not native). It scans the axioms rather than
-// building the head set: the dynamic completeness check asks this at
-// every node of every normal form.
+// building the head set, which suits a caller asking of a few names; one
+// asking of every node of many terms builds the set once
+// (rewrite.ConstructorForms).
 func (s *Spec) IsConstructor(op string) bool {
 	o, ok := s.Sig.Op(op)
 	if !ok || o.Native {
