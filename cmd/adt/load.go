@@ -34,7 +34,7 @@ func cmdLoad(args []string, out io.Writer) error {
 	srvCache := fs.Int("server-cache", 0, "per-server normal-form cache entries (0 = default, negative = disabled)")
 	replicas := fs.Int("replicas", 0, "boot a consistent-hash cluster of N replicas behind a router and load against it (0 = single server)")
 	runpackDir := fs.String("runpack", "", "emit a verifiable run artifact into this directory (forces -workers 1; single server only)")
-	stratSpec := fs.String("strategies", "", "rotate normalize requests through these evaluation strategies, e.g. innermost,outermost (single server only)")
+	stratSpec := fs.String("strategies", "", "rotate normalize requests through these evaluation strategies, e.g. innermost,outermost")
 	if err := parseFlags(fs, args, out); err != nil {
 		return err
 	}
@@ -48,18 +48,11 @@ func cmdLoad(args []string, out io.Writer) error {
 	if err != nil {
 		return exitf(exitUsage, "load: %v", err)
 	}
-	if len(strategies) > 0 {
-		if *runpackDir != "" {
-			// The runpack replay contract predates strategy pinning; packs
-			// record strategy-blind requests, so a mixed run cannot be
-			// packed yet.
-			return exitf(exitUsage, "load: -strategies cannot be combined with -runpack")
-		}
-		if *replicas > 0 {
-			// Cross-strategy hit accounting lives on one server's counter;
-			// a cluster would need per-replica reconciliation first.
-			return exitf(exitUsage, "load: -strategies requires a single server (-replicas 0)")
-		}
+	if len(strategies) > 0 && *runpackDir != "" {
+		// The runpack replay contract predates strategy pinning; packs
+		// record strategy-blind requests, so a mixed run cannot be
+		// packed yet.
+		return exitf(exitUsage, "load: -strategies cannot be combined with -runpack")
 	}
 	if *runpackDir != "" {
 		if *replicas > 0 {

@@ -138,8 +138,9 @@ func cmdTest(args []string, out io.Writer) error {
 				Workers: *workers,
 				// Certified specs get the strengthened mode: outermost
 				// engines join the matrix and must reach the same normal
-				// forms — sound because the certificate proves the
-				// spec's own axioms have unique NFs.
+				// forms. Error strictness can still split the strategies
+				// on some terms; the corpus applies extensions only to
+				// constructor terms, where the mode passes on the library.
 				AllStrategies: completion.Complete(sp, completion.Config{}).CertifiesAxioms(),
 			})
 			fmt.Fprintln(out, drep)

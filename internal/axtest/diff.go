@@ -21,10 +21,10 @@ type DiffConfig struct {
 	Workers int
 	// AllStrategies additionally runs outermost-strategy engines and
 	// requires their normal forms to equal the innermost baseline's.
-	// Sound only on specs with a confluence certificate
-	// (completion.Certificate), where normal forms are
-	// strategy-independent by theorem — which is exactly when callers
-	// enable it.
+	// Callers enable it on certified specs. The engine's strict error
+	// can still split the strategies (DESIGN §16); the corpus applies
+	// extensions only to ground constructor terms, the scope in which
+	// the mode passes on the library.
 	AllStrategies bool
 }
 
@@ -133,8 +133,7 @@ func CheckEngines(sp *spec.Spec, cfg DiffConfig) *DiffReport {
 	if cfg.AllStrategies {
 		// The strengthened certified mode: outermost rows join the
 		// matrix, and the cross-class NF equality check below now spans
-		// strategies — asserting the certificate's unique-normal-form
-		// claim term by term, not just step-comparable reorderings.
+		// strategies, term by term over the constructor-argument corpus.
 		engines = append(engines,
 			engine{"outermost/w1", classOuter, []rewrite.Option{rewrite.WithStrategy(rewrite.Outermost)}, 1},
 			engine{fmt.Sprintf("outermost/w%d", cfg.Workers), classOuter, []rewrite.Option{rewrite.WithStrategy(rewrite.Outermost)}, cfg.Workers},

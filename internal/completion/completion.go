@@ -9,10 +9,11 @@
 // order, so the oriented system terminates), every critical pair is
 // joined by normalization, and unjoinable pairs are oriented and added
 // as new rules until the set is closed. By Newman's lemma the certified
-// system is confluent, hence has unique, strategy-independent normal
-// forms — which is what lets `adt serve` share one normal-form cache
-// across evaluation strategies and lets axtest assert cross-strategy
-// normal-form equality outright.
+// system is confluent, hence has unique normal forms as a rewrite
+// system; the engine's strict error, which it does not cover, can still
+// split the innermost and outermost strategies (DESIGN §16). So a
+// certificate is evidence about the axioms, which `adt confluence`,
+// `/v1/specs` and axtest's outermost engines use.
 //
 // The pass refuses rather than loops: an equation no orientation of
 // which fits the path order (commutativity is the canonical case)
@@ -157,9 +158,9 @@ type Certificate struct {
 // and terminating: the verdict is certified, and completion neither
 // derived a rule nor flipped an axiom. When it had to do either, the
 // certified system is not the one the engine runs, and the engine's
-// strategies may disagree. Everything that trusts strategies to agree
-// (serve's shared normal-form partition, the confluent flag of
-// /v1/specs, adt test's outermost engines) asks this, not Certified.
+// strategies may disagree. Even when it holds, the engine's strict
+// error can split the strategies (DESIGN §16). The confluent flag of
+// /v1/specs and adt test's outermost engines ask this, not Certified.
 func (c *Certificate) CertifiesAxioms() bool { return c.ownRules }
 
 // String renders the one-line human report `adt confluence` prints.

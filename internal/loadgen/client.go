@@ -48,11 +48,10 @@ type Config struct {
 	SLOs []SLO
 	// Strategies, when non-empty, rotates normalize requests through
 	// the named evaluation strategies ("innermost", "outermost"), in
-	// request order — deterministic for a fixed seed. On a certified
-	// spec the server answers every rotation from one shared cache
-	// partition; the report carries the server's cross-strategy hit
-	// counter. Ignored when Workload is set (runpack replay pins its
-	// own requests).
+	// request order — deterministic for a fixed seed. The server
+	// computes and caches each strategy's answers apart, and the
+	// strategy-blind oracle (Request.Strategy) checks every one. Ignored
+	// when Workload is set (runpack replay pins its own requests).
 	Strategies []string
 	// Workload, when non-nil, replays exactly these requests (in order)
 	// instead of generating a sequence from (Seed, Mix, Requests). The
@@ -529,9 +528,6 @@ func (r *runner) reconcile(rep *Report) error {
 	server := make(map[string]int64)
 	for _, s := range page.Samples("adt_requests_total") {
 		server[s.Labels["endpoint"]+":"+s.Labels["code"]] = int64(s.Value)
-	}
-	if v, ok := page.Value("adt_cache_cross_strategy_hits_total", nil); ok {
-		rep.CrossStrategyHits = int64(v)
 	}
 	for _, key := range SortedKeys(rep.Attempts) {
 		want := rep.Attempts[key]

@@ -44,13 +44,9 @@ type Report struct {
 	Workers  int
 
 	// Strategies is the configured strategy rotation (empty when the
-	// run never asked for one); CrossStrategyHits is the server's
-	// adt_cache_cross_strategy_hits_total at scrape time — entries
-	// computed under one strategy answering the other, possible only on
-	// specs with a confluence certificate. Both are rendered only for
-	// strategy-mixed runs, so plain runs keep the historic report bytes.
-	Strategies        string
-	CrossStrategyHits int64
+	// run never asked for one). It is rendered only for strategy-mixed
+	// runs, so plain runs keep the historic report bytes.
+	Strategies string
 
 	// RunpackPath is the artifact directory this run was asked to emit
 	// (empty otherwise). It is printed in the seed-reproducible section —
@@ -154,12 +150,6 @@ func (r *Report) String() string {
 			c := r.Faults[k]
 			fmt.Fprintf(&b, "    %-28s hits=%d fires=%d\n", k, c.Hits, c.Fires)
 		}
-	}
-	if r.Strategies != "" {
-		// Deterministic for workers=1 (one request in flight at a time);
-		// with concurrency the count depends on interleaving, like any
-		// cache-warmth effect.
-		fmt.Fprintf(&b, "  cross-strategy-hits: %d\n", r.CrossStrategyHits)
 	}
 	if r.Reconciled() {
 		fmt.Fprintf(&b, "  reconciliation: OK (client attempts match /metrics exactly)\n")

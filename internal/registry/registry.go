@@ -68,15 +68,6 @@ func (v *Version) Certificate(name string) *completion.Certificate {
 	return actual.(*completion.Certificate)
 }
 
-// Certified reports whether the named spec of this version carries a
-// certificate that proves its own axioms confluent and terminating
-// (completion.Certificate.CertifiesAxioms) — the soundness gate for
-// cross-strategy normal-form cache sharing in serve.
-func (v *Version) Certified(name string) bool {
-	c := v.Certificate(name)
-	return c != nil && c.CertifiesAxioms()
-}
-
 // Registry holds the base library version plus every registered upload.
 // All methods are safe for concurrent use; versions are immutable once
 // returned.

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"algspec/internal/faultinject"
+	"algspec/internal/rewrite"
 	"algspec/internal/term"
 )
 
@@ -170,45 +171,31 @@ func (c *lruCache[K, V]) Counters() (hits, misses int64) {
 
 // cacheEntry is one memoized normalization. Steps records the cold
 // run's reduction count and is echoed on warm hits, so a client can
-// still see what the term costs. strat records the strategy that
-// computed the entry; on a shared (certified) cache a hit may serve a
-// different strategy than the one that paid for the cold run, which the
-// cross-strategy metric counts.
+// still see what the term costs.
 type cacheEntry struct {
 	nf    *term.Term
 	steps int
-	strat uint8
 }
 
-// nfKey keys the normal-form cache. The term pointer is canonical
-// (interned per version env). strat partitions the key space: certified
-// specs collapse every strategy onto stratShared — their normal forms
-// are strategy-independent by theorem, so innermost and outermost
-// requests share entries — while uncertified specs keep one partition
-// per strategy, preserving the old per-strategy soundness.
+// nfKey keys the normal-form cache: the canonical term pointer
+// (interned per version env) and the strategy that computes the entry.
+// Each strategy keeps its own entries. Guttag's error is strict in
+// every operation, so innermost and outermost can disagree even on a
+// spec whose certificate proves its own axioms confluent (DESIGN §16).
 type nfKey struct {
 	t     *term.Term
-	strat uint8
+	strat rewrite.Strategy
 }
 
-const (
-	// stratShared keys certified specs (any strategy) and uncertified
-	// innermost requests — the pre-certificate key space, which is what
-	// lets persisted WAL entries reload compatibly.
-	stratShared uint8 = 0
-	// stratOutermost keys uncertified outermost requests only.
-	stratOutermost uint8 = 1
-)
-
-// nfCache is the normal-form cache: canonical input term (plus strategy
-// partition) -> result.
+// nfCache is the normal-form cache: (canonical input term, strategy)
+// -> result.
 type nfCache = lruCache[nfKey, cacheEntry]
 
 func newNFCache(capacity int) *nfCache {
 	c := newLRU[nfKey, cacheEntry](capacity, func(k nfKey) uintptr {
 		// Low pointer bits are alignment zeros; the shard fold discards
-		// them. The strategy bit lands above them so the two partitions
-		// of one term do not collide on a shard slot.
+		// them. The strategy lands above them so the two entries of one
+		// term do not collide on a shard slot.
 		return uintptr(unsafe.Pointer(k.t)) ^ (uintptr(k.strat) << 4)
 	})
 	if c != nil {

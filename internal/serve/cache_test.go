@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"algspec/internal/rewrite"
 	"algspec/internal/term"
 )
 
@@ -17,9 +18,8 @@ func atoms(n int) []*term.Term {
 	return out
 }
 
-// nk wraps a canonical term in the shared-partition cache key, the
-// historic key space.
-func nk(t *term.Term) nfKey { return nfKey{t: t, strat: stratShared} }
+// nk wraps a canonical term in its innermost cache key.
+func nk(t *term.Term) nfKey { return nfKey{t: t, strat: rewrite.Innermost} }
 
 func TestCacheHitMissAndCounters(t *testing.T) {
 	c := newNFCache(64)
@@ -35,9 +35,9 @@ func TestCacheHitMissAndCounters(t *testing.T) {
 	if _, ok := c.Get(nk(keys[2])); ok {
 		t.Fatal("hit on absent key")
 	}
-	// The two strategy partitions of one term are distinct keys.
-	if _, ok := c.Get(nfKey{t: keys[0], strat: stratOutermost}); ok {
-		t.Fatal("outermost partition hit a shared-partition entry")
+	// The two strategies' entries for one term are distinct keys.
+	if _, ok := c.Get(nfKey{t: keys[0], strat: rewrite.Outermost}); ok {
+		t.Fatal("an outermost request hit the innermost entry")
 	}
 	hits, misses := c.Counters()
 	if hits != 1 || misses != 3 {

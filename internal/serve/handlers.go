@@ -32,10 +32,8 @@ type NormalizeRequest struct {
 	// Term is the ground term to normalize, in surface syntax.
 	Term string `json:"term"`
 	// Strategy selects the evaluation order: "innermost" (the default)
-	// or "outermost". On a spec with a confluence certificate both
-	// strategies share one normal-form cache partition — the certificate
-	// is precisely the proof that their normal forms coincide; on an
-	// uncertified spec each strategy keeps its own partition.
+	// or "outermost". Each strategy keeps its own normal-form cache
+	// entries, and only innermost entries are persisted.
 	Strategy string `json:"strategy,omitempty"`
 	// Trace, when true, returns every rewrite step (and bypasses the
 	// normal-form cache, which stores only results).
@@ -252,20 +250,6 @@ func (s *Server) handleNormalize(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown specification %q", req.Spec)})
 		return
 	}
-	// Cache-partition selection is the soundness seam: innermost
-	// requests use the shared partition (the historic key space, where
-	// WAL entries and corpus warmth live); outermost requests join it
-	// only when the spec carries a confluence certificate — unique
-	// normal forms make the cached result strategy-independent — and
-	// otherwise get their own partition.
-	reqStrat := stratShared
-	if strategy == rewrite.Outermost {
-		reqStrat = stratOutermost
-	}
-	keyStrat := reqStrat
-	if reqStrat != stratShared && ver.Certified(sp.Name) {
-		keyStrat = stratShared
-	}
 	base, err := ver.Env.System(sp.Name)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
@@ -291,13 +275,7 @@ func (s *Server) handleNormalize(w http.ResponseWriter, r *http.Request) {
 
 	useCache := !req.Trace
 	if useCache {
-		if hit, ok := s.cache.Get(nfKey{t: canon, strat: keyStrat}); ok {
-			if hit.strat != reqStrat {
-				// A certified spec's entry computed under one strategy
-				// just answered the other — the sharing the certificate
-				// paid for.
-				s.crossHits.Add(1)
-			}
+		if hit, ok := s.cache.Get(nfKey{t: canon, strat: strategy}); ok {
 			writeNormalizeResponse(w, &NormalizeResponse{
 				Spec:    sp.Name,
 				Version: echoVersion,
@@ -354,13 +332,12 @@ func (s *Server) handleNormalize(w http.ResponseWriter, r *http.Request) {
 	st := sys.Stats()
 	s.rec.Record(st)
 	if useCache && err == nil {
-		s.cache.Put(nfKey{t: canon, strat: keyStrat}, cacheEntry{nf: nf, steps: st.Steps, strat: reqStrat})
+		s.cache.Put(nfKey{t: canon, strat: strategy}, cacheEntry{nf: nf, steps: st.Steps})
 		// Durability rides the cold path: the WAL write hides behind the
-		// normalization this request just paid for. Only shared-keyed
-		// results are persisted — WAL entries reload into the shared
-		// partition, which would be unsound for an uncertified
-		// outermost result.
-		if keyStrat == stratShared {
+		// normalization this request just paid for. A WAL record names no
+		// strategy and reloads as an innermost entry, so only innermost
+		// results are persisted.
+		if strategy == rewrite.Innermost {
 			s.pers.append(walRecord{
 				Version: ver.ID, Spec: sp.Name, Sort: string(canon.Sort),
 				Term: canon.String(), NF: nf.String(), Steps: st.Steps,
@@ -507,8 +484,8 @@ func (s *Server) handleSpecUpload(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) {
 	resp := SpecsResponse{Specs: speclib.Summarize(s.env)}
 	for i := range resp.Specs {
-		// The base version caches one certificate per spec, computed at
-		// boot — this is a map lookup, not a completion run.
+		// The base version caches one certificate per spec, computed on
+		// the first listing or /metrics scrape that asks for it.
 		if c := s.reg.Base().Certificate(resp.Specs[i].Name); c != nil {
 			certified := c.CertifiesAxioms()
 			resp.Specs[i].Confluent = &certified

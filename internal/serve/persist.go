@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,14 +22,15 @@ import (
 // → (normal form, steps) entries, so a restarted replica answers its
 // first request from the warm cache instead of paying the cold path
 // again. The log is the whole store: each entry is written once, when it
-// is first computed, and the store's capacity bound keeps it finite. The
-// layout under Config.PersistDir:
+// is first computed, and the store's capacity bound keeps it finite. It
+// holds innermost results only. The layout under Config.PersistDir:
 //
 //	specs/<hex>.spec   canonical source of each uploaded version
 //	                   (content-addressed: the filename is the version
 //	                   hash, so corruption is self-evident)
-//	nf.wal             every persisted entry, one line each, prefixed
-//	                   with a truncated SHA-256 of the line's payload
+//	nf.wal             walHeader, then every persisted entry, one line
+//	                   each, prefixed with a truncated SHA-256 of the
+//	                   line's payload
 //
 // Corruption anywhere is rejected loudly: load returns an error naming
 // the file and line, and the server falls back to a cold start (the
@@ -52,6 +54,11 @@ type walRecord struct {
 const (
 	walFile  = "nf.wal"
 	specsDir = "specs"
+	// walHeader is the first line of every log. A log written before
+	// the normal-form cache kept one entry per strategy has no header,
+	// and may hold outermost answers under innermost keys; boot reads a
+	// non-empty log without it as unreadable.
+	walHeader = "# adt nf.wal v2: innermost entries"
 )
 
 // maxWALLine bounds one WAL line, newline excluded, for the writer and
@@ -92,12 +99,23 @@ func newPersister(dir string, cap int) (*persister, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &persister{
+	p := &persister{
 		dir:  dir,
 		cap:  cap,
 		seen: make(map[string]struct{}),
 		wal:  wal,
-	}, nil
+	}
+	// A new or empty log gets its header now; a non-empty one is checked
+	// by the boot that reads it.
+	st, err := wal.Stat()
+	if err == nil && st.Size() == 0 {
+		err = p.restart()
+	}
+	if err != nil {
+		wal.Close()
+		return nil, err
+	}
+	return p, nil
 }
 
 // declareMetrics declares the persistence books; a server without
@@ -171,13 +189,18 @@ func (p *persister) seed(recs []walRecord) {
 	}
 }
 
-// restart empties the log after a boot could not read it, so that the
-// entries this process appends are readable at the next boot instead of
-// sitting behind the corrupt line forever.
+// restart empties the log down to its header, at first boot or after a
+// boot could not read it, so that the entries this process appends are
+// readable at the next boot instead of sitting behind the corrupt line
+// forever.
 func (p *persister) restart() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.wal.Truncate(0)
+	if err := p.wal.Truncate(0); err != nil {
+		return err
+	}
+	_, err := io.WriteString(p.wal, walHeader+"\n")
+	return err
 }
 
 // saveSpec persists an uploaded version's canonical source under its
@@ -207,10 +230,11 @@ func lineDigest(payload []byte) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// loadNFStore reads the WAL back, verifying every digest. Any
-// corruption — a flipped byte in a record, a truncated line, a forged
-// digest — returns an error naming the file and line; the caller falls
-// back to a cold start.
+// loadNFStore reads the WAL back, verifying the header and every
+// digest. Any corruption — a missing header, a flipped byte in a
+// record, a truncated line, a forged digest — returns an error naming
+// the file and line; the caller falls back to a cold start. A missing
+// or empty log holds no records.
 func loadNFStore(dir string) ([]walRecord, error) {
 	wal := filepath.Join(dir, walFile)
 	data, err := os.ReadFile(wal)
@@ -236,6 +260,12 @@ func parseWAL(data []byte) ([]walRecord, error) {
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
+		if lineNo == 1 {
+			if line != walHeader {
+				return nil, fmt.Errorf("wal line 1: no format header (written before per-strategy cache keys)")
+			}
+			continue
+		}
 		if line == "" {
 			continue
 		}

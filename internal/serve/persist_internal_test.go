@@ -12,15 +12,17 @@ import (
 func TestParseWALErrors(t *testing.T) {
 	payload := `{"version":"sha256:ab","spec":"Queue","sort":"Queue","term":"new","nf":"new","steps":0}`
 	good := lineDigest([]byte(payload)) + " " + payload
+	header := walHeader + "\n"
 	cases := []struct {
 		name string
 		data string
 		want string
 	}{
-		{"no digest prefix", "nodigesthere\n", "wal line 1: no digest prefix"},
-		{"digest mismatch", "deadbeefdeadbeef " + payload + "\n", "wal line 1: digest mismatch"},
-		{"bad json behind valid digest", lineDigest([]byte("{oops")) + " {oops\n", "wal line 1"},
-		{"second line corrupt", good + "\n" + "deadbeefdeadbeef " + payload + "\n", "wal line 2: digest mismatch"},
+		{"no digest prefix", header + "nodigesthere\n", "wal line 2: no digest prefix"},
+		{"digest mismatch", header + "deadbeefdeadbeef " + payload + "\n", "wal line 2: digest mismatch"},
+		{"bad json behind valid digest", header + lineDigest([]byte("{oops")) + " {oops\n", "wal line 2"},
+		{"second line corrupt", header + good + "\n" + "deadbeefdeadbeef " + payload + "\n", "wal line 3: digest mismatch"},
+		{"no format header", good + "\n", "wal line 1: no format header"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -38,7 +40,7 @@ func TestParseWALErrors(t *testing.T) {
 func TestParseWALRoundTrip(t *testing.T) {
 	payload := `{"version":"sha256:ab","spec":"Queue","sort":"Queue","term":"new","nf":"new","steps":3}`
 	line := lineDigest([]byte(payload)) + " " + payload + "\n"
-	recs, err := parseWAL([]byte(line + line)) // duplicate lines are legal; dedup happens at seed time
+	recs, err := parseWAL([]byte(walHeader + "\n" + line + line)) // duplicate lines are legal; dedup happens at seed time
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package serve_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -407,5 +409,80 @@ func TestWALLineCap(t *testing.T) {
 	}
 	if n := scrapeMetric(t, ts, "adt_persist_errors_total"); n != 0 {
 		t.Errorf("adt_persist_errors_total = %d, want 0", n)
+	}
+}
+
+// TestHeaderlessWALColdStart: a WAL without the format header was
+// written when outermost answers could be logged under innermost keys,
+// and a record does not say which strategy computed it. Boot must not
+// replay it: the WAL counts as unreadable, is started afresh, and the
+// boot after that reads the new log warm.
+func TestHeaderlessWALColdStart(t *testing.T) {
+	dir := t.TempDir()
+	term := "isEmpty?(add(remove(new), 'a))"
+	srv, err := serve.New(serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The outermost answer, logged as the old sharing logged it.
+	payload, err := json.Marshal(map[string]any{
+		"version": srv.Registry().Base().ID, "spec": "Queue", "sort": "Bool",
+		"term": term, "nf": "false", "steps": 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	sum := sha256.Sum256(payload)
+	line := hex.EncodeToString(sum[:8]) + " " + string(payload) + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "nf.wal"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for boot := 1; boot <= 2; boot++ {
+		srv, err := serve.New(serve.Config{PersistDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newTestServerFrom(t, srv)
+		wantErrs, wantWarm := int64(1), int64(0)
+		if boot == 2 {
+			wantErrs, wantWarm = 0, 1
+		}
+		if got := scrapeMetric(t, ts, "adt_persist_errors_total"); got != wantErrs {
+			t.Errorf("boot %d: adt_persist_errors_total = %d, want %d", boot, got, wantErrs)
+		}
+		if got := scrapeMetric(t, ts, "adt_warm_entries"); got != wantWarm {
+			t.Errorf("boot %d: adt_warm_entries = %d, want %d", boot, got, wantWarm)
+		}
+		if got := normalizeStrat(t, ts, "Queue", "", term, "innermost"); got.NormalForm != "error" || got.Cached != (boot == 2) {
+			t.Errorf("boot %d: innermost answered %s (cached %v), want error (cached %v)",
+				boot, got.NormalForm, got.Cached, boot == 2)
+		}
+		ts.Close()
+		srv.Close()
+	}
+}
+
+// TestEmptyWALIsNotAnError: a missing WAL and an empty one both boot
+// cold with no persist error.
+func TestEmptyWALIsNotAnError(t *testing.T) {
+	for _, empty := range []bool{false, true} {
+		dir := t.TempDir()
+		if empty {
+			if err := os.WriteFile(filepath.Join(dir, "nf.wal"), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, err := serve.New(serve.Config{PersistDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newTestServerFrom(t, srv)
+		if got := scrapeMetric(t, ts, "adt_persist_errors_total"); got != 0 {
+			t.Errorf("empty WAL file %v: adt_persist_errors_total = %d, want 0", empty, got)
+		}
+		ts.Close()
+		srv.Close()
 	}
 }

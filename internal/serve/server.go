@@ -21,9 +21,9 @@
 // recorder the forks drain into.
 //
 // Durability (DESIGN §13): with Config.PersistDir set, uploaded specs
-// and every cold normalization are persisted (an integrity-digested
-// write-ahead log), and a restarted server reloads them at boot so its
-// first request is served from the warm cache.
+// and every cold innermost normalization are persisted (an
+// integrity-digested write-ahead log), and a restarted server reloads
+// them at boot so its first request is served from the warm cache.
 package serve
 
 import (
@@ -88,14 +88,7 @@ type Server struct {
 	conf   *conformState
 	mux    *http.ServeMux
 
-	// certifiedBase counts the base-library specs carrying a confluence
-	// certificate (the adt_confluence_certified gauge); crossHits counts
-	// cache hits served to a different strategy than the one that
-	// computed the entry — possible only on certified specs, where the
-	// normal form is strategy-independent by theorem.
-	certifiedBase int64
-	crossHits     atomic.Int64
-	inFlight      atomic.Int64
+	inFlight atomic.Int64
 
 	closeMu sync.Mutex
 	closed  bool
@@ -149,16 +142,6 @@ func NewWithSources(cfg Config, sources []string) (*Server, error) {
 	}
 	if cfg.Warm {
 		s.warmFromCorpus()
-	}
-	// Completing the base library at boot (cheap: the certificates are
-	// cached on the version) makes the certified set a boot-time fact —
-	// the first strategy-mixed request never pays for completion, and
-	// the adt_confluence_certified gauge is stable from the first
-	// scrape.
-	for _, name := range reg.Base().Specs {
-		if reg.Base().Certified(name) {
-			s.certifiedBase++
-		}
 	}
 	s.slots = newSlots(cfg.Workers)
 	s.conf = newConformState()
@@ -225,10 +208,9 @@ func (s *Server) loadPersisted() {
 			s.pers.persistErrs.Add(1)
 			continue
 		}
-		// Persisted entries reload into the shared partition: only
-		// shared-keyed results are ever written to the WAL, so this
-		// round-trips exactly.
-		s.cache.Put(nfKey{t: canon, strat: stratShared}, cacheEntry{nf: nf, steps: rec.Steps})
+		// Only innermost results are written to the WAL, so entries
+		// reload under innermost keys.
+		s.cache.Put(nfKey{t: canon, strat: rewrite.Innermost}, cacheEntry{nf: nf, steps: rec.Steps})
 		s.parsed.Put(parseKey{in: sys.Interner(), text: rec.Term}, canon)
 		s.pers.warmLoaded.Add(1)
 	}
@@ -256,7 +238,7 @@ func (s *Server) warmFromCorpus() {
 				continue
 			}
 			steps := f.Stats().Steps
-			s.cache.Put(nfKey{t: canon, strat: stratShared}, cacheEntry{nf: nf, steps: steps})
+			s.cache.Put(nfKey{t: canon, strat: rewrite.Innermost}, cacheEntry{nf: nf, steps: steps})
 			s.parsed.Put(parseKey{in: sys.Interner(), text: src}, canon)
 			s.pers.append(walRecord{
 				Version: base.ID, Spec: name, Sort: string(canon.Sort),
@@ -319,13 +301,26 @@ func (s *Server) declareMetrics() *metrics.Registry {
 	r.Gauge("adt_interned_terms", "Canonical terms held by the per-spec interners.", s.internedTerms)
 	r.RequestLatency("adt_request_duration_seconds", "Request latency, by endpoint.", s.book)
 	r.Gauge("adt_registry_versions", "Registry versions held (base library included).", func() int64 { return int64(s.reg.Len()) })
-	r.Gauge("adt_confluence_certified", "Base-library specs carrying a confluence + termination certificate.", func() int64 { return s.certifiedBase })
-	r.Counter("adt_cache_cross_strategy_hits_total", "Normal-form cache hits served to a different strategy than the one that computed the entry (certified specs only).", s.crossHits.Load)
+	r.Gauge("adt_confluence_certified", "Base-library specs carrying a confluence + termination certificate.", s.certifiedBase)
 	s.conf.declareMetrics(r)
 	if s.pers != nil {
 		s.pers.declareMetrics(r)
 	}
 	return r
+}
+
+// certifiedBase counts the base-library specs whose certificate
+// certifies their own axioms. The base version caches its certificates,
+// so only the first scrape completes the library.
+func (s *Server) certifiedBase() int64 {
+	base := s.reg.Base()
+	var n int64
+	for _, name := range base.Specs {
+		if base.Certificate(name).CertifiesAxioms() {
+			n++
+		}
+	}
+	return n
 }
 
 // internedTerms sums the interners of every System compiled so far in

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,9 +15,7 @@ import (
 // uncertifiableSrc is terminating in practice but carries an axiom no
 // reduction order of the completion pass can orient ([q2]: po and qo
 // are mutually recursive, and the arguments are identical), so
-// completion refuses a certificate — the fixture for "no cross-strategy
-// sharing without proof", the situation the certificate gate exists
-// for: plausible-but-unproven.
+// completion refuses a certificate.
 const uncertifiableSrc = `
 spec UPick
   uses Bool
@@ -60,91 +59,99 @@ func normalizeStrat(t *testing.T, ts *httptest.Server, spec, version, tm, strate
 	return resp
 }
 
-// TestCrossStrategyCacheSharing: on a certified base spec, an innermost
-// cold run's entry answers the outermost request for the same term —
-// counted by adt_cache_cross_strategy_hits_total — and vice versa. On
-// an uncertified uploaded spec the partitions stay disjoint and the
-// counter never moves.
-func TestCrossStrategyCacheSharing(t *testing.T) {
-	ts := newTestServer(t, serve.Config{Workers: 2})
-
-	if n := scrapeMetric(t, ts, "adt_confluence_certified"); n < 10 {
-		t.Fatalf("adt_confluence_certified = %d, want at least 10 of the library certified", n)
-	}
-
-	// Queue is certified: cold innermost, then outermost must hit the
-	// shared entry.
-	tm := "front(add(add(new, 'a), 'b))"
-	cold := normalizeStrat(t, ts, "Queue", "", tm, "innermost")
-	if cold.Cached {
-		t.Fatal("first request reported cached")
-	}
-	warm := normalizeStrat(t, ts, "Queue", "", tm, "outermost")
-	if !warm.Cached {
-		t.Fatal("outermost request missed the certified shared cache")
-	}
-	if warm.NormalForm != cold.NormalForm {
-		t.Fatalf("cross-strategy NF mismatch: %s vs %s", warm.NormalForm, cold.NormalForm)
-	}
-	if n := scrapeMetric(t, ts, "adt_cache_cross_strategy_hits_total"); n != 1 {
-		t.Fatalf("adt_cache_cross_strategy_hits_total = %d after one cross hit", n)
-	}
-
-	// The reverse direction: outermost pays the cold run, innermost
-	// shares it.
-	tm2 := "front(add(add(new, 'b), 'a))"
-	if r := normalizeStrat(t, ts, "Queue", "", tm2, "outermost"); r.Cached {
-		t.Fatal("fresh outermost term reported cached")
-	}
-	if r := normalizeStrat(t, ts, "Queue", "", tm2, "innermost"); !r.Cached {
-		t.Fatal("innermost request missed the entry outermost computed")
-	}
-	if n := scrapeMetric(t, ts, "adt_cache_cross_strategy_hits_total"); n != 2 {
-		t.Fatalf("adt_cache_cross_strategy_hits_total = %d after two cross hits", n)
-	}
-
-	// A same-strategy repeat is a plain hit, not a cross hit.
-	normalizeStrat(t, ts, "Queue", "", tm, "innermost")
-	if n := scrapeMetric(t, ts, "adt_cache_cross_strategy_hits_total"); n != 2 {
-		t.Fatalf("same-strategy hit moved the cross counter to %d", n)
-	}
-
-	// Upload the uncertifiable spec; its strategies must not share.
-	b, _ := json.Marshal(map[string]string{"source": uncertifiableSrc})
+// uploadSpec registers src and returns its version id.
+func uploadSpec(t *testing.T, ts *httptest.Server, src string) string {
+	t.Helper()
+	b, _ := json.Marshal(map[string]string{"source": src})
 	code, body := do(t, ts, "POST", "/v1/specs", string(b))
-	if code != 201 {
+	if code != 201 && code != 200 {
 		t.Fatalf("upload: %d %s", code, body)
 	}
 	var up serve.SpecUploadResponse
 	if err := json.Unmarshal([]byte(body), &up); err != nil {
 		t.Fatal(err)
 	}
-	utm := "po(ub(ub(ua)))"
-	if r := normalizeStrat(t, ts, "UPick", up.Version, utm, "innermost"); r.Cached {
-		t.Fatal("fresh uncertified term reported cached")
-	}
-	if r := normalizeStrat(t, ts, "UPick", up.Version, utm, "outermost"); r.Cached {
-		t.Fatal("uncertified outermost request hit the innermost entry")
-	}
-	// Each partition now warm — repeats hit, same-strategy only.
-	if r := normalizeStrat(t, ts, "UPick", up.Version, utm, "outermost"); !r.Cached {
-		t.Fatal("uncertified outermost repeat missed its own partition")
-	}
-	if n := scrapeMetric(t, ts, "adt_cache_cross_strategy_hits_total"); n != 2 {
-		t.Fatalf("uncertified spec moved the cross counter to %d", n)
-	}
+	return up.Version
+}
 
-	// BoundedQueue is the library's own uncertified spec: its
-	// partitions must stay disjoint too.
-	btm := "sizeq(addq(addq(emptyq, 'a), 'b))"
-	if r := normalizeStrat(t, ts, "BoundedQueue", "", btm, "innermost"); r.Cached {
-		t.Fatal("fresh BoundedQueue term reported cached")
+// TestCachePartitionStrictError pins the answers that a normal-form
+// cache shared between strategies got wrong. Each term is certified
+// (its spec's own axioms are confluent and terminating) yet innermost
+// and outermost disagree, because the engine's error is strict and an
+// axiom that drops or guards a variable lets outermost answer before
+// the argument becomes error. Asked outermost first, then innermost, on
+// one server and again after a restart that replays the WAL, each
+// strategy must get its own answer: outermost entries are never
+// persisted, innermost ones come back warm.
+func TestCachePartitionStrictError(t *testing.T) {
+	cases := []struct{ spec, term string }{
+		{"Queue", "isEmpty?(add(remove(new), 'a))"},
+		{"Nat", "ltN(succ(pred(zero)), zero)"},
+		{"Bool", "and(false, not(error))"},
 	}
-	if r := normalizeStrat(t, ts, "BoundedQueue", "", btm, "outermost"); r.Cached {
-		t.Fatal("uncertified BoundedQueue outermost request shared the innermost entry")
+	dir := t.TempDir()
+	for boot := 1; boot <= 2; boot++ {
+		srv, err := serve.New(serve.Config{Workers: 2, PersistDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newTestServerFrom(t, srv)
+		for _, c := range cases {
+			if cert := srv.Registry().Base().Certificate(c.spec); !cert.CertifiesAxioms() {
+				t.Fatalf("%s: %s; the case needs a certified spec", c.spec, cert)
+			}
+			out := normalizeStrat(t, ts, c.spec, "", c.term, "outermost")
+			in := normalizeStrat(t, ts, c.spec, "", c.term, "innermost")
+			if out.NormalForm != "false" || out.Cached {
+				t.Errorf("boot %d, %s %s outermost: %s (cached %v), want false uncached",
+					boot, c.spec, c.term, out.NormalForm, out.Cached)
+			}
+			if in.NormalForm != "error" || in.Cached != (boot == 2) {
+				t.Errorf("boot %d, %s %s innermost: %s (cached %v), want error (cached %v)",
+					boot, c.spec, c.term, in.NormalForm, in.Cached, boot == 2)
+			}
+		}
+		ts.Close()
+		srv.Close()
 	}
-	if n := scrapeMetric(t, ts, "adt_cache_cross_strategy_hits_total"); n != 2 {
-		t.Fatalf("BoundedQueue moved the cross counter to %d", n)
+}
+
+// TestCachePartitionPerStrategy: every strategy keeps its own
+// normal-form cache entries, whatever the spec's certificate says. On
+// the certified Queue, the library's refuted BoundedQueue and the
+// uploaded, unorientable UPick alike, each strategy misses once and
+// then hits its own entry.
+func TestCachePartitionPerStrategy(t *testing.T) {
+	ts := newTestServer(t, serve.Config{Workers: 2})
+	ver := uploadSpec(t, ts, uncertifiableSrc)
+	cases := []struct{ spec, version, term string }{
+		{"Queue", "", "front(add(add(new, 'a), 'b))"},
+		{"BoundedQueue", "", "sizeq(addq(addq(emptyq, 'a), 'b))"},
+		{"UPick", ver, "po(ub(ub(ua)))"},
+	}
+	for _, c := range cases {
+		hits0 := scrapeMetric(t, ts, "adt_cache_hits_total")
+		misses0 := scrapeMetric(t, ts, "adt_cache_misses_total")
+		nfs := map[string]string{}
+		for _, strat := range []string{"innermost", "outermost"} {
+			r := normalizeStrat(t, ts, c.spec, c.version, c.term, strat)
+			if r.Cached {
+				t.Errorf("%s %s: first %s request answered from the cache", c.spec, c.term, strat)
+			}
+			nfs[strat] = r.NormalForm
+		}
+		for _, strat := range []string{"innermost", "outermost"} {
+			r := normalizeStrat(t, ts, c.spec, c.version, c.term, strat)
+			if !r.Cached || r.NormalForm != nfs[strat] {
+				t.Errorf("%s %s: repeated %s request answered %s (cached %v), want its own entry %s",
+					c.spec, c.term, strat, r.NormalForm, r.Cached, nfs[strat])
+			}
+		}
+		hits := scrapeMetric(t, ts, "adt_cache_hits_total") - hits0
+		misses := scrapeMetric(t, ts, "adt_cache_misses_total") - misses0
+		if hits != 2 || misses != 2 {
+			t.Errorf("%s: %d hit(s) and %d miss(es), want 2 and 2", c.spec, hits, misses)
+		}
 	}
 
 	// An unknown strategy is a 400, not a silent default.
@@ -154,12 +161,12 @@ func TestCrossStrategyCacheSharing(t *testing.T) {
 	}
 }
 
-// TestCrossStrategySoak hammers one certified spec with both strategies
-// from many goroutines (the race detector watches the shared cache and
-// the cross counter) and then reconciles /metrics exactly: every
-// normalize request is either a cache hit or a miss, and cross hits
-// never exceed total hits.
-func TestCrossStrategySoak(t *testing.T) {
+// TestCachePartitionPerStrategySoak hammers one spec with both
+// strategies from many goroutines (the race detector watches the cache)
+// and then reconciles /metrics exactly: every normalize request is one
+// cache hit or one miss, each (term, strategy) pair misses at least
+// once, and each strategy's answer for a term never changes.
+func TestCachePartitionPerStrategySoak(t *testing.T) {
 	ts := newTestServer(t, serve.Config{Workers: 4})
 
 	terms := make([]string, 8)
@@ -174,9 +181,6 @@ func TestCrossStrategySoak(t *testing.T) {
 		}
 		terms[i] = fmt.Sprintf("front(%s)", q)
 	}
-
-	hits0, _ := scrapeMetric(t, ts, "adt_cache_hits_total"), scrapeMetric(t, ts, "adt_cache_misses_total")
-	cross0 := scrapeMetric(t, ts, "adt_cache_cross_strategy_hits_total")
 
 	const workers = 8
 	const perWorker = 40
@@ -194,30 +198,28 @@ func TestCrossStrategySoak(t *testing.T) {
 				}
 				tm := terms[(g*perWorker+i)%len(terms)]
 				r := normalizeStrat(t, ts, "Queue", "", tm, strat)
+				key := strat + " " + tm
 				mu.Lock()
-				if prev, ok := nfs[tm]; ok && prev != r.NormalForm {
-					t.Errorf("%s: NF %s under %s, previously %s", tm, r.NormalForm, strat, prev)
+				if prev, ok := nfs[key]; ok && prev != r.NormalForm {
+					t.Errorf("%s: NF %s, previously %s", key, r.NormalForm, prev)
 				}
-				nfs[tm] = r.NormalForm
+				nfs[key] = r.NormalForm
 				mu.Unlock()
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	hits := scrapeMetric(t, ts, "adt_cache_hits_total") - hits0
+	hits := scrapeMetric(t, ts, "adt_cache_hits_total")
 	misses := scrapeMetric(t, ts, "adt_cache_misses_total")
-	cross := scrapeMetric(t, ts, "adt_cache_cross_strategy_hits_total") - cross0
-	if got := hits + misses; got < workers*perWorker {
-		// Every request asked the cache exactly once; boot-time warmth
-		// contributes misses but never subtracts.
-		t.Errorf("cache hits %d + misses %d < %d requests", hits, misses, workers*perWorker)
+	if hits+misses != workers*perWorker {
+		t.Errorf("cache hits %d + misses %d != %d requests", hits, misses, workers*perWorker)
 	}
-	if cross == 0 {
-		t.Error("strategy-mixed soak on a certified spec produced no cross-strategy hits")
+	if misses < int64(len(nfs)) {
+		t.Errorf("%d miss(es) for %d (term, strategy) pairs: a strategy answered from another's entry", misses, len(nfs))
 	}
-	if cross > hits {
-		t.Errorf("cross-strategy hits %d exceed total hits %d", cross, hits)
+	if _, page := do(t, ts, "GET", "/metrics", ""); strings.Contains(page, "cross_strategy") {
+		t.Error("/metrics still has a cross-strategy family")
 	}
 }
 
@@ -242,26 +244,12 @@ spec CP
 end
 `
 
-// uploadSpec registers src and returns its version id.
-func uploadSpec(t *testing.T, ts *httptest.Server, src string) string {
-	t.Helper()
-	b, _ := json.Marshal(map[string]string{"source": src})
-	code, body := do(t, ts, "POST", "/v1/specs", string(b))
-	if code != 201 && code != 200 {
-		t.Fatalf("upload: %d %s", code, body)
-	}
-	var up serve.SpecUploadResponse
-	if err := json.Unmarshal([]byte(body), &up); err != nil {
-		t.Fatal(err)
-	}
-	return up.Version
-}
-
-// TestCertificateGateNeedsOwnAxioms: a certificate that needed a
-// derived rule does not open the shared partition. Whichever strategy
-// asks first, and after a restart that replays the WAL, each answer is
-// its own strategy's uncached answer.
-func TestCertificateGateNeedsOwnAxioms(t *testing.T) {
+// TestCachePartitionDerivedRule: on a spec whose certificate needed a
+// derived rule, whichever strategy asks first, and after a restart that
+// replays the WAL, each answer is its own strategy's normal form. The
+// certificate does not certify the axioms the engine runs, so the
+// library's gauge does not count such a spec either.
+func TestCachePartitionDerivedRule(t *testing.T) {
 	want := map[string]string{"innermost": "f(b)", "outermost": "h(a)"}
 	for _, order := range [][]string{{"innermost", "outermost"}, {"outermost", "innermost"}} {
 		dir := t.TempDir()
@@ -273,7 +261,7 @@ func TestCertificateGateNeedsOwnAxioms(t *testing.T) {
 			ts := newTestServerFrom(t, srv)
 			ver := uploadSpec(t, ts, cpSrc)
 			v, _ := srv.Registry().Resolve(ver)
-			if c := v.Certificate("CP"); c.Verdict != completion.Certified || c.CertifiesAxioms() || v.Certified("CP") {
+			if c := v.Certificate("CP"); c.Verdict != completion.Certified || c.CertifiesAxioms() {
 				t.Fatalf("CP: %s; want certified with a derived rule, so not certifying its axioms", c)
 			}
 			for _, strat := range order {
@@ -282,11 +270,8 @@ func TestCertificateGateNeedsOwnAxioms(t *testing.T) {
 						order, boot, strat, got.NormalForm, got.Cached, want[strat])
 				}
 			}
-			if n := scrapeMetric(t, ts, "adt_cache_cross_strategy_hits_total"); n != 0 {
-				t.Errorf("order %v, boot %d: %d cross-strategy hits on CP", order, boot, n)
-			}
-			// The library derives and flips nothing: the gate passes
-			// the same 18 specs the verdict certifies.
+			// The library derives and flips nothing: all 18 certified
+			// specs certify their own axioms.
 			if n := scrapeMetric(t, ts, "adt_confluence_certified"); n != 18 {
 				t.Errorf("adt_confluence_certified = %d, want 18", n)
 			}
