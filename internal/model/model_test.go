@@ -6,7 +6,6 @@ import (
 
 	"algspec/internal/adt/adapters"
 	"algspec/internal/adt/queue"
-	"algspec/internal/adt/symtab"
 	"algspec/internal/model"
 	"algspec/internal/sig"
 	"algspec/internal/speclib"
@@ -17,26 +16,7 @@ import (
 // with the symbolic interpretation — the library-wide oracle test.
 func TestAllAdaptersSatisfyTheirSpecs(t *testing.T) {
 	env := speclib.BaseEnv()
-	cases := []struct {
-		spec string
-		impl *model.Impl
-		cfg  model.Config
-	}{
-		{"Bool", adapters.Bool(env.MustGet("Bool")), model.Config{Depth: 1}},
-		{"Nat", adapters.Nat(env.MustGet("Nat")), model.Config{Depth: 5, MaxInstancesPerAxiom: 400}},
-		{"Queue", adapters.Queue(env.MustGet("Queue")), model.Config{Depth: 4, MaxInstancesPerAxiom: 400}},
-		{"BoundedQueue", adapters.BoundedQueue(env.MustGet("BoundedQueue")), model.Config{Depth: 5, MaxInstancesPerAxiom: 300}},
-		{"Array", adapters.Array(env.MustGet("Array")), model.Config{Depth: 3, MaxInstancesPerAxiom: 300}},
-		{"Stack", adapters.Stack(env.MustGet("Stack")), model.Config{Depth: 3, MaxInstancesPerAxiom: 300}},
-		{"Knowlist", adapters.Knowlist(env.MustGet("Knowlist")), model.Config{Depth: 3, MaxInstancesPerAxiom: 300}},
-		{"SymboltableKnows", adapters.SymboltableKnows(env.MustGet("SymboltableKnows")), model.Config{Depth: 3, MaxInstancesPerAxiom: 200}},
-		{"Set", adapters.Set(env.MustGet("Set")), model.Config{Depth: 3, MaxInstancesPerAxiom: 300}},
-		{"List", adapters.List(env.MustGet("List")), model.Config{Depth: 3, MaxInstancesPerAxiom: 300}},
-		{"Bag", adapters.Bag(env.MustGet("Bag")), model.Config{Depth: 3, MaxInstancesPerAxiom: 300}},
-		{"BST", adapters.BST(env.MustGet("BST")), model.Config{Depth: 3, MaxInstancesPerAxiom: 300}},
-		{"Map", adapters.Map(env.MustGet("Map")), model.Config{Depth: 3, MaxInstancesPerAxiom: 300}},
-	}
-	for _, c := range cases {
+	for _, c := range adapterCases(env) {
 		t.Run(c.spec, func(t *testing.T) {
 			sp := env.MustGet(c.spec)
 			ar := model.CheckAxioms(sp, c.impl, c.cfg)
@@ -59,18 +39,13 @@ func TestAllAdaptersSatisfyTheirSpecs(t *testing.T) {
 func TestSymboltableRepresentations(t *testing.T) {
 	env := speclib.BaseEnv()
 	sp := env.MustGet("Symboltable")
-	reps := map[string]func() symtab.Table{
-		"stack": symtab.NewStackTable,
-		"list":  symtab.NewListTable,
-	}
-	for name, mk := range reps {
-		t.Run(name, func(t *testing.T) {
-			impl := adapters.Symboltable(sp, mk)
-			cfg := model.Config{Depth: 3, MaxInstancesPerAxiom: 250}
-			if r := model.CheckAxioms(sp, impl, cfg); !r.OK() {
+	for _, tb := range symtabTables {
+		t.Run(tb.name, func(t *testing.T) {
+			impl := adapters.Symboltable(sp, tb.mk)
+			if r := model.CheckAxioms(sp, impl, symtabCfg); !r.OK() {
 				t.Errorf("axioms: %s", r)
 			}
-			if r := model.CheckAgainstSpec(sp, impl, cfg); !r.OK() {
+			if r := model.CheckAgainstSpec(sp, impl, symtabCfg); !r.OK() {
 				t.Errorf("agreement: %s", r)
 			}
 		})
