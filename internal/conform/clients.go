@@ -75,16 +75,16 @@ func (c *EngineClient) Observe(p ProgramMsg) (Observation, error) {
 
 // ModelClient evaluates programs against a native implementation
 // through the model harness: bottom-up evaluation with lazy if and
-// strict error propagation, then reification of the observable result.
+// strict error propagation, then reification of the observable result
+// (model.Harness.Observe, the step the model checks take in each
+// observer context).
 type ModelClient struct {
-	h    *model.Harness
-	impl *model.Impl
-	sp   *spec.Spec
+	h *model.Harness
 }
 
 // NewModelClient wraps an implementation of the given spec.
 func NewModelClient(sp *spec.Spec, impl *model.Impl) *ModelClient {
-	return &ModelClient{h: model.NewHarness(sp, impl), impl: impl, sp: sp}
+	return &ModelClient{h: model.NewHarness(sp, impl)}
 }
 
 // Observe evaluates the program in the implementation and reifies the
@@ -96,19 +96,12 @@ func (c *ModelClient) Observe(p ProgramMsg) (Observation, error) {
 	if err != nil {
 		return Observation{}, err
 	}
-	v, err := c.h.Eval(t)
+	obs, err := c.h.Observe(t)
 	if err != nil {
 		return Observation{}, err
 	}
-	if model.IsErr(v) {
+	if obs.IsErr() {
 		return Observation{IsError: true}, nil
 	}
-	rt, ok, err := c.impl.Reify(sig.Sort(p.Sort), v)
-	if err != nil {
-		return Observation{}, err
-	}
-	if !ok {
-		return Observation{}, fmt.Errorf("conform: implementation cannot reify sort %s (declared observable)", p.Sort)
-	}
-	return Observation{Value: rt.String()}, nil
+	return Observation{Value: obs.String()}, nil
 }

@@ -3,7 +3,10 @@
 // observable probe programs (the planner), judges a client's reported
 // observations against the engine's normal forms (the oracle), and
 // shrinks any disagreement to a minimal counterexample program through
-// an interactive candidate/observe loop (the session).
+// an interactive candidate/observe loop (the session). The planner
+// lifts a hidden-sort axiom side through gen.ObserverContexts, the same
+// observations the model checker and the §4 verifier compare hidden
+// values by.
 //
 // Two front ends drive it. The /v1/conform endpoint on adt serve runs a
 // session over a JSON wire protocol against a remote implementation;
@@ -16,7 +19,6 @@ package conform
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"algspec/internal/core"
@@ -202,70 +204,15 @@ func (p *Plan) compile(t *term.Term, axiom string, norm Normalizer) (*Program, b
 	return prog, false, nil
 }
 
-// lift turns a ground term into observable probes: the term itself when
-// its sort is observable, otherwise the term wrapped in observer
-// contexts (every operation taking its sort, remaining positions filled
-// with minimal ground terms), recursively up to depth wraps.
+// lift turns a ground term into observable probes: the term itself in
+// each of its sort's observer contexts (gen.ObserverContexts), up to
+// depth wraps.
 func (p *Plan) lift(t *term.Term, depth int) []*term.Term {
-	ctxs := ObserverContexts(p.sp, p.g, p.cfg.ObserveSorts, t.Sort, depth)
+	ctxs := p.g.ObserverContexts(t.Sort, p.cfg.ObserveSorts, depth)
 	out := make([]*term.Term, 0, len(ctxs))
-	hole := subst.Subst{HoleVar: t}
+	hole := subst.Subst{gen.HoleVar: t}
 	for _, c := range ctxs {
 		out = append(out, hole.Apply(c))
-	}
-	return out
-}
-
-// HoleVar is the distinguished variable naming the hole in an observer
-// context returned by ObserverContexts. The name is outside the
-// identifier space spec authors use, so it cannot collide with axiom
-// variables when a context is composed with an axiom side.
-const HoleVar = "__hole"
-
-// ObserverContexts enumerates observable contexts for a sort: terms
-// with a single HoleVar occurrence of the given sort whose root sort is
-// observable (spec.Observable, or one of the extra sorts the client
-// declares). A hole of an observable sort yields the identity context;
-// a hidden sort is wrapped in every operation taking it (remaining
-// positions filled with minimal ground terms), recursively up to depth
-// wraps. This is the shared lift machinery of the conformance planner
-// and the driverkit generator: both fronts must probe hidden sorts
-// through exactly the same observations.
-func ObserverContexts(sp *spec.Spec, g *gen.Generator, extra []sig.Sort, so sig.Sort, depth int) []*term.Term {
-	if sp.Observable(so) || slices.Contains(extra, so) {
-		return []*term.Term{term.NewVar(HoleVar, so)}
-	}
-	if depth <= 0 {
-		return nil
-	}
-	var out []*term.Term
-	for _, op := range sp.Sig.OpsTaking(so) {
-		for pos, d := range op.Domain {
-			if d != so {
-				continue
-			}
-			args := make([]*term.Term, len(op.Domain))
-			feasible := true
-			for i, fs := range op.Domain {
-				if i == pos {
-					args[i] = term.NewVar(HoleVar, so)
-					continue
-				}
-				fill, ok := g.Minimal(fs)
-				if !ok {
-					feasible = false
-					break
-				}
-				args[i] = fill
-			}
-			if !feasible {
-				continue
-			}
-			inner := term.NewOp(op.Name, op.Range, args...)
-			for _, outer := range ObserverContexts(sp, g, extra, op.Range, depth-1) {
-				out = append(out, subst.Subst{HoleVar: inner}.Apply(outer))
-			}
-		}
 	}
 	return out
 }

@@ -6,10 +6,10 @@
 // dependency.
 //
 // The suite is planned with the same machinery the /v1/conform
-// endpoint uses (seeded instance enumeration and random instantiation
-// from internal/gen, observable lifting from internal/conform): every
-// own axiom is instantiated with its minimal assignment plus N seeded
-// random ones and both sides are lifted into observable contexts
+// endpoint uses (seeded instance enumeration, random instantiation and
+// observer contexts, all from internal/gen): every own axiom is
+// instantiated with its minimal assignment plus N seeded random ones
+// and both sides are lifted into observable contexts
 // (axiom pairs, judged implementation-against-itself — the axioms are
 // the oracle), and every ground observer probe is baked together with
 // its engine normal form as a constructor tree (observation pairs,
@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strings"
 
-	"algspec/internal/conform"
 	"algspec/internal/core"
 	"algspec/internal/driverkit/rt"
 	"algspec/internal/gen"
@@ -149,11 +148,11 @@ func Build(env *core.Env, sp *spec.Spec, cfg Config) (*Package, error) {
 		vars := ax.LHS.Vars()
 		// A failed draw only ends this axiom's instances early.
 		asns, _ := g.Samples(vars, cfg.N, cfg.Depth)
-		ctxs := conform.ObserverContexts(sp, g, cfg.ObserveSorts, ax.LHS.Sort, 2)
+		ctxs := g.ObserverContexts(ax.LHS.Sort, cfg.ObserveSorts, 2)
 		for _, ctx := range ctxs {
-			hole := subst.Subst{conform.HoleVar: ax.LHS}
+			hole := subst.Subst{gen.HoleVar: ax.LHS}
 			tl := hole.Apply(ctx)
-			hole[conform.HoleVar] = ax.RHS
+			hole[gen.HoleVar] = ax.RHS
 			tr := hole.Apply(ctx)
 			for _, asn := range asns {
 				s := subst.Subst(asn)

@@ -11,9 +11,10 @@
 //
 // On top of both sit the probe planners every checker shares:
 // Applications (an operation applied exhaustively), Samples (an axiom's
-// minimal plus random assignments) and SampledApplications (an operation
-// applied to sampled arguments). Their draw order is fixed, so a seeded
-// generator plans the same probes on every run.
+// minimal plus random assignments), SampledApplications (an operation
+// applied to sampled arguments) and ObserverContexts (the observations
+// through which a value of a hidden sort is compared). Their draw order
+// is fixed, so a seeded generator plans the same probes on every run.
 package gen
 
 import (
@@ -25,6 +26,7 @@ import (
 
 	"algspec/internal/sig"
 	"algspec/internal/spec"
+	"algspec/internal/subst"
 	"algspec/internal/term"
 )
 
@@ -482,4 +484,59 @@ func apply(op *sig.Operation, vars []*term.Term, asn map[string]*term.Term) *ter
 		args[i] = asn[v.Sym]
 	}
 	return term.NewOp(op.Name, op.Range, args...)
+}
+
+// HoleVar is the variable naming the hole of an observer context. The
+// name is outside the identifier space spec authors use, so it cannot
+// collide with axiom variables when a context is composed with an axiom
+// side.
+const HoleVar = "__hole"
+
+// ObserverContexts enumerates the observer contexts of a sort: terms
+// with one HoleVar occurrence of that sort whose root sort is observable
+// (spec.Observable, or one of the extra sorts a client or implementation
+// reifies). A value of a hidden sort can only be compared through such
+// contexts, and this set is the one hypothesis every checker's oracle
+// rests on: two values are equal unless some context tells them apart.
+// A hole of an observable sort yields only the bare hole. A hidden sort
+// is wrapped in every operation taking it, each other argument position
+// holding the Minimal term of its sort, up to depth nested wraps; a
+// hidden sort that runs out of depth yields no context.
+func (g *Generator) ObserverContexts(so sig.Sort, extra []sig.Sort, depth int) []*term.Term {
+	if g.sp.Observable(so) || slices.Contains(extra, so) {
+		return []*term.Term{term.NewVar(HoleVar, so)}
+	}
+	if depth <= 0 {
+		return nil
+	}
+	var out []*term.Term
+	for _, op := range g.sp.Sig.OpsTaking(so) {
+		for pos, d := range op.Domain {
+			if d != so {
+				continue
+			}
+			args := make([]*term.Term, len(op.Domain))
+			feasible := true
+			for i, fs := range op.Domain {
+				if i == pos {
+					args[i] = term.NewVar(HoleVar, so)
+					continue
+				}
+				fill, ok := g.Minimal(fs)
+				if !ok {
+					feasible = false
+					break
+				}
+				args[i] = fill
+			}
+			if !feasible {
+				continue
+			}
+			inner := subst.Subst{HoleVar: term.NewOp(op.Name, op.Range, args...)}
+			for _, outer := range g.ObserverContexts(op.Range, extra, depth-1) {
+				out = append(out, inner.Apply(outer))
+			}
+		}
+	}
+	return out
 }

@@ -405,3 +405,75 @@ func TestShrinkCandidatesOrder(t *testing.T) {
 		}
 	}
 }
+
+// ObserverContexts is the one observation hypothesis of the checkers:
+// an observable sort, or one the caller reifies, is observed through the
+// bare hole; a hidden sort out of depth has no context; a hidden sort is
+// wrapped in every operation taking it, nested up to the depth, and each
+// argument off the hole's path is the Minimal term of its sort.
+func TestObserverContexts(t *testing.T) {
+	env := speclib.BaseEnv()
+	g := gen.New(env.MustGet("Queue"), gen.Config{})
+	for _, c := range []struct {
+		so    sig.Sort
+		extra []sig.Sort
+	}{{"Bool", nil}, {"Item", nil}, {"Queue", []sig.Sort{"Queue"}}} {
+		got := g.ObserverContexts(c.so, c.extra, 2)
+		if len(got) != 1 || !got[0].Equal(term.NewVar(gen.HoleVar, c.so)) {
+			t.Errorf("%s (extra %v): contexts %v, want the bare hole", c.so, c.extra, got)
+		}
+	}
+	if got := g.ObserverContexts("Queue", nil, 0); len(got) != 0 {
+		t.Errorf("Queue at depth 0: contexts %v, want none", got)
+	}
+	var got []string
+	for _, c := range g.ObserverContexts("Queue", nil, 2) {
+		got = append(got, c.String())
+	}
+	want := []string{
+		"front(add(__hole, 'a))",
+		"isEmpty?(add(__hole, 'a))",
+		"front(__hole)",
+		"front(remove(__hole))",
+		"isEmpty?(remove(__hole))",
+		"isEmpty?(__hole)",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Queue at depth 2:\n got %q\nwant %q", got, want)
+	}
+
+	for _, name := range []string{"Queue", "Stack", "Symboltable", "Map"} {
+		sp := env.MustGet(name)
+		g := gen.New(sp, gen.Config{})
+		ctxs := g.ObserverContexts(sig.Sort(name), nil, 2)
+		if len(ctxs) == 0 {
+			t.Errorf("%s: no context at depth 2", name)
+		}
+		for _, c := range ctxs {
+			if !sp.Observable(c.Sort) || holes(c) != 1 {
+				t.Errorf("%s: context %s has root sort %s and %d holes", name, c, c.Sort, holes(c))
+			}
+			c.Walk(func(u *term.Term) bool {
+				if holes(u) > 0 {
+					return true
+				}
+				if min, _ := g.Minimal(u.Sort); !u.Equal(min) {
+					t.Errorf("%s: context %s fills %s, want %s", name, c, u, min)
+				}
+				return false
+			})
+		}
+	}
+}
+
+// holes counts the HoleVar occurrences in t.
+func holes(t *term.Term) int {
+	n := 0
+	t.Walk(func(u *term.Term) bool {
+		if u.Kind == term.Var && u.Sym == gen.HoleVar {
+			n++
+		}
+		return true
+	})
+	return n
+}

@@ -38,6 +38,7 @@ import (
 	"algspec/internal/rewrite"
 	"algspec/internal/sig"
 	"algspec/internal/spec"
+	"algspec/internal/subst"
 	"algspec/internal/term"
 )
 
@@ -118,9 +119,11 @@ type Config struct {
 	// MaxInstancesPerAxiom caps instantiations per axiom (default 5000).
 	MaxInstancesPerAxiom int
 	// ObsDepth enables an observational re-check when Φ images differ
-	// structurally: the two abstract values are compared through
-	// abstract observer contexts this deep (0 disables; differences
-	// then count as failures directly).
+	// structurally: the two abstract values are compared through the
+	// abstract sort's observer contexts (gen.ObserverContexts) this deep,
+	// and they are equal unless the normal forms of some context around
+	// them differ (0 disables; differences then count as failures
+	// directly).
 	ObsDepth int
 	// Workers sets the number of verification goroutines per axiom
 	// (<= 0 means GOMAXPROCS). Each worker forks the merged and abstract
@@ -343,11 +346,10 @@ func (r *Report) String() string {
 
 // Verify discharges the proof obligations for every abstract own axiom.
 func (v *Verifier) Verify(cfg Config) (*Report, error) {
-	cfg.fill()
-	v.g = gen.New(v.merged, gen.Config{})
+	ctxs := v.prepare(&cfg)
 	r := &Report{Representation: v.merged.Name}
 	for _, ax := range v.rep.Abstract.Own {
-		res, err := v.verifyAxiom(ax, cfg)
+		res, err := v.verifyAxiom(ax, cfg, ctxs)
 		if err != nil {
 			return nil, err
 		}
@@ -360,14 +362,25 @@ func (v *Verifier) Verify(cfg Config) (*Report, error) {
 // label (used by tests that probe individual axioms, e.g. Axiom 9 with
 // and without Assumption 1).
 func (v *Verifier) VerifyAxiom(label string, cfg Config) (*AxiomResult, error) {
-	cfg.fill()
-	v.g = gen.New(v.merged, gen.Config{})
+	ctxs := v.prepare(&cfg)
 	for _, ax := range v.rep.Abstract.Own {
 		if ax.Label == label {
-			return v.verifyAxiom(ax, cfg)
+			return v.verifyAxiom(ax, cfg, ctxs)
 		}
 	}
 	return nil, fmt.Errorf("homo: abstract spec has no axiom labelled %q", label)
+}
+
+// prepare fills cfg's defaults, builds the instance generator and
+// returns the abstract sort's observer contexts, none when cfg.ObsDepth
+// is 0.
+func (v *Verifier) prepare(cfg *Config) []*term.Term {
+	cfg.fill()
+	v.g = gen.New(v.merged, gen.Config{})
+	if cfg.ObsDepth == 0 {
+		return nil
+	}
+	return gen.New(v.rep.Abstract, gen.Config{}).ObserverContexts(v.rep.AbsSort, nil, cfg.ObsDepth)
 }
 
 // verifyAxiom discharges one axiom's obligations. Instances are sharded
@@ -375,7 +388,7 @@ func (v *Verifier) VerifyAxiom(label string, cfg Config) (*AxiomResult, error) {
 // rewrite System is stateful and must not be shared across goroutines);
 // outcomes are merged in instance order, so the result — including which
 // normalization error surfaces first — does not depend on worker count.
-func (v *Verifier) verifyAxiom(ax *spec.Axiom, cfg Config) (*AxiomResult, error) {
+func (v *Verifier) verifyAxiom(ax *spec.Axiom, cfg Config, ctxs []*term.Term) (*AxiomResult, error) {
 	res := &AxiomResult{Axiom: ax}
 	lhsI := v.Interpret(ax.LHS)
 	rhsI := v.Interpret(ax.RHS)
@@ -432,7 +445,7 @@ func (v *Verifier) verifyAxiom(ax *spec.Axiom, cfg Config) (*AxiomResult, error)
 				continue
 			}
 			if wrap && cfg.ObsDepth > 0 {
-				eq, err := v.observationallyEqual(absSys, lv, rv, cfg)
+				eq, err := observationallyEqual(absSys, ctxs, lv, rv)
 				if err != nil {
 					outcomes[i] = outcome{err: err}
 					continue
@@ -499,70 +512,26 @@ func (v *Verifier) violatesAssumption(sys *rewrite.System, t *term.Term) bool {
 	return violated
 }
 
-// observationallyEqual compares two abstract ground values through every
-// abstract observer context up to cfg.ObsDepth.
-func (v *Verifier) observationallyEqual(absSys *rewrite.System, a, b *term.Term, cfg Config) (bool, error) {
+// observationallyEqual compares two abstract ground values through the
+// abstract sort's observer contexts: error equals only error, and two
+// values are equal unless the normal forms of some context around them
+// differ.
+func observationallyEqual(absSys *rewrite.System, ctxs []*term.Term, a, b *term.Term) (bool, error) {
 	if a.IsErr() || b.IsErr() {
 		return a.IsErr() && b.IsErr(), nil
 	}
-	return v.obsEqual(absSys, a, b, cfg.ObsDepth)
-}
-
-func (v *Verifier) obsEqual(absSys *rewrite.System, a, b *term.Term, depth int) (bool, error) {
-	if a.Equal(b) {
-		return true, nil
-	}
-	if depth <= 0 {
-		return true, nil
-	}
-	so := a.Sort
-	for _, op := range v.rep.Abstract.Sig.OpsTaking(so) {
-		for pos, d := range op.Domain {
-			if d != so {
-				continue
-			}
-			for _, fill := range v.g.Instantiations(fillVars(op, pos), 2, 32) {
-				ca, cb := contextApply(op, pos, a, fill), contextApply(op, pos, b, fill)
-				na, err := absSys.Normalize(ca)
-				if err != nil {
-					return false, err
-				}
-				nb, err := absSys.Normalize(cb)
-				if err != nil {
-					return false, err
-				}
-				eq, err := v.obsEqual(absSys, na, nb, depth-1)
-				if err != nil {
-					return false, err
-				}
-				if !eq {
-					return false, nil
-				}
-			}
+	for _, c := range ctxs {
+		na, err := absSys.Normalize(subst.Subst{gen.HoleVar: a}.Apply(c))
+		if err != nil {
+			return false, err
+		}
+		nb, err := absSys.Normalize(subst.Subst{gen.HoleVar: b}.Apply(c))
+		if err != nil {
+			return false, err
+		}
+		if !na.Equal(nb) {
+			return false, nil
 		}
 	}
 	return true, nil
-}
-
-func fillVars(op *sig.Operation, hole int) []*term.Term {
-	var out []*term.Term
-	for i, d := range op.Domain {
-		if i == hole {
-			continue
-		}
-		out = append(out, term.NewVar(fmt.Sprintf("f%d", i), d))
-	}
-	return out
-}
-
-func contextApply(op *sig.Operation, hole int, val *term.Term, fill map[string]*term.Term) *term.Term {
-	args := make([]*term.Term, len(op.Domain))
-	for i := range op.Domain {
-		if i == hole {
-			args[i] = val
-			continue
-		}
-		args[i] = fill[fmt.Sprintf("f%d", i)]
-	}
-	return term.NewOp(op.Name, op.Range, args...)
 }

@@ -1,6 +1,7 @@
 package homo_test
 
 import (
+	"strings"
 	"testing"
 
 	"algspec/internal/core"
@@ -14,12 +15,18 @@ import (
 // constructor that no observer can see. With ObsDepth = 0 the structural
 // comparison rejects it; with ObsDepth > 0 the verifier recognizes the
 // Φ images as behaviourally indistinguishable and records the instances
-// as ObservationalOnly.
-func obsRep(t *testing.T) *homo.Verifier {
+// as ObservationalOnly. obsWrap is the right-hand side of [o2] and
+// [co2]: obs(a) and cobs(c) make the wrapper invisible, false makes obs
+// tell wrap(base) from base.
+func obsRep(t *testing.T, obsWrap ...string) *homo.Verifier {
 	t.Helper()
+	o2, co2 := "obs(a)", "cobs(c)"
+	if len(obsWrap) == 2 {
+		o2, co2 = obsWrap[0], obsWrap[1]
+	}
 	env := core.NewEnv()
 	env.MustLoad(speclib.Bool)
-	env.MustLoad(`
+	env.MustLoad(strings.ReplaceAll(`
 spec AB
   uses Bool
   ops
@@ -31,9 +38,9 @@ spec AB
   axioms
     [k]  keep(a) = a
     [o1] obs(base) = true
-    [o2] obs(wrap(a)) = obs(a)
-end`)
-	env.MustLoad(`
+    [o2] obs(wrap(a)) = O2
+end`, "O2", o2))
+	env.MustLoad(strings.ReplaceAll(`
 spec CC
   uses Bool
   ops
@@ -46,8 +53,8 @@ spec CC
     -- BUG-or-feature: keep' inserts a wrapper.
     [ck]  ckeep(c) = cwrap(c)
     [co1] cobs(cbase) = true
-    [co2] cobs(cwrap(c)) = cobs(c)
-end`)
+    [co2] cobs(cwrap(c)) = CO2
+end`, "CO2", co2))
 	v, err := homo.New(homo.Representation{
 		Abstract: env.MustGet("AB"),
 		Concrete: env.MustGet("CC"),
@@ -100,6 +107,26 @@ func TestObservationalEquivalenceRescuesWrapper(t *testing.T) {
 		}
 		if len(res.Failures) != 0 {
 			t.Errorf("axiom %s failed: %v", label, res.Failures)
+		}
+	}
+}
+
+// When obs tells wrap(base) from base, the wrapper ckeep inserts is
+// visible: axiom [k] fails on a = cbase at every observation depth,
+// while above cbase the images wrap(wrap(x)) and wrap(x) still look
+// alike and pass as observational-only.
+func TestObservationalCheckSeesWrapper(t *testing.T) {
+	for _, d := range []int{1, 2, 3} {
+		v := obsRep(t, "false", "false")
+		res, err := v.VerifyAxiom("k", homo.Config{Depth: 3, MaxInstancesPerAxiom: 50, ObsDepth: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Failures) != 1 || res.Failures[0].Assignment["a"].String() != "cbase" {
+			t.Errorf("ObsDepth %d: failures = %v, want one on a = cbase", d, res.Failures)
+		}
+		if res.ObservationalOnly != 2 {
+			t.Errorf("ObsDepth %d: %d observational-only instance(s), want 2", d, res.ObservationalOnly)
 		}
 	}
 }

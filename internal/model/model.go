@@ -16,7 +16,10 @@
 //   - CheckAxioms instantiates every axiom with generated ground values
 //     and verifies the two sides evaluate to equal values in the
 //     implementation (the "inherent invariants" of §4, checked on a
-//     finite model). Values of hidden sorts are compared observationally.
+//     finite model). Values of hidden sorts are compared observationally,
+//     through gen.ObserverContexts: the sorts the implementation reifies
+//     are observed directly, and two values of any other sort are equal
+//     unless some context evaluates to different observations of them.
 //
 //   - CheckAgainstSpec evaluates ground observer terms both symbolically
 //     (rewriting) and natively, and verifies agreement — the §5
@@ -101,25 +104,27 @@ func (c *Config) fill() {
 	}
 }
 
-// Observational comparison of hidden-sort values: obsDepth bounds how many
-// operations may be stacked on top of the compared values, and obsFill
-// the depth of the ground terms filling an observer context's other
-// argument positions.
-const (
-	obsDepth = 2
-	obsFill  = 2
-)
+// obsDepth bounds how many operations an observer context stacks on a
+// compared hidden-sort value (gen.ObserverContexts).
+const obsDepth = 2
 
 // Failure records one failed axiom instance or disagreement.
 type Failure struct {
 	Axiom    string
 	Instance *term.Term // LHS instance (or the observed term)
-	Want     string
-	Got      string
+	// Context is the observer context that told a hidden-sort instance's
+	// two values apart, and Got and Want what its lhs and rhs observe
+	// there; nil when the sort is observed directly or a side is error.
+	Context *term.Term
+	Want    string
+	Got     string
 }
 
 func (f Failure) String() string {
-	if f.Axiom != "" {
+	switch {
+	case f.Context != nil:
+		return fmt.Sprintf("axiom [%s] fails on %s: %s observes lhs=%s rhs=%s", f.Axiom, f.Instance, f.Context, f.Got, f.Want)
+	case f.Axiom != "":
 		return fmt.Sprintf("axiom [%s] fails on %s: lhs=%s rhs=%s", f.Axiom, f.Instance, f.Got, f.Want)
 	}
 	return fmt.Sprintf("%s: spec says %s, implementation says %s", f.Instance, f.Want, f.Got)
@@ -149,48 +154,49 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// harness evaluates terms in the implementation.
-type harness struct {
+// Harness evaluates ground terms through an implementation with the
+// paper's error strictness and lazy conditional. The checks run on it,
+// and the conformance subsystem's ModelClient reuses it, so a wire
+// session and the model checker observe an implementation alike.
+type Harness struct {
 	sp   *spec.Spec
 	impl *Impl
-	g    *gen.Generator
-}
-
-// Harness is the exported face of the evaluator the checks run on: it
-// evaluates ground terms through an implementation with the paper's
-// error strictness and lazy conditional. The conformance subsystem
-// (internal/conform, driverkit) reuses it so a driver, a wire session
-// and the model checker all agree on semantics.
-type Harness struct {
-	h *harness
+	g    *gen.Generator // the checks' generator; nil in a bare harness
 }
 
 // NewHarness builds a harness over the implementation.
 func NewHarness(sp *spec.Spec, impl *Impl) *Harness {
-	return &Harness{h: &harness{sp: sp, impl: impl}}
+	return &Harness{sp: sp, impl: impl}
 }
 
-// Eval evaluates a ground term through the implementation (lazy if,
-// strict error). The error return means the adapter itself misbehaved,
-// not a domain error — those come back as ErrValue.
-func (h *Harness) Eval(t *term.Term) (Value, error) { return h.h.Eval(t) }
+// Observe evaluates a ground term of a sort the implementation reifies
+// and returns what it observes: the reified constructor term, or the
+// error term when the value is the distinguished error. It is the step
+// CheckAxioms takes in each observer context. The error return means
+// the adapter itself misbehaved.
+func (h *Harness) Observe(t *term.Term) (*term.Term, error) { return h.observe(t, nil) }
 
 // errStop aborts a check when the implementation adapter itself fails.
 var errStop = errors.New("model: implementation adapter error")
 
-// Eval evaluates a ground term through the implementation. Conditionals
-// are lazy; error is strict.
-func (h *harness) Eval(t *term.Term) (Value, error) {
+// eval evaluates a ground term through the implementation, with
+// gen.HoleVar bound to *hole when hole is not nil. Conditionals are
+// lazy; error is strict. The error return means the adapter itself
+// misbehaved, not a domain error — those come back as ErrValue.
+func (h *Harness) eval(t *term.Term, hole *Value) (Value, error) {
 	switch t.Kind {
 	case term.Err:
 		return ErrValue, nil
 	case term.Atom:
 		return h.impl.Atom(t.Sort, t.Sym)
 	case term.Var:
+		if hole != nil && t.Sym == gen.HoleVar {
+			return *hole, nil
+		}
 		return nil, fmt.Errorf("%w: free variable %s in ground evaluation", errStop, t.Sym)
 	}
 	if t.IsIf() {
-		cond, err := h.Eval(t.Args[0])
+		cond, err := h.eval(t.Args[0], hole)
 		if err != nil {
 			return nil, err
 		}
@@ -202,13 +208,13 @@ func (h *harness) Eval(t *term.Term) (Value, error) {
 			return nil, err
 		}
 		if b {
-			return h.Eval(t.Args[1])
+			return h.eval(t.Args[1], hole)
 		}
-		return h.Eval(t.Args[2])
+		return h.eval(t.Args[2], hole)
 	}
 	args := make([]Value, len(t.Args))
 	for i, a := range t.Args {
-		v, err := h.Eval(a)
+		v, err := h.eval(a, hole)
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +226,7 @@ func (h *harness) Eval(t *term.Term) (Value, error) {
 	return h.impl.Apply(t.Sym, args)
 }
 
-func (h *harness) reifyBool(v Value) (bool, error) {
+func (h *Harness) reifyBool(v Value) (bool, error) {
 	t, ok, err := h.impl.Reify(sig.BoolSort, v)
 	if err != nil {
 		return false, err
@@ -238,120 +244,81 @@ func (h *harness) reifyBool(v Value) (bool, error) {
 	}
 }
 
-// equal compares two implementation values at a sort: reified comparison
-// for observable sorts, observational comparison for hidden sorts.
-func (h *harness) equal(so sig.Sort, a, b Value, depth int) (bool, error) {
-	if IsErr(a) || IsErr(b) {
-		return IsErr(a) && IsErr(b), nil
-	}
-	ta, oka, err := h.impl.Reify(so, a)
+// observe is Observe with gen.HoleVar bound to *hole when hole is not
+// nil.
+func (h *Harness) observe(t *term.Term, hole *Value) (*term.Term, error) {
+	v, err := h.eval(t, hole)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	tb, okb, err := h.impl.Reify(so, b)
+	if IsErr(v) {
+		return term.NewErr(t.Sort), nil
+	}
+	rt, ok, err := h.impl.Reify(t.Sort, v)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	if oka != okb {
-		return false, fmt.Errorf("%w: sort %s reifiable for one value but not the other", errStop, so)
+	if !ok {
+		return nil, fmt.Errorf("%w: sort %s is not reifiable", errStop, t.Sort)
 	}
-	if oka {
-		return ta.Equal(tb), nil
-	}
-	if depth <= 0 {
-		// Out of observation budget: optimistically equal. A larger
-		// obsDepth would discriminate more.
-		return true, nil
-	}
-	// Observational equality: every observer context must agree.
-	for _, op := range h.sp.Sig.OpsTaking(so) {
-		for pos, d := range op.Domain {
-			if d != so {
-				continue
-			}
-			fills, feasible := h.contextFills(op, pos)
-			if !feasible {
-				continue
-			}
-			for _, fill := range fills {
-				ra, err := h.applyContext(op, pos, a, fill)
-				if err != nil {
-					return false, err
-				}
-				rb, err := h.applyContext(op, pos, b, fill)
-				if err != nil {
-					return false, err
-				}
-				eq, err := h.equal(op.Range, ra, rb, depth-1)
-				if err != nil {
-					return false, err
-				}
-				if !eq {
-					return false, nil
-				}
-			}
-		}
-	}
-	return true, nil
+	return rt, nil
 }
 
-// contextFills enumerates value tuples for the non-hole arguments of an
-// observer context.
-func (h *harness) contextFills(op *sig.Operation, hole int) ([][]Value, bool) {
-	choices := make([][]Value, len(op.Domain))
-	for i, d := range op.Domain {
-		if i == hole {
-			continue
-		}
-		terms := h.g.Enumerate(d, obsFill)
-		if len(terms) == 0 {
-			return nil, false
-		}
-		vals := make([]Value, 0, len(terms))
-		for _, t := range terms {
-			v, err := h.Eval(t)
-			if err != nil || IsErr(v) {
-				continue
+// reified returns the sorts beyond spec.Observable the implementation
+// reifies: those whose Minimal value it observes (Nat, for adapters
+// built on int counts).
+func (h *Harness) reified() []sig.Sort {
+	var out []sig.Sort
+	for _, so := range h.sp.Sig.Sorts() {
+		if min, ok := h.g.Minimal(so); ok && !h.sp.Observable(so) {
+			if obs, err := h.observe(min, nil); err == nil && !obs.IsErr() {
+				out = append(out, so)
 			}
-			vals = append(vals, v)
 		}
-		if len(vals) == 0 {
-			return nil, false
-		}
-		choices[i] = vals
 	}
-	// Cartesian product, capped to keep observation tractable.
-	const maxFills = 64
-	fills := [][]Value{make([]Value, len(op.Domain))}
-	for i := range op.Domain {
-		if i == hole {
-			continue
+	return out
+}
+
+// judge compares an axiom instance's two evaluated sides through its
+// sort's observer contexts and returns the failure to report, if any.
+// Error equals only error; two values are equal unless some context
+// observes them differently. A sort observed directly (its one context
+// is the bare hole) keeps the values' own rendering. A hidden sort is
+// rendered by what the first telling context observes, or, when a side
+// is error, by the sort of the other.
+func (h *Harness) judge(ax *spec.Axiom, lhs *term.Term, lv, rv Value, ctxs []*term.Term) (*Failure, error) {
+	f := &Failure{Axiom: ax.Label, Instance: lhs}
+	if IsErr(lv) || IsErr(rv) {
+		if IsErr(lv) == IsErr(rv) {
+			return nil, nil
 		}
-		var next [][]Value
-		for _, f := range fills {
-			for _, v := range choices[i] {
-				nf := make([]Value, len(f))
-				copy(nf, f)
-				nf[i] = v
-				next = append(next, nf)
-				if len(next) >= maxFills {
-					break
-				}
+		f.Got, f.Want = "<"+string(ax.LHS.Sort)+">", term.ErrName
+		if IsErr(lv) {
+			f.Got, f.Want = f.Want, f.Got
+		}
+	} else {
+		for _, c := range ctxs {
+			ol, err := h.observe(c, &lv)
+			if err != nil {
+				return nil, err
 			}
-			if len(next) >= maxFills {
+			or, err := h.observe(c, &rv)
+			if err != nil {
+				return nil, err
+			}
+			if !ol.Equal(or) {
+				f.Context, f.Got, f.Want = c, ol.String(), or.String()
 				break
 			}
 		}
-		fills = next
+		if f.Context == nil {
+			return nil, nil
+		}
 	}
-	return fills, true
-}
-
-func (h *harness) applyContext(op *sig.Operation, hole int, v Value, fill []Value) (Value, error) {
-	args := make([]Value, len(op.Domain))
-	copy(args, fill)
-	args[hole] = v
-	return h.impl.Apply(op.Name, args)
+	if len(ctxs) == 1 && ctxs[0].Kind == term.Var {
+		f.Context, f.Got, f.Want = nil, fmt.Sprint(lv), fmt.Sprint(rv)
+	}
+	return f, nil
 }
 
 // CheckAxioms verifies every own axiom of the spec on the implementation.
@@ -361,7 +328,9 @@ func (h *harness) applyContext(op *sig.Operation, hole int, v Value, fill []Valu
 func CheckAxioms(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 	cfg.fill()
 	r := &Report{Spec: sp.Name}
-	h := &harness{sp: sp, impl: impl, g: gen.New(sp, gen.Config{})}
+	h := &Harness{sp: sp, impl: impl, g: gen.New(sp, gen.Config{})}
+	extra := h.reified()
+	ctxs := map[sig.Sort][]*term.Term{}
 
 	type item struct {
 		ax       *spec.Axiom
@@ -369,6 +338,9 @@ func CheckAxioms(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 	}
 	var items []item
 	for _, ax := range sp.Own {
+		if _, ok := ctxs[ax.LHS.Sort]; !ok {
+			ctxs[ax.LHS.Sort] = h.g.ObserverContexts(ax.LHS.Sort, extra, obsDepth)
+		}
 		for _, inst := range h.g.Instantiations(ax.LHS.Vars(), cfg.Depth, cfg.MaxInstancesPerAxiom) {
 			sub := subst.Subst(inst)
 			items = append(items, item{ax: ax, lhs: sub.Apply(ax.LHS), rhs: sub.Apply(ax.RHS)})
@@ -383,29 +355,22 @@ func CheckAxioms(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 	par.ForEach(len(items), cfg.Workers, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			it := items[i]
-			lv, err := h.Eval(it.lhs)
+			lv, err := h.eval(it.lhs, nil)
 			if err != nil {
 				outcomes[i] = outcome{fatal: fmt.Errorf("axiom [%s] lhs %s: %w", it.ax.Label, it.lhs, err)}
 				continue
 			}
-			rv, err := h.Eval(it.rhs)
+			rv, err := h.eval(it.rhs, nil)
 			if err != nil {
 				outcomes[i] = outcome{fatal: fmt.Errorf("axiom [%s] rhs %s: %w", it.ax.Label, it.rhs, err)}
 				continue
 			}
-			eq, err := h.equal(it.ax.LHS.Sort, lv, rv, obsDepth)
+			f, err := h.judge(it.ax, it.lhs, lv, rv, ctxs[it.ax.LHS.Sort])
 			if err != nil {
 				outcomes[i] = outcome{fatal: fmt.Errorf("axiom [%s] compare: %w", it.ax.Label, err)}
 				continue
 			}
-			if !eq {
-				outcomes[i] = outcome{failure: &Failure{
-					Axiom:    it.ax.Label,
-					Instance: it.lhs,
-					Want:     fmt.Sprint(rv),
-					Got:      fmt.Sprint(lv),
-				}}
-			}
+			outcomes[i] = outcome{failure: f}
 		}
 	})
 
@@ -433,7 +398,7 @@ func CheckAxioms(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 func CheckAgainstSpec(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 	cfg.fill()
 	r := &Report{Spec: sp.Name}
-	h := &harness{sp: sp, impl: impl, g: gen.New(sp, gen.Config{})}
+	h := &Harness{sp: sp, impl: impl, g: gen.New(sp, gen.Config{})}
 	base := rewrite.New(sp)
 
 	var items []*term.Term
@@ -459,29 +424,12 @@ func CheckAgainstSpec(sp *spec.Spec, impl *Impl, cfg Config) *Report {
 				outcomes[i] = outcome{soft: fmt.Errorf("%s: %w", t, nfErrs[i])}
 				continue
 			}
-			nf := nfs[i]
-			iv, err := h.Eval(t)
+			obs, err := h.observe(t, nil)
 			if err != nil {
 				outcomes[i] = outcome{fatal: fmt.Errorf("%s: %w", t, err)}
 				continue
 			}
-			var got string
-			switch {
-			case IsErr(iv):
-				got = term.ErrName
-			default:
-				rt, ok, err := impl.Reify(t.Sort, iv)
-				if err != nil {
-					outcomes[i] = outcome{fatal: fmt.Errorf("%s: %w", t, err)}
-					continue
-				}
-				if !ok {
-					outcomes[i] = outcome{fatal: fmt.Errorf("%s: range %s not reifiable", t, t.Sort)}
-					continue
-				}
-				got = rt.String()
-			}
-			want := nf.String()
+			got, want := obs.String(), nfs[i].String()
 			if got != want {
 				outcomes[i] = outcome{failure: &Failure{Instance: t, Want: want, Got: got}}
 			}

@@ -119,6 +119,16 @@ func TestRemoveWrongEndCaught(t *testing.T) {
 	if r.OK() {
 		t.Fatal("wrong-end remove not caught")
 	}
+	// Each failure names the observer context that told the two queues
+	// apart, never the implementation's native values.
+	for _, f := range r.Failures {
+		if f.Context == nil {
+			t.Errorf("failure names no context: %s", f)
+		}
+	}
+	if text := r.String(); !strings.Contains(text, " observes lhs=") || strings.Contains(text, "0x") {
+		t.Errorf("report:\n%s", text)
+	}
 }
 
 // Boundary-condition bugs are caught: a Front that panics on empty

@@ -70,7 +70,7 @@ var refimplCfg = model.Config{Depth: 3, MaxInstancesPerAxiom: 300}
 // range is a hidden sort the operation also takes: the mutant returns
 // its first argument of that sort unchanged (Queue's remove(q) = q). A
 // sort is hidden when it is not observable and the implementation does
-// not reify the value of its minimal term. The map is keyed by the
+// not observe the value of its minimal term. The map is keyed by the
 // operation's name; the names come back in operation order.
 func identityMutants(sp *spec.Spec, impl *model.Impl) ([]string, map[string]*model.Impl) {
 	g := gen.New(sp, gen.Config{})
@@ -82,10 +82,8 @@ func identityMutants(sp *spec.Spec, impl *model.Impl) ([]string, map[string]*mod
 			continue
 		}
 		if min, ok := g.Minimal(op.Range); ok {
-			if v, err := h.Eval(min); err == nil && !model.IsErr(v) {
-				if _, reified, _ := impl.Reify(op.Range, v); reified {
-					continue
-				}
+			if obs, err := h.Observe(min); err == nil && !obs.IsErr() {
+				continue
 			}
 		}
 		pos := -1
