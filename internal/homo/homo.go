@@ -520,12 +520,13 @@ func observationallyEqual(absSys *rewrite.System, ctxs []*term.Term, a, b *term.
 	if a.IsErr() || b.IsErr() {
 		return a.IsErr() && b.IsErr(), nil
 	}
+	ha, hb := subst.Subst{gen.HoleVar: a}, subst.Subst{gen.HoleVar: b}
 	for _, c := range ctxs {
-		na, err := absSys.Normalize(subst.Subst{gen.HoleVar: a}.Apply(c))
+		na, err := absSys.Normalize(ha.Apply(c))
 		if err != nil {
 			return false, err
 		}
-		nb, err := absSys.Normalize(subst.Subst{gen.HoleVar: b}.Apply(c))
+		nb, err := absSys.Normalize(hb.Apply(c))
 		if err != nil {
 			return false, err
 		}

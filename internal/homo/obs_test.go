@@ -15,14 +15,13 @@ import (
 // constructor that no observer can see. With ObsDepth = 0 the structural
 // comparison rejects it; with ObsDepth > 0 the verifier recognizes the
 // Φ images as behaviourally indistinguishable and records the instances
-// as ObservationalOnly. obsWrap is the right-hand side of [o2] and
-// [co2]: obs(a) and cobs(c) make the wrapper invisible, false makes obs
-// tell wrap(base) from base.
-func obsRep(t *testing.T, obsWrap ...string) *homo.Verifier {
+// as ObservationalOnly. With seesWrap, [o2] and [co2] make obs false on
+// every wrapped value, so obs tells wrap(base) from base.
+func obsRep(t *testing.T, seesWrap bool) *homo.Verifier {
 	t.Helper()
 	o2, co2 := "obs(a)", "cobs(c)"
-	if len(obsWrap) == 2 {
-		o2, co2 = obsWrap[0], obsWrap[1]
+	if seesWrap {
+		o2, co2 = "false", "false"
 	}
 	env := core.NewEnv()
 	env.MustLoad(speclib.Bool)
@@ -77,7 +76,7 @@ end`, "CO2", co2))
 
 func TestObservationalEquivalenceRescuesWrapper(t *testing.T) {
 	// Structural comparison: axiom [k] fails (wrap(φ(x)) ≠ φ(x)).
-	v := obsRep(t)
+	v := obsRep(t, false)
 	strict, err := v.VerifyAxiom("k", homo.Config{Depth: 3, MaxInstancesPerAxiom: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +87,7 @@ func TestObservationalEquivalenceRescuesWrapper(t *testing.T) {
 
 	// Observational comparison: every instance passes, and the verifier
 	// reports how many needed the weaker notion.
-	v2 := obsRep(t)
+	v2 := obsRep(t, false)
 	obs, err := v2.VerifyAxiom("k", homo.Config{Depth: 3, MaxInstancesPerAxiom: 50, ObsDepth: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +100,7 @@ func TestObservationalEquivalenceRescuesWrapper(t *testing.T) {
 	}
 	// The genuinely observable axioms hold either way.
 	for _, label := range []string{"o1", "o2"} {
-		res, err := obsRep(t).VerifyAxiom(label, homo.Config{Depth: 3, MaxInstancesPerAxiom: 50})
+		res, err := obsRep(t, false).VerifyAxiom(label, homo.Config{Depth: 3, MaxInstancesPerAxiom: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +116,7 @@ func TestObservationalEquivalenceRescuesWrapper(t *testing.T) {
 // alike and pass as observational-only.
 func TestObservationalCheckSeesWrapper(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
-		v := obsRep(t, "false", "false")
+		v := obsRep(t, true)
 		res, err := v.VerifyAxiom("k", homo.Config{Depth: 3, MaxInstancesPerAxiom: 50, ObsDepth: d})
 		if err != nil {
 			t.Fatal(err)

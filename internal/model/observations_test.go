@@ -66,17 +66,15 @@ var symtabCfg = model.Config{Depth: 3, MaxInstancesPerAxiom: 250}
 // checked at.
 var refimplCfg = model.Config{Depth: 3, MaxInstancesPerAxiom: 300}
 
-// identityMutants returns one mutant of impl per own operation whose
-// range is a hidden sort the operation also takes: the mutant returns
-// its first argument of that sort unchanged (Queue's remove(q) = q). A
-// sort is hidden when it is not observable and the implementation does
-// not observe the value of its minimal term. The map is keyed by the
-// operation's name; the names come back in operation order.
-func identityMutants(sp *spec.Spec, impl *model.Impl) ([]string, map[string]*model.Impl) {
+// identityMutants returns, in operation order, one mutant of impl per
+// own operation whose range is a hidden sort the operation also takes:
+// the mutant returns its first argument of that sort unchanged (Queue's
+// remove(q) = q). A sort is hidden when it is not observable and the
+// implementation does not observe the value of its minimal term.
+func identityMutants(sp *spec.Spec, impl *model.Impl) []refimpl.Mutant {
 	g := gen.New(sp, gen.Config{})
 	h := model.NewHarness(sp, impl)
-	var names []string
-	out := map[string]*model.Impl{}
+	var out []refimpl.Mutant
 	for _, op := range sp.OwnOperations() {
 		if op.Native || sp.Observable(op.Range) {
 			continue
@@ -104,10 +102,9 @@ func identityMutants(sp *spec.Spec, impl *model.Impl) ([]string, map[string]*mod
 			}
 			return impl.Apply(o, args)
 		}
-		names = append(names, name)
-		out[name] = &mutated
+		out = append(out, refimpl.Mutant{Spec: sp.Name, Op: name, Impl: &mutated})
 	}
-	return names, out
+	return out
 }
 
 // reportLines renders a model report without the implementation's own
@@ -229,10 +226,9 @@ func TestObservationsGolden(t *testing.T) {
 	}
 
 	identity := func(id string, sp *spec.Spec, impl *model.Impl, cfg model.Config) {
-		names, muts := identityMutants(sp, impl)
-		for _, op := range names {
-			if check(id+"/"+op+"=id", sp, muts[op], cfg) {
-				t.Errorf("identity mutant %s/%s survived both model checks", id, op)
+		for _, m := range identityMutants(sp, impl) {
+			if check(id+"/"+m.Op+"=id", sp, m.Impl, cfg) {
+				t.Errorf("identity mutant %s/%s survived both model checks", id, m.Op)
 			}
 		}
 	}
